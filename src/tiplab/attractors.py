@@ -128,10 +128,6 @@ class LimitSet:
                         self.separation, self.complete, list(self.notes))
 
 
-def _window_grid(w0: float, w1: float, n: int) -> np.ndarray:
-    return np.linspace(w0, w1, n)
-
-
 def _sup_gap(a: Trajectory, b: Trajectory, grid: np.ndarray) -> tuple[float, float]:
     """Sup-norm gap over the grid and the comparison threshold scale.
 
@@ -189,7 +185,7 @@ def limit_hyperbolic_solutions(
     w0, w1 = window if window is not None else (-num.horizon, num.horizon)
     if not w1 > w0:
         raise AttractorError(f"empty window ({w0}, {w1})")
-    grid = _window_grid(w0, w1, num.window_samples)
+    grid = np.linspace(w0, w1, num.window_samples)
     seed_lo, seed_hi = model.seeds()
     rhs = model.frozen_rhs(gamma)
     out = LimitSet(gamma=gamma, concavity=model.concavity, window=(w0, w1))

@@ -279,41 +279,6 @@ def critical_value(model, mechanism_family: Callable[[float], object],
 # bifurcation map: critical additive tilt of a concave equation
 # ---------------------------------------------------------------------------
 
-class _TiltedModel:
-    """Model with an additive constant tilt: f(t, x, gamma) + lam."""
-
-    def __init__(self, base, lam: float):
-        self._base = base
-        self.lam = float(lam)
-        self.family = base.family
-        self.concavity = base.concavity
-        self.state_box = base.state_box
-        self.domain = base.domain
-        self.translation_invariant = base.translation_invariant
-        bf = base._f
-        lam = self.lam
-        self._f = lambda t, x, g: bf(t, x, g) + lam
-        self._fx = base._fx
-
-    def f(self, t, x, g):
-        return self._f(t, x, g)
-
-    def fx(self, t, x, g):
-        return self._fx(t, x, g)
-
-    def frozen_rhs(self, gamma):
-        f = self._f
-        return lambda t, x: f(t, x, gamma)
-
-    def transition_rhs(self, mechanism):
-        f = self._f
-        path = mechanism.path
-        return lambda t, x: f(t, x, path(t))
-
-    def seeds(self, margin: float = 10.0):
-        return self._base.seeds(margin)
-
-
 @dataclass
 class LambdaStarResult:
     value: float
@@ -348,7 +313,7 @@ def lambda_star(model, profile, c: float, s: float,
     num_H = resolve_horizon(mech, num)
 
     def label_at(lam: float) -> str:
-        tilted = _TiltedModel(model, lam)
+        tilted = model.tilted(lam)
         try:
             out = classify(tilted, mech, num, horizon=num_H, cache=LimitCache(tilted, num))
         except (NonConvergentError, AttractorError):

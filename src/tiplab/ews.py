@@ -279,19 +279,6 @@ class _RepellerCurve:
         return sol(t)
 
 
-def m_curve(model, rate_family, delta, grid,
-            num: Numerics = DEFAULT_NUMERICS,
-            c_tol: float = 1.0e-4):
-    """Sample the curve t -> m_{delta(t)}(t) built from the repulsive
-    solutions of the frozen-rate problems; NaN where the repulsive solution
-    does not extend back to t."""
-    curve = _RepellerCurve(model, rate_family, num, c_tol)
-    out = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        out[i] = curve.value(float(delta(t)), float(t))
-    return out
-
-
 @dataclass
 class SafePointReport:
     s1: float | None              # first crossing of the critical rate
@@ -476,7 +463,8 @@ def _terminal_label(model, x_end: float, H: float, future, num) -> tuple[str, di
 
 class _UnreactedRun:
     """Shared state for a reaction sweep: the unreacted solution, its FTLE
-    series, and the limit sets, computed once for the whole grid."""
+    series, the limit sets and the unreacted label, computed once for the
+    whole grid."""
 
     def __init__(self, model, profile, delta, T: float, num: Numerics):
         from .transitions import TimeDependentRate
@@ -495,12 +483,17 @@ class _UnreactedRun:
         self.u = pullback_attractive(model, self.mechanism, self.past[role],
                                      self.H, num)
         self.series = ftle_series(model, self.mechanism, self.u, T, num)
+        self._label: CaseLabel | None = None
 
     def unreacted_label(self) -> CaseLabel:
-        from .classify import classify
+        """Classification of the unreacted problem, computed on first use
+        and shared by every cell that does not warn."""
+        if self._label is None:
+            from .classify import classify
 
-        return classify(self.model, self.mechanism, self.num,
-                        horizon=self.H, cache=self.cache)
+            self._label = classify(self.model, self.mechanism, self.num,
+                                   horizon=self.H, cache=self.cache)
+        return self._label
 
 
 def reaction_run(model, profile, delta, r: float, b: float, kappa: float,

@@ -146,10 +146,6 @@ class Trajectory:
                           self.status, self.t_blow, self.blow_sign, _tl=self._tl)
 
 
-def eval_trajectory(trajectory: Trajectory, time: float) -> float:
-    return trajectory(time)
-
-
 def _hermite(t0, x0, f0, t1, x1, f1, time):
     h = t1 - t0
     s = (time - t0) / h

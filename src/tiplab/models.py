@@ -9,8 +9,12 @@ ranges and positivity can be checked without numerics on the model itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
+from string import Template
 from typing import Callable
+
+from ._codegen import Emitter, paren
 
 
 class ModelError(ValueError):
@@ -36,14 +40,6 @@ _COEFF_KINDS = (
 )
 
 
-def _stable_sigmoid(u: float) -> float:
-    # logistic function without overflow for large |u|
-    if u >= 0.0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
-
-
 class Coefficient:
     """Bounded closed-form scalar function of time.
 
@@ -56,37 +52,70 @@ class Coefficient:
     - ``arctan``:       offset + amplitude*atan(scale*(t - center)), scale > 0
     - ``sigmoid-blend``: left/(1+exp(rate*(t-center))) + right/(1+exp(-rate*(t-center)))
     - ``sum``:          offset + sum of nested coefficient terms
+
+    Each kind emits its formula as a source fragment (``emit``); calling the
+    coefficient runs the fragment compiled on its own.
     """
 
-    __slots__ = ("kind", "params", "_fn", "_lo", "_hi")
+    __slots__ = ("kind", "params", "_p", "_fn", "_lo", "_hi")
 
     def __init__(self, kind: str, **params):
         if kind not in _COEFF_KINDS:
             raise ModelError(f"unknown coefficient kind {kind!r}")
         self.kind = kind
         self.params = dict(params)
-        self._fn, self._lo, self._hi = _build_coefficient(kind, params)
+        self._p, self._lo, self._hi = _coefficient_numbers(kind, params)
+        e = Emitter()
+        self._fn = e.compile("coefficient", "t", self.emit(e, "t"))
 
     def __call__(self, t: float) -> float:
         return self._fn(t)
 
-    @property
-    def closure(self) -> Callable[[float], float]:
-        return self._fn
+    def emit(self, e: Emitter, arg: str) -> str:
+        """Expression for the value at ``arg``; sin(omega*arg) terms are
+        shared with every other coefficient emitted into ``e``."""
+        p, kind = self._p, self.kind
+        if kind == "constant":
+            return e.num(p["value"])
+        if kind == "sum":
+            terms = " + ".join(paren(c.emit(e, arg)) for c in p["terms"])
+            # sum() adds left to right from the integer 0
+            return f"{e.num(p['offset'])} + (0 + {terms})"
+        if kind == "sigmoid-blend":
+            u = f"{e.num(p['rate'])} * ({arg} - {e.num(p['center'])})"
+            return e.sigmoid_blend(e.num(p["left"]), e.num(p["right"]), u)
+        off, a = e.num(p["offset"]), e.num(p["amplitude"])
+        if kind == "sin":
+            return f"{off} + {a} * {e.sin(p['omega'], arg)}"
+        if kind == "sin2":
+            return f"{off} + {a} * {e.sin(p['omega'], arg)} ** 2"
+        if kind == "rational-dip":
+            first, again = e.once(arg)
+            return f"{off} + {a} / ({e.num(p['width'])} + {first} * {again})"
+        # arctan
+        return f"{off} + {a} * atan({e.num(p['scale'])} * ({arg} - {e.num(p['center'])}))"
 
     def bounds(self) -> tuple[float, float]:
         """Closed-form range bounds (lo, hi); the range lies inside them."""
         return (self._lo, self._hi)
 
     def check_positive(self, t_max: float = 1.0e4, step: float = 0.25) -> float:
-        """Sampled minimum over a dense grid of [0, t_max]; raises if <= 0."""
-        fn = self._fn
-        n = int(t_max / step) + 1
-        m = min(fn(i * step) for i in range(n))
+        """Positive lower bound of the coefficient over all t; raises if there
+        is none.
+
+        The closed-form bound decides for every kind but ``sum``, whose bound
+        (the sum of its terms' bounds) may be loose: when it is not positive,
+        the minimum is sampled over [-t_max, t_max] instead.
+        """
+        m = self._lo
+        if m <= 0.0 and self.kind == "sum":
+            fn = self._fn
+            n = int(t_max / step)
+            m = min(fn(i * step) for i in range(-n, n + 1))
         if m <= 0.0:
             raise ModelError(
                 f"coefficient {self.kind!r} is not positively bounded below "
-                f"(sampled min {m:.6g})"
+                f"(lower bound {m:.6g})"
             )
         return m
 
@@ -103,41 +132,19 @@ class Coefficient:
         return f"Coefficient({self.kind}, {self.params})"
 
 
-def _build_coefficient(kind, p):
+def _coefficient_numbers(kind, p):
+    """Validated float parameters of a coefficient and its range bounds."""
     if kind == "constant":
         v = float(p["value"])
-        return (lambda t, v=v: v), v, v
-    if kind == "sin":
+        return {"value": v}, v, v
+    if kind == "sum":
         off = float(p.get("offset", 0.0))
-        a = float(p["amplitude"])
-        w = float(p["omega"])
-        sin = math.sin
-        return (lambda t: off + a * sin(w * t)), off - abs(a), off + abs(a)
-    if kind == "sin2":
-        off = float(p.get("offset", 0.0))
-        a = float(p["amplitude"])
-        w = float(p["omega"])
-        sin = math.sin
-        lo, hi = sorted((off, off + a))
-        return (lambda t: off + a * sin(w * t) ** 2), lo, hi
-    if kind == "rational-dip":
-        off = float(p.get("offset", 0.0))
-        a = float(p["amplitude"])
-        wd = float(p["width"])
-        if wd <= 0.0:
-            raise ModelError("rational-dip needs width > 0")
-        lo, hi = sorted((off, off + a / wd))
-        return (lambda t: off + a / (wd + t * t)), lo, hi
-    if kind == "arctan":
-        off = float(p.get("offset", 0.0))
-        a = float(p["amplitude"])
-        sc = float(p["scale"])
-        ce = float(p.get("center", 0.0))
-        if sc <= 0.0:
-            raise ModelError("arctan needs scale > 0")
-        atan = math.atan
-        half = abs(a) * math.pi / 2.0
-        return (lambda t: off + a * atan(sc * (t - ce))), off - half, off + half
+        terms = p["terms"]
+        if not terms or not all(isinstance(c, Coefficient) for c in terms):
+            raise ModelError("sum terms must be Coefficient instances")
+        lo = off + sum(c.bounds()[0] for c in terms)
+        hi = off + sum(c.bounds()[1] for c in terms)
+        return {"offset": off, "terms": tuple(terms)}, lo, hi
     if kind == "sigmoid-blend":
         left = float(p["left"])
         right = float(p["right"])
@@ -146,22 +153,30 @@ def _build_coefficient(kind, p):
         if rate <= 0.0:
             raise ModelError("sigmoid-blend needs rate > 0")
         lo, hi = sorted((left, right))
-
-        def fn(t, left=left, right=right, rate=rate, ce=ce):
-            s = _stable_sigmoid(rate * (t - ce))
-            return left * (1.0 - s) + right * s
-
-        return fn, lo, hi
-    if kind == "sum":
-        off = float(p.get("offset", 0.0))
-        terms = p["terms"]
-        if not terms or not all(isinstance(c, Coefficient) for c in terms):
-            raise ModelError("sum terms must be Coefficient instances")
-        fns = tuple(c.closure for c in terms)
-        lo = off + sum(c.bounds()[0] for c in terms)
-        hi = off + sum(c.bounds()[1] for c in terms)
-        return (lambda t: off + sum(f(t) for f in fns)), lo, hi
-    raise ModelError(f"unknown coefficient kind {kind!r}")
+        return {"left": left, "right": right, "rate": rate, "center": ce}, lo, hi
+    off = float(p.get("offset", 0.0))
+    a = float(p["amplitude"])
+    if kind in ("sin", "sin2"):
+        w = float(p["omega"])
+        if kind == "sin":
+            lo, hi = off - abs(a), off + abs(a)
+        else:
+            lo, hi = sorted((off, off + a))
+        return {"offset": off, "amplitude": a, "omega": w}, lo, hi
+    if kind == "rational-dip":
+        wd = float(p["width"])
+        if wd <= 0.0:
+            raise ModelError("rational-dip needs width > 0")
+        lo, hi = sorted((off, off + a / wd))
+        return {"offset": off, "amplitude": a, "width": wd}, lo, hi
+    # arctan
+    sc = float(p["scale"])
+    ce = float(p.get("center", 0.0))
+    if sc <= 0.0:
+        raise ModelError("arctan needs scale > 0")
+    half = abs(a) * math.pi / 2.0
+    return ({"offset": off, "amplitude": a, "scale": sc, "center": ce},
+            off - half, off + half)
 
 
 def make_coefficient(spec) -> Coefficient:
@@ -197,7 +212,12 @@ class VectorFieldModel:
     The state box bounds the region where the hyperbolic solutions of
     interest live; seeds and concavity checks are taken relative to it.
     The domain is the open x-interval on which the field is defined
-    (poles of rational terms lie outside it).
+    (poles of rational terms lie outside it). A tilt, when set, is a
+    constant added to f (not to its x-derivatives).
+
+    f, its x-derivatives and the right-hand sides are generated from the
+    family's formulas and the coefficients' fragments, and compiled into one
+    function each.
     """
 
     family: str
@@ -207,9 +227,41 @@ class VectorFieldModel:
     state_box: tuple[float, float]
     domain: tuple[float, float]
     translation_invariant: bool = False
-    _f: Callable = field(repr=False, default=None)
-    _fx: Callable = field(repr=False, default=None)
-    _fxx: Callable = field(repr=False, default=None)
+    tilt: float | None = None
+    _f: Callable = field(init=False, repr=False, compare=False)
+    _fx: Callable = field(init=False, repr=False, compare=False)
+    _fxx: Callable | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._f = self._compile("f", "t, x, g")
+        self._fx = self._compile("fx", "t, x, g")
+        self._fxx = (self._compile("fxx", "t, x, g")
+                     if _FAMILIES[self.family]["fxx"] else None)
+
+    def _emit(self, e: Emitter, which: str) -> str:
+        """Emit the statements of the family formula ``which`` into e and
+        return its result expression, in terms of t, x and g."""
+        src = _FAMILIES[self.family][which]
+        names = {}
+        for name in _PLACEHOLDER.findall(src):
+            if name in names:
+                continue
+            if name in self.coefficients:
+                names[name] = e.let(self.coefficients[name].emit(e, "t"))
+            else:
+                names[name] = e.num(self.constants[name])
+        if "DomainError" in src:
+            e.bind("DomainError", DomainError)
+        *stmts, last = Template(src).substitute(names).split("\n")
+        e.lines.extend(stmts)
+        result = last.removeprefix("return ")
+        if which == "f" and self.tilt is not None:
+            result = f"({result}) + {e.num(self.tilt)}"
+        return result
+
+    def _compile(self, which: str, signature: str):
+        e = Emitter()
+        return e.compile(which, signature, self._emit(e, which))
 
     def f(self, t: float, x: float, gamma: float) -> float:
         return self._f(t, x, gamma)
@@ -226,14 +278,19 @@ class VectorFieldModel:
 
     def frozen_rhs(self, gamma: float) -> Callable[[float, float], float]:
         """Right-hand side t, x -> f(t, x, gamma) with gamma frozen."""
-        f = self._f
-        return lambda t, x: f(t, x, gamma)
+        e = Emitter()
+        e.bind("g", gamma)
+        return e.compile("frozen_rhs", "t, x", self._emit(e, "f"))
 
     def transition_rhs(self, mechanism) -> Callable[[float, float], float]:
         """Right-hand side t, x -> f(t, x, path(t)) along a parameter path."""
-        f = self._f
-        path = mechanism.path
-        return lambda t, x: f(t, x, path(t))
+        e = Emitter()
+        e.lines.append(f"g = {mechanism.emit_path(e)}")
+        return e.compile("transition_rhs", "t, x", self._emit(e, "f"))
+
+    def tilted(self, lam: float) -> "VectorFieldModel":
+        """The same model with field f(t, x, gamma) + lam."""
+        return replace(self, tilt=float(lam))
 
     def seeds(self, margin: float = 10.0) -> tuple[float, float]:
         """Burn-in seeds outside the state box, clamped into the domain."""
@@ -249,28 +306,69 @@ class VectorFieldModel:
         return (s_lo, s_hi)
 
     def describe(self) -> dict:
-        return {
+        d = {
             "family": self.family,
             "coefficients": {k: c.describe() for k, c in self.coefficients.items()},
             "constants": dict(self.constants),
             "state_box": list(self.state_box),
         }
+        if self.tilt is not None:
+            d["tilt"] = self.tilt
+        return d
 
 
-def eval_f(model, t: float, x: float, gamma: float) -> float:
-    return model.f(t, x, gamma)
+# Family formulas. ``$name`` stands for a coefficient's value at t or for a
+# family constant; g is the parameter. The last line returns the value. The
+# operations and their order are part of the results: keep them when
+# editing, or every stored answer changes in its last bits.
+_PLACEHOLDER = re.compile(r"\$(\w+)")
 
 
-def eval_fx(model, t: float, x: float, gamma: float) -> float:
-    return model.fx(t, x, gamma)
+def _domain_check(family: str, cond: str, tail: str = "") -> str:
+    return (f"if {cond} <= 0.0:\n"
+            f"    raise DomainError(f\"{family} undefined at x={{x!r}}{tail}\")")
 
 
-def eval_fxx(model, t: float, x: float, gamma: float) -> float:
-    return model.fxx(t, x, gamma)
+def _pole_layout(pole: str, below: float, above: float):
+    # domain above the pole at x = -inf(pole); box from near the pole to above K
+    def layout(c, consts):
+        p_lo = c[pole].bounds()[0]
+        k_hi = c["K"].bounds()[1]
+        return (-p_lo, math.inf), (-below * p_lo, above * k_hi)
+    return layout
 
 
-# family name -> (concavity, required coefficients, optional coefficients w/ defaults,
-#                required positive, constants w/ defaults)
+def _gompertz_layout(c, consts):
+    k_lo, k_hi = c["K"].bounds()
+    return (0.0, math.inf), (0.005 * k_lo, 3.0 * k_hi)
+
+
+def _beverton_holt_layout(c, consts):
+    a_lo, a_hi = c["alpha"].bounds()
+    r_hi = c["r"].bounds()[1]
+    domain_lo = -1.0 / a_hi
+    return (domain_lo, math.inf), (0.5 * domain_lo, 3.0 * r_hi / a_lo + 10.0)
+
+
+def _cubic_layout(c, consts):
+    k_hi = c["K"].bounds()[1]
+    s_abs = max(abs(b) for b in c["S"].bounds())
+    half = 1.5 * k_hi + s_abs + 1.0
+    return (-math.inf, math.inf), (-half, half)
+
+
+_GOMPERTZ_CHECK = _domain_check("gompertz field", "x", " <= 0")
+_BH_CHECK = "den = 1.0 + $alpha * x\n" + _domain_check("beverton-holt field", "den")
+_RATIONAL_CHECK = "d = $nu + x\n" + _domain_check("allee-multiplicative-rational", "d")
+_RATIONAL_N = ("N = $r * (x * x - $mu * x - (x ** 3 - $mu * x * x) / $K)\n"
+               "Np = $r * (2.0 * x - $mu - (3.0 * x * x - 2.0 * $mu * x) / $K)\n")
+_HOLLING2_CHECK = "d = x + $b\n" + _domain_check("allee-holling2", "d")
+_LINEAR_CHECK = "d = x + $b\n" + _domain_check("holling-predation-linear-gamma", "d")
+
+# family name -> concavity, required coefficients, optional coefficients
+# w/ defaults, required positive, constants w/ defaults, the f/fx/fxx
+# formulas (fxx None for concave families), the (domain, default state box)
+# layout and translation invariance in gamma
 _FAMILIES: dict[str, dict] = {
     "concave-logistic-migration": {
         "concavity": CONCAVE,
@@ -278,6 +376,11 @@ _FAMILIES: dict[str, dict] = {
         "optional": {},
         "positive": ("r",),
         "constants": {},
+        "f": "d = x - g\nreturn -$r * d * d + $I",
+        "fx": "return -2.0 * $r * (x - g)",
+        "fxx": None,
+        "layout": lambda c, consts: ((-math.inf, math.inf), (-20.0, 20.0)),
+        "translation": True,
     },
     "gompertz": {
         "concavity": CONCAVE,
@@ -285,6 +388,11 @@ _FAMILIES: dict[str, dict] = {
         "optional": {"phi": 1.0},
         "positive": ("r", "K", "phi"),
         "constants": {},
+        "f": _GOMPERTZ_CHECK + "\nreturn -$r * x * log(x / $K) + g * $phi",
+        "fx": _GOMPERTZ_CHECK + "\nreturn -$r * (log(x / $K) + 1.0)",
+        "fxx": None,
+        "layout": _gompertz_layout,
+        "translation": False,
     },
     "beverton-holt": {
         "concavity": CONCAVE,
@@ -292,6 +400,11 @@ _FAMILIES: dict[str, dict] = {
         "optional": {"phi": 1.0},
         "positive": ("r", "alpha", "phi"),
         "constants": {},
+        "f": _BH_CHECK + "\nreturn x * ((1.0 + $r) / den - 1.0) + g * $phi",
+        "fx": _BH_CHECK + "\nreturn (1.0 + $r) / (den * den) - 1.0",
+        "fxx": None,
+        "layout": _beverton_holt_layout,
+        "translation": False,
     },
     "allee-multiplicative-cubic": {
         "concavity": DCONCAVE,
@@ -299,6 +412,11 @@ _FAMILIES: dict[str, dict] = {
         "optional": {"phi": 1.0},
         "positive": ("r", "K", "phi"),
         "constants": {},
+        "f": "return $r * x * (1.0 - x / $K) * (x - $S) / $K + g * $phi",
+        "fx": "return $r / $K * (2.0 * x - $S - (3.0 * x * x - 2.0 * $S * x) / $K)",
+        "fxx": "return $r / $K * (2.0 - (6.0 * x - 2.0 * $S) / $K)",
+        "layout": _cubic_layout,
+        "translation": False,
     },
     "allee-multiplicative-rational": {
         "concavity": DCONCAVE,
@@ -306,6 +424,13 @@ _FAMILIES: dict[str, dict] = {
         "optional": {"phi": 1.0},
         "positive": ("r", "K", "mu", "nu", "phi"),
         "constants": {},
+        "f": _RATIONAL_CHECK + "\nreturn $r * x * (1.0 - x / $K) * (x - $mu) / d + g * $phi",
+        "fx": _RATIONAL_CHECK + "\n" + _RATIONAL_N + "return (Np * d - N) / (d * d)",
+        "fxx": (_RATIONAL_CHECK + "\n" + _RATIONAL_N
+                + "Npp = $r * (2.0 - (6.0 * x - 2.0 * $mu) / $K)\n"
+                + "return (Npp * d * d - 2.0 * Np * d + 2.0 * N) / (d ** 3)"),
+        "layout": _pole_layout("nu", 0.1, 1.6),
+        "translation": False,
     },
     "allee-holling2": {
         "concavity": DCONCAVE,
@@ -313,6 +438,11 @@ _FAMILIES: dict[str, dict] = {
         "optional": {"phi": 1.0},
         "positive": ("r", "K", "a", "b", "phi"),
         "constants": {},
+        "f": _HOLLING2_CHECK + "\nreturn $r * x * (1.0 - x / $K) - $a * x / d + g * $phi",
+        "fx": _HOLLING2_CHECK + "\nreturn $r * (1.0 - 2.0 * x / $K) - $a * $b / (d * d)",
+        "fxx": _HOLLING2_CHECK + "\nreturn -2.0 * $r / $K + 2.0 * $a * $b / (d ** 3)",
+        "layout": _pole_layout("b", 0.5, 1.5),
+        "translation": False,
     },
     "holling-predation-linear-gamma": {
         "concavity": DCONCAVE,
@@ -320,6 +450,13 @@ _FAMILIES: dict[str, dict] = {
         "optional": {},
         "positive": ("r", "K", "b"),
         "constants": {"p0": 52.0, "p1": 13.0},
+        "f": _LINEAR_CHECK + "\nreturn $r * x * (1.0 - x / $K) - ($p0 - $p1 * g) * x / d",
+        "fx": (_LINEAR_CHECK
+               + "\nreturn $r * (1.0 - 2.0 * x / $K) - ($p0 - $p1 * g) * $b / (d * d)"),
+        "fxx": (_LINEAR_CHECK
+                + "\nreturn -2.0 * $r / $K + 2.0 * ($p0 - $p1 * g) * $b / (d ** 3)"),
+        "layout": _pole_layout("b", 0.5, 1.5),
+        "translation": False,
     },
 }
 
@@ -335,8 +472,8 @@ def make_model(
     """Build a catalog model.
 
     Coefficient values may be numbers, Coefficient objects, or spec dicts.
-    Positivity of the coefficients the family requires positive is verified
-    by sampling over [0, 1e4].
+    The coefficients the family requires positive must have a positive
+    lower bound over all t (see ``Coefficient.check_positive``).
     """
     if family not in _FAMILIES:
         raise ModelError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
@@ -359,8 +496,7 @@ def make_model(
     for name in spec["positive"]:
         coeffs[name].check_positive()
 
-    builder = _BUILDERS[family]
-    f, fx, fxx, domain, default_box, translation = builder(coeffs, consts)
+    domain, default_box = spec["layout"](coeffs, consts)
     box = tuple(float(v) for v in (state_box if state_box is not None else default_box))
     if not (domain[0] < box[0] < box[1] < domain[1]):
         raise ModelError(f"state box {box} must sit strictly inside the domain {domain}")
@@ -371,195 +507,8 @@ def make_model(
         constants=consts,
         state_box=box,
         domain=domain,
-        translation_invariant=translation,
-        _f=f,
-        _fx=fx,
-        _fxx=fxx,
+        translation_invariant=spec["translation"],
     )
-
-
-def _build_logistic_migration(c, consts):
-    r, I = c["r"].closure, c["I"].closure
-
-    def f(t, x, g):
-        d = x - g
-        return -r(t) * d * d + I(t)
-
-    def fx(t, x, g):
-        return -2.0 * r(t) * (x - g)
-
-    inf = math.inf
-    return f, fx, None, (-inf, inf), (-20.0, 20.0), True
-
-
-def _build_gompertz(c, consts):
-    r, K, phi = c["r"].closure, c["K"].closure, c["phi"].closure
-    log = math.log
-
-    def f(t, x, g):
-        if x <= 0.0:
-            raise DomainError(f"gompertz field undefined at x={x!r} <= 0")
-        return -r(t) * x * log(x / K(t)) + g * phi(t)
-
-    def fx(t, x, g):
-        if x <= 0.0:
-            raise DomainError(f"gompertz field undefined at x={x!r} <= 0")
-        return -r(t) * (log(x / K(t)) + 1.0)
-
-    k_lo, k_hi = c["K"].bounds()
-    return f, fx, None, (0.0, math.inf), (0.005 * k_lo, 3.0 * k_hi), False
-
-
-def _build_beverton_holt(c, consts):
-    r, alpha, phi = c["r"].closure, c["alpha"].closure, c["phi"].closure
-
-    def f(t, x, g):
-        den = 1.0 + alpha(t) * x
-        if den <= 0.0:
-            raise DomainError(f"beverton-holt field undefined at x={x!r}")
-        return x * ((1.0 + r(t)) / den - 1.0) + g * phi(t)
-
-    def fx(t, x, g):
-        den = 1.0 + alpha(t) * x
-        if den <= 0.0:
-            raise DomainError(f"beverton-holt field undefined at x={x!r}")
-        return (1.0 + r(t)) / (den * den) - 1.0
-
-    a_lo, a_hi = c["alpha"].bounds()
-    r_lo, r_hi = c["r"].bounds()
-    domain_lo = -1.0 / a_hi
-    box = (0.5 * domain_lo, 3.0 * r_hi / a_lo + 10.0)
-    return f, fx, None, (domain_lo, math.inf), box, False
-
-
-def _build_allee_cubic(c, consts):
-    r, K, S, phi = c["r"].closure, c["K"].closure, c["S"].closure, c["phi"].closure
-
-    def f(t, x, g):
-        Kt = K(t)
-        return r(t) * x * (1.0 - x / Kt) * (x - S(t)) / Kt + g * phi(t)
-
-    def fx(t, x, g):
-        Kt = K(t)
-        St = S(t)
-        return r(t) / Kt * (2.0 * x - St - (3.0 * x * x - 2.0 * St * x) / Kt)
-
-    def fxx(t, x, g):
-        Kt = K(t)
-        return r(t) / Kt * (2.0 - (6.0 * x - 2.0 * S(t)) / Kt)
-
-    k_hi = c["K"].bounds()[1]
-    s_abs = max(abs(b) for b in c["S"].bounds())
-    half = 1.5 * k_hi + s_abs + 1.0
-    inf = math.inf
-    return f, fx, fxx, (-inf, inf), (-half, half), False
-
-
-def _build_allee_rational(c, consts):
-    r, K, mu, nu = c["r"].closure, c["K"].closure, c["mu"].closure, c["nu"].closure
-    phi = c["phi"].closure
-
-    def f(t, x, g):
-        nut = nu(t)
-        if nut + x <= 0.0:
-            raise DomainError(f"allee-multiplicative-rational undefined at x={x!r}")
-        return r(t) * x * (1.0 - x / K(t)) * (x - mu(t)) / (nut + x) + g * phi(t)
-
-    def fx(t, x, g):
-        Kt = K(t)
-        mut = mu(t)
-        rt = r(t)
-        d = nu(t) + x
-        if d <= 0.0:
-            raise DomainError(f"allee-multiplicative-rational undefined at x={x!r}")
-        N = rt * (x * x - mut * x - (x ** 3 - mut * x * x) / Kt)
-        Np = rt * (2.0 * x - mut - (3.0 * x * x - 2.0 * mut * x) / Kt)
-        return (Np * d - N) / (d * d)
-
-    def fxx(t, x, g):
-        Kt = K(t)
-        mut = mu(t)
-        rt = r(t)
-        d = nu(t) + x
-        if d <= 0.0:
-            raise DomainError(f"allee-multiplicative-rational undefined at x={x!r}")
-        N = rt * (x * x - mut * x - (x ** 3 - mut * x * x) / Kt)
-        Np = rt * (2.0 * x - mut - (3.0 * x * x - 2.0 * mut * x) / Kt)
-        Npp = rt * (2.0 - (6.0 * x - 2.0 * mut) / Kt)
-        return (Npp * d * d - 2.0 * Np * d + 2.0 * N) / (d ** 3)
-
-    nu_lo = c["nu"].bounds()[0]
-    k_hi = c["K"].bounds()[1]
-    return f, fx, fxx, (-nu_lo, math.inf), (-0.1 * nu_lo, 1.6 * k_hi), False
-
-
-def _build_allee_holling2(c, consts):
-    r, K, a, b = c["r"].closure, c["K"].closure, c["a"].closure, c["b"].closure
-    phi = c["phi"].closure
-
-    def f(t, x, g):
-        bt = b(t)
-        if x + bt <= 0.0:
-            raise DomainError(f"allee-holling2 undefined at x={x!r}")
-        return r(t) * x * (1.0 - x / K(t)) - a(t) * x / (x + bt) + g * phi(t)
-
-    def fx(t, x, g):
-        bt = b(t)
-        d = x + bt
-        if d <= 0.0:
-            raise DomainError(f"allee-holling2 undefined at x={x!r}")
-        return r(t) * (1.0 - 2.0 * x / K(t)) - a(t) * bt / (d * d)
-
-    def fxx(t, x, g):
-        bt = b(t)
-        d = x + bt
-        if d <= 0.0:
-            raise DomainError(f"allee-holling2 undefined at x={x!r}")
-        return -2.0 * r(t) / K(t) + 2.0 * a(t) * bt / (d ** 3)
-
-    b_lo = c["b"].bounds()[0]
-    k_hi = c["K"].bounds()[1]
-    return f, fx, fxx, (-b_lo, math.inf), (-0.5 * b_lo, 1.5 * k_hi), False
-
-
-def _build_holling_linear(c, consts):
-    r, K, b = c["r"].closure, c["K"].closure, c["b"].closure
-    p0, p1 = consts["p0"], consts["p1"]
-
-    def f(t, x, g):
-        bt = b(t)
-        if x + bt <= 0.0:
-            raise DomainError(f"holling-predation-linear-gamma undefined at x={x!r}")
-        return r(t) * x * (1.0 - x / K(t)) - (p0 - p1 * g) * x / (x + bt)
-
-    def fx(t, x, g):
-        bt = b(t)
-        d = x + bt
-        if d <= 0.0:
-            raise DomainError(f"holling-predation-linear-gamma undefined at x={x!r}")
-        return r(t) * (1.0 - 2.0 * x / K(t)) - (p0 - p1 * g) * bt / (d * d)
-
-    def fxx(t, x, g):
-        bt = b(t)
-        d = x + bt
-        if d <= 0.0:
-            raise DomainError(f"holling-predation-linear-gamma undefined at x={x!r}")
-        return -2.0 * r(t) / K(t) + 2.0 * (p0 - p1 * g) * bt / (d ** 3)
-
-    b_lo = c["b"].bounds()[0]
-    k_hi = c["K"].bounds()[1]
-    return f, fx, fxx, (-b_lo, math.inf), (-0.5 * b_lo, 1.5 * k_hi), False
-
-
-_BUILDERS = {
-    "concave-logistic-migration": _build_logistic_migration,
-    "gompertz": _build_gompertz,
-    "beverton-holt": _build_beverton_holt,
-    "allee-multiplicative-cubic": _build_allee_cubic,
-    "allee-multiplicative-rational": _build_allee_rational,
-    "allee-holling2": _build_allee_holling2,
-    "holling-predation-linear-gamma": _build_holling_linear,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+from ._codegen import Emitter, paren
+
 
 class TransitionError(ValueError):
     """Invalid profile or mechanism construction."""
@@ -36,24 +38,46 @@ class Profile:
     - ``rational-dip``:  offset + amplitude/(width + t**2); equal limits offset
     - ``arctan``:        offset + amplitude*atan(scale*t); alias of arctan-ramp for
                          rate curves written around a nonzero offset
+
+    Each kind emits its formula as a single-expression source fragment
+    (``emit``); calling the profile runs the fragment compiled on its own.
     """
 
-    __slots__ = ("kind", "params", "_fn", "limit_minus", "limit_plus", "_lo", "_hi", "monotone_after")
+    __slots__ = ("kind", "params", "_p", "_fn", "limit_minus", "limit_plus", "_lo", "_hi",
+                 "monotone_after")
 
     def __init__(self, kind: str, **params):
         if kind not in _PROFILE_KINDS:
             raise TransitionError(f"unknown profile kind {kind!r}")
         self.kind = kind
         self.params = dict(params)
-        (self._fn, self.limit_minus, self.limit_plus,
-         self._lo, self._hi, self.monotone_after) = _build_profile(kind, params)
+        (self._p, self.limit_minus, self.limit_plus,
+         self._lo, self._hi, self.monotone_after) = _profile_numbers(kind, params)
+        e = Emitter()
+        self._fn = e.compile("profile", "t", self.emit(e, "t"))
 
     def __call__(self, t: float) -> float:
         return self._fn(t)
 
-    @property
-    def closure(self) -> Callable[[float], float]:
-        return self._fn
+    def emit(self, e: Emitter, arg: str) -> str:
+        """Expression for the value at ``arg``, evaluating arg at most once;
+        a single expression, so it can sit in a branch of a conditional."""
+        p, kind = self._p, self.kind
+        if kind == "constant":
+            return e.num(p["value"])
+        if kind == "cauchy-pulse":
+            first, again = e.once(arg)
+            return (f"{e.num(p['gamma_plus'])} + {e.num(p['amp'])} / "
+                    f"(1.0 + {e.num(p['b'])} * {first} * {again})")
+        if kind == "sigmoid-blend":
+            u = f"{e.num(p['rate'])} * {paren(arg)}"
+            return e.sigmoid_blend(e.num(p["left"]), e.num(p["right"]), u)
+        off, a = e.num(p["offset"]), e.num(p["amplitude"])
+        if kind == "rational-dip":
+            first, again = e.once(arg)
+            return f"{off} + {a} / ({e.num(p['width'])} + {first} * {again})"
+        # arctan-ramp, arctan
+        return f"{off} + {a} * atan({e.num(p['scale'])} * {paren(arg)})"
 
     def range_bounds(self) -> tuple[float, float]:
         return (self._lo, self._hi)
@@ -72,35 +96,31 @@ class Profile:
         return f"Profile({self.kind}, {self.params})"
 
 
-def _build_profile(kind, p):
-    # returns (fn, limit_minus, limit_plus, range_lo, range_hi, monotone_after)
+def _profile_numbers(kind, p):
+    """Validated float parameters, then limit_minus, limit_plus, range_lo,
+    range_hi and monotone_after."""
     if kind == "constant":
         v = float(p["value"])
-        return (lambda t, v=v: v), v, v, v, v, -math.inf
+        return {"value": v}, v, v, v, v, -math.inf
     if kind == "cauchy-pulse":
         gp = float(p["gamma_plus"])
         gs = float(p["gamma_star"])
         b = float(p["b"])
         if b <= 0.0:
             raise TransitionError("cauchy-pulse needs b > 0")
-        amp = gs - gp
         lo, hi = sorted((gp, gs))
-
-        def fn(t, gp=gp, amp=amp, b=b):
-            return gp + amp / (1.0 + b * t * t)
-
         # monotone toward the limit after the extremum at 0
-        return fn, gp, gp, lo, hi, 0.0
+        return {"gamma_plus": gp, "amp": gs - gp, "b": b}, gp, gp, lo, hi, 0.0
     if kind in ("arctan-ramp", "arctan"):
         off = float(p.get("offset", 0.0))
         a = float(p["amplitude"])
         sc = float(p["scale"])
         if sc <= 0.0:
             raise TransitionError("arctan profile needs scale > 0")
-        atan = math.atan
         half = a * math.pi / 2.0
         lo, hi = sorted((off - half, off + half))
-        return (lambda t: off + a * atan(sc * t)), off - half, off + half, lo, hi, -math.inf
+        return ({"offset": off, "amplitude": a, "scale": sc},
+                off - half, off + half, lo, hi, -math.inf)
     if kind == "sigmoid-blend":
         left = float(p["left"])
         right = float(p["right"])
@@ -108,17 +128,8 @@ def _build_profile(kind, p):
         if rate <= 0.0:
             raise TransitionError("sigmoid-blend needs rate > 0")
         lo, hi = sorted((left, right))
-
-        def fn(t, left=left, right=right, rate=rate):
-            u = rate * t
-            if u >= 0.0:
-                s = 1.0 / (1.0 + math.exp(-u))
-            else:
-                e = math.exp(u)
-                s = e / (1.0 + e)
-            return left * (1.0 - s) + right * s
-
-        return fn, left, right, lo, hi, -math.inf
+        return ({"left": left, "right": right, "rate": rate},
+                left, right, lo, hi, -math.inf)
     if kind == "rational-dip":
         off = float(p.get("offset", 0.0))
         a = float(p["amplitude"])
@@ -127,7 +138,7 @@ def _build_profile(kind, p):
             raise TransitionError("rational-dip needs width > 0")
         lo, hi = sorted((off, off + a / wd))
         mono = 0.0 if a < 0.0 else -math.inf if a == 0.0 else 0.0
-        return (lambda t: off + a / (wd + t * t)), off, off, lo, hi, mono
+        return {"offset": off, "amplitude": a, "width": wd}, off, off, lo, hi, mono
     raise TransitionError(f"unknown profile kind {kind!r}")
 
 
@@ -140,16 +151,28 @@ def make_profile(kind: str, **params) -> Profile:
 # ---------------------------------------------------------------------------
 
 class Mechanism:
-    """Parameter path t -> gamma(t) with known limits at -inf/+inf."""
+    """Parameter path t -> gamma(t) with known limits at -inf/+inf.
+
+    Each mechanism emits its path as a single-expression source fragment in
+    t (``emit_path``); ``path`` is that fragment compiled on its own, and
+    ``VectorFieldModel.transition_rhs`` inlines it into the field.
+    """
 
     kind: str = "?"
+    _path = None
 
     @property
     def path(self) -> Callable[[float], float]:
+        if self._path is None:
+            e = Emitter()
+            self._path = e.compile("path", "t", self.emit_path(e))
         return self._path
 
+    def emit_path(self, e: Emitter) -> str:
+        raise NotImplementedError
+
     def __call__(self, t: float) -> float:
-        return self._path(t)
+        return self.path(t)
 
     @property
     def gamma_minus(self) -> float:
@@ -161,12 +184,12 @@ class Mechanism:
 
     def tail_gap(self, horizon: float) -> float:
         """How far the path still is from its limits at -+horizon."""
-        p = self._path
+        p = self.path
         return max(abs(p(-horizon) - self._gamma_minus), abs(p(horizon) - self._gamma_plus))
 
     def path_scale(self, horizon: float = 400.0, samples: int = 401) -> float:
         """Spread of the path over [-horizon, horizon]; 0 for constant paths."""
-        p = self._path
+        p = self.path
         vals = [p(-horizon + 2.0 * horizon * i / (samples - 1)) for i in range(samples)]
         return max(vals) - min(vals)
 
@@ -184,11 +207,11 @@ class ConstantRate(Mechanism):
             raise TransitionError(f"rate must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
-        G = profile.closure
-        c = self.c
-        self._path = lambda t: G(c * t)
         self._gamma_minus = profile.limit_minus
         self._gamma_plus = profile.limit_plus
+
+    def emit_path(self, e: Emitter) -> str:
+        return self.profile.emit(e, f"{e.num(self.c)} * t")
 
     def describe(self):
         return {"kind": self.kind, "profile": self.profile.describe(), "c": self.c}
@@ -205,11 +228,11 @@ class Phase(Mechanism):
         self.profile = profile
         self.c = float(c)
         self.offset = float(offset)
-        G = profile.closure
-        c, s = self.c, self.offset
-        self._path = lambda t: G(c * (t + s))
         self._gamma_minus = profile.limit_minus
         self._gamma_plus = profile.limit_plus
+
+    def emit_path(self, e: Emitter) -> str:
+        return self.profile.emit(e, f"{e.num(self.c)} * (t + {e.num(self.offset)})")
 
     def describe(self):
         return {"kind": self.kind, "profile": self.profile.describe(),
@@ -227,11 +250,11 @@ class Size(Mechanism):
             raise TransitionError(f"size factor must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
-        G = profile.closure
-        c = self.c
-        self._path = lambda t: c * G(t)
-        self._gamma_minus = c * profile.limit_minus
-        self._gamma_plus = c * profile.limit_plus
+        self._gamma_minus = self.c * profile.limit_minus
+        self._gamma_plus = self.c * profile.limit_plus
+
+    def emit_path(self, e: Emitter) -> str:
+        return f"{e.num(self.c)} * {paren(self.profile.emit(e, 't'))}"
 
     def describe(self):
         return {"kind": self.kind, "profile": self.profile.describe(), "c": self.c}
@@ -249,12 +272,12 @@ class TimeDependentRate(Mechanism):
         self.profile = profile
         self.delta = delta
         self.d = float(d)
-        G = profile.closure
-        D = delta.closure
-        d = self.d
-        self._path = lambda t: G(D(d * t) * t)
         self._gamma_minus = profile.limit_minus
         self._gamma_plus = profile.limit_plus
+
+    def emit_path(self, e: Emitter) -> str:
+        rate = self.delta.emit(e, f"{e.num(self.d)} * t")
+        return self.profile.emit(e, f"{paren(rate)} * t")
 
     def describe(self):
         return {"kind": self.kind, "profile": self.profile.describe(),
@@ -280,15 +303,14 @@ class TimeDependentPhase(Mechanism):
         self.c = float(c)
         self.d = float(d)
         self.convention = convention
-        G = profile.closure
-        D = delta.closure
-        c, d = self.c, self.d
-        if convention == "minus":
-            self._path = lambda t: G(c * (t - D(d * t)))
-        else:
-            self._path = lambda t: G(c * (t + D(d * t)))
         self._gamma_minus = profile.limit_minus
         self._gamma_plus = profile.limit_plus
+
+    def emit_path(self, e: Emitter) -> str:
+        c = e.num(self.c)
+        phase = self.delta.emit(e, f"{e.num(self.d)} * t")
+        sign = "-" if self.convention == "minus" else "+"
+        return self.profile.emit(e, f"{c} * (t {sign} {paren(phase)})")
 
     def describe(self):
         return {"kind": self.kind, "profile": self.profile.describe(),
@@ -305,10 +327,12 @@ class Switching(Mechanism):
         self.left = left
         self.right = right
         self.t0 = float(t0)
-        pl, pr, t0 = left.path, right.path, self.t0
-        self._path = lambda t: pl(t) if t < t0 else pr(t)
         self._gamma_minus = left.gamma_minus
         self._gamma_plus = right.gamma_plus
+
+    def emit_path(self, e: Emitter) -> str:
+        left, right = self.left.emit_path(e), self.right.emit_path(e)
+        return f"{paren(left)} if t < {e.num(self.t0)} else {paren(right)}"
 
     def describe(self):
         return {"kind": self.kind, "left": self.left.describe(),
@@ -336,21 +360,16 @@ class Reaction(Mechanism):
         self.r = float(r)
         self.b = float(b)
         self.t1 = float(t1)
-        G = profile.closure
-        D = delta.closure
-        r, b, t1 = self.r, self.b, self.t1
-        tanh = math.tanh
-        self._path = lambda t: G((D(t) + r * tanh(b * (t - t1))) * t)
         # asymptotic speed of the profile argument decides which limit is reached
         past = delta.limit_minus - self.r
         self._gamma_minus = profile.limit_minus if past > 0.0 else profile.limit_plus
         self._gamma_plus = profile.limit_plus   # delta.limit_plus + r > 0 always
 
+    def emit_path(self, e: Emitter) -> str:
+        rate = self.delta.emit(e, "t")
+        boost = f"{e.num(self.r)} * tanh({e.num(self.b)} * (t - {e.num(self.t1)}))"
+        return self.profile.emit(e, f"({paren(rate)} + {boost}) * t")
+
     def describe(self):
         return {"kind": self.kind, "profile": self.profile.describe(),
                 "delta": self.delta.describe(), "r": self.r, "b": self.b, "t1": self.t1}
-
-
-def effective_parameter(mechanism: Mechanism, t: float) -> float:
-    """Value of the parameter path driven by the mechanism at time t."""
-    return mechanism.path(t)

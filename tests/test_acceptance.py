@@ -53,6 +53,8 @@ from tiplab.transitions import (
     make_profile,
 )
 
+pytestmark = pytest.mark.acceptance
+
 NUM = DEFAULT_NUMERICS
 SHARED: dict = {}
 

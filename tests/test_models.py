@@ -127,6 +127,28 @@ def test_positive_coefficient_guard():
         })
 
 
+def test_positive_guard_sees_the_whole_time_axis():
+    # K >= 0.5 for t >= 0, but K -> 0.5 - pi/2 < 0 as t -> -inf
+    with pytest.raises(ModelError, match="positive"):
+        make_model("gompertz", {"r": 1.0, "K": {
+            "kind": "arctan", "offset": 0.5, "amplitude": 1.0, "scale": 1.0}})
+
+
+def test_positive_guard_samples_sums_with_loose_bounds():
+    # the terms cancel: bound 0.5 - 2 < 0, value 0.5 everywhere
+    ok = make_coefficient({"kind": "sum", "offset": 0.5, "terms": [
+        {"kind": "sin", "amplitude": 1.0, "omega": 1.0},
+        {"kind": "sin", "amplitude": -1.0, "omega": 1.0},
+    ]})
+    assert ok.bounds()[0] < 0.0
+    assert ok.check_positive() == 0.5
+    # positive for t >= 0 only
+    bad = make_coefficient({"kind": "sum", "offset": 0.5, "terms": [
+        {"kind": "arctan", "amplitude": 1.0, "scale": 1.0}]})
+    with pytest.raises(ModelError, match="positive"):
+        bad.check_positive()
+
+
 def test_concavity_labels(cubic, cmodel, hmodel, dmodel):
     assert cubic.concavity == "d-concave"
     assert cmodel.concavity == "concave"
