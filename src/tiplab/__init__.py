@@ -17,8 +17,8 @@ from .integrator import (
     integrate,
 )
 from .models import (
-    Coefficient,
     ConcavityReport,
+    Curve,
     DomainError,
     ModelError,
     VectorFieldModel,
@@ -30,7 +30,6 @@ from .transitions import (
     ConstantRate,
     Mechanism,
     Phase,
-    Profile,
     Reaction,
     Size,
     Switching,
@@ -90,11 +89,11 @@ __all__ = [
     # integrator
     "IntegratorConfig", "IntegrationError", "Trajectory", "integrate",
     # models
-    "Coefficient", "ConcavityReport", "DomainError", "ModelError",
+    "ConcavityReport", "Curve", "DomainError", "ModelError",
     "VectorFieldModel", "check_concavity_class", "make_coefficient",
     "make_model",
     # transitions
-    "ConstantRate", "Mechanism", "Phase", "Profile", "Reaction", "Size",
+    "ConstantRate", "Mechanism", "Phase", "Reaction", "Size",
     "Switching", "TimeDependentPhase", "TimeDependentRate", "TransitionError",
     "make_profile",
     # attractors

@@ -1,11 +1,11 @@
 """Generated right-hand sides: one compiled Python function per structure.
 
-Coefficients, profiles, mechanism paths and model families each emit an
-expression fragment into an ``Emitter``. Every number is bound by name as a
-parameter of a factory function, so the generated source depends only on the
-structure (which kinds, which families), never on the values: the factory is
-compiled once per source text and called once per instance to close over the
-numbers.
+Curves (coefficients and profiles), mechanism paths and model families each
+emit an expression fragment into an ``Emitter``. Every number is bound by
+name as a parameter of a factory function, so the generated source depends
+only on the structure (which kinds, which families), never on the values:
+the factory is compiled once per source text and called once per instance
+to close over the numbers.
 
 The fragments keep the evaluation order of the formulas they implement, so
 the compiled functions return bitwise the values of the formulas written out

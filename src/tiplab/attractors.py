@@ -206,21 +206,17 @@ def limit_hyperbolic_solutions(
     return out
 
 
-def _attractive_run(rhs, w0, w1_ext, seed, grid, num, what):
-    traj, B, gap = _certified_run(
-        rhs, lambda b: w0 - b, lambda b: seed, w1_ext, grid, num, what)
-    return traj, B, gap
-
-
 def _dconcave_limit_set(model, rhs, out, grid, w0, w1, pad, seed_lo, seed_hi, num):
     upper = lower = None
     try:
-        tr_u, b_u, g_u = _attractive_run(rhs, w0, w1 + pad, seed_hi, grid, num, "upper attractive")
+        tr_u, b_u, g_u = _certified_run(
+            rhs, lambda b: w0 - b, lambda b: seed_hi, w1 + pad, grid, num, "upper attractive")
         upper = (tr_u, b_u, g_u)
     except (NonConvergentError, IntegrationError, DomainError) as e:
         out.notes.append(f"upper attractive: {e}")
     try:
-        tr_l, b_l, g_l = _attractive_run(rhs, w0, w1 + pad, seed_lo, grid, num, "lower attractive")
+        tr_l, b_l, g_l = _certified_run(
+            rhs, lambda b: w0 - b, lambda b: seed_lo, w1 + pad, grid, num, "lower attractive")
         lower = (tr_l, b_l, g_l)
     except (NonConvergentError, IntegrationError, DomainError) as e:
         out.notes.append(f"lower attractive: {e}")
@@ -302,7 +298,9 @@ def _middle_repulsive_run(rhs, w0, w1, tr_u, tr_l, grid, num: Numerics):
 def _concave_limit_set(model, rhs, out, grid, w0, w1, seed_lo, seed_hi, num):
     attractive = None
     try:
-        tr_a, b_a, g_a = _attractive_run(rhs, w0, w1 + 2.0 * num.burn_in, seed_hi, grid, num, "attractive")
+        tr_a, b_a, g_a = _certified_run(
+            rhs, lambda b: w0 - b, lambda b: seed_hi, w1 + 2.0 * num.burn_in, grid, num,
+            "attractive")
         attractive = (tr_a, b_a, g_a)
         out.estimates["attractive"] = HyperbolicEstimate(
             "attractive", out.gamma, tr_a, out.window, b_a, g_a)
@@ -337,6 +335,14 @@ _ROLE_SHORT = {
     "attractive": "a",
     "repulsive": "r",
 }
+
+
+def _role_for(model, role: str) -> str:
+    """The role a d-concave role stands for on the model: itself on a
+    d-concave model, the one attractive or repulsive role on a concave one."""
+    if model.concavity == DCONCAVE:
+        return role
+    return "attractive" if role.endswith("attractive") else "repulsive"
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .attractors import (
     NonConvergentError,
     Numerics,
     PullbackSolution,
+    _role_for,
     limit_hyperbolic_solutions,
     pullback_attractive,
     pullback_repulsive,
@@ -191,6 +192,26 @@ def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
 # critical values by bisection
 # ---------------------------------------------------------------------------
 
+def _bisect(pred: Callable[[float], bool], a: float, b: float,
+            tol: float) -> tuple[float, float, int]:
+    """Bisect between a, where pred is false, and b, where it holds (a may
+    lie on either side of b): the midpoint m replaces b when pred(m) holds
+    and a otherwise. Stops once |b - a| <= tol, or when m no longer falls
+    strictly between a and b (adjacent floats), so tol = 0 terminates.
+    Returns (a, b, steps)."""
+    steps = 0
+    while abs(b - a) > tol:
+        m = 0.5 * (a + b)
+        if not (a < m < b or b < m < a):
+            break
+        if pred(m):
+            b = m
+        else:
+            a = m
+        steps += 1
+    return a, b, steps
+
+
 _BOUNDARY = {
     frozenset(("C", "A")): "B",
     frozenset(("C1", "A")): "B1",
@@ -225,8 +246,7 @@ class CriticalValueResult:
 
 def critical_value(model, mechanism_family: Callable[[float], object],
                    lower: float, upper: float, tol: float,
-                   num: Numerics = DEFAULT_NUMERICS,
-                   max_iterations: int = 80) -> CriticalValueResult:
+                   num: Numerics = DEFAULT_NUMERICS) -> CriticalValueResult:
     """Bisect a scalar mechanism parameter between two distinct case labels.
 
     mechanism_family maps the parameter to a mechanism; the parameter path
@@ -252,22 +272,17 @@ def critical_value(model, mechanism_family: Callable[[float], object],
         raise ClassifyError(
             f"both endpoints classify as {lab_lo.label}; nothing to bisect")
 
-    lo, hi = float(lower), float(upper)
-    iterations = 0
-    while hi - lo > tol and iterations < max_iterations:
-        mid = 0.5 * (lo + hi)
+    def like_upper(mid: float) -> bool:
         lab_mid = classify(model, mechanism_family(mid), num, horizon=H, cache=cache)
         if lab_mid.indeterminate:
             raise IndeterminateError(
                 f"indeterminate classification inside the bracket at parameter {mid}")
-        if lab_mid.label == lab_lo.label:
-            lo = mid
-        elif lab_mid.label == lab_hi.label:
-            hi = mid
-        else:
+        if lab_mid.label not in (lab_lo.label, lab_hi.label):
             raise ClassifyError(
                 f"unexpected third label {lab_mid.label!r} at parameter {mid}")
-        iterations += 1
+        return lab_mid.label == lab_hi.label
+
+    lo, hi, iterations = _bisect(like_upper, float(lower), float(upper), tol)
     return CriticalValueResult(
         lower=lo, upper=hi, label_lower=lab_lo.label, label_upper=lab_hi.label,
         boundary_label=_BOUNDARY.get(frozenset((lab_lo.label, lab_hi.label))),
@@ -278,6 +293,9 @@ def critical_value(model, mechanism_family: Callable[[float], object],
 # ---------------------------------------------------------------------------
 # bifurcation map: critical additive tilt of a concave equation
 # ---------------------------------------------------------------------------
+
+_MAX_EXPAND = 6       # bracket expansions per end before lambda_star gives up
+
 
 @dataclass
 class LambdaStarResult:
@@ -295,8 +313,7 @@ class LambdaStarResult:
 def lambda_star(model, profile, c: float, s: float,
                 bracket: tuple[float, float] = (-0.6, 0.6),
                 tol: float = 1.0e-3,
-                num: Numerics = DEFAULT_NUMERICS,
-                max_expand: int = 6) -> LambdaStarResult:
+                num: Numerics = DEFAULT_NUMERICS) -> LambdaStarResult:
     """Critical additive tilt of the concave transition equation driven by
     Gamma(c*(t - s)).
 
@@ -324,37 +341,23 @@ def lambda_star(model, profile, c: float, s: float,
             raise IndeterminateError(f"indeterminate classification at tilt {lam}")
         return out.label
 
+    def expand(end: float, move: float, want: str, where: str) -> float:
+        """Move a bracket end by ``move`` until it is labelled ``want``."""
+        expansions = 0
+        while label_at(end) != want:
+            expansions += 1
+            if expansions > _MAX_EXPAND:
+                raise ClassifyError(f"no Case {want} tilt found {where} {end}")
+            end += move
+        return end
+
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ClassifyError(f"empty tilt bracket {bracket}")
     step = hi - lo
-    lab_hi = label_at(hi)
-    expansions = 0
-    while lab_hi != "A":
-        expansions += 1
-        if expansions > max_expand:
-            raise ClassifyError(f"no Case A tilt found up to {hi}")
-        hi += step
-        lab_hi = label_at(hi)
-    lab_lo = label_at(lo)
-    expansions = 0
-    while lab_lo != "C":
-        expansions += 1
-        if expansions > max_expand:
-            raise ClassifyError(f"no Case C tilt found down to {lo}")
-        lo -= step
-        lab_lo = label_at(lo)
-
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if label_at(mid) == "A":
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-        if iterations > 60:  # pragma: no cover
-            raise ClassifyError("tilt bisection failed to converge")
+    hi = expand(hi, step, "A", "up to")
+    lo = expand(lo, -step, "C", "down to")
+    lo, hi, iterations = _bisect(lambda lam: label_at(lam) == "A", lo, hi, tol)
     return LambdaStarResult(value=0.5 * (lo + hi), lower=lo, upper=hi,
                             iterations=iterations, horizon=num_H)
 
@@ -407,14 +410,7 @@ def gamma_interval(model, gamma_range: tuple[float, float], tol: float,
         raise ClassifyError("bistable set touches the upper end of the scan range")
 
     def edge(outside: float, inside: float) -> tuple[float, float]:
-        nonlocal evals
-        a, b = outside, inside
-        while abs(b - a) > tol:
-            mid = 0.5 * (a + b)
-            if bistable(mid):
-                b = mid
-            else:
-                a = mid
+        a, b, _ = _bisect(bistable, outside, inside, tol)
         return tuple(sorted((a, b)))
 
     lower = edge(grid[first - 1], grid[first])
@@ -438,14 +434,11 @@ def switching_classify(model, left_mechanism, right_mechanism, t0: float = 0.0,
     cache = LimitCache(model, num)
     past = cache.get(left_mechanism.gamma_minus, H)
     future = cache.get(right_mechanism.gamma_plus, H)
-    if model.concavity == DCONCAVE:
-        a = pullback_attractive(model, left_mechanism, past["upper-attractive"], H, num)
-        r = pullback_repulsive(model, right_mechanism, future["middle-repulsive"], H, num)
-        tip_label = "C2"
-    else:
-        a = pullback_attractive(model, left_mechanism, past["attractive"], H, num)
-        r = pullback_repulsive(model, right_mechanism, future["repulsive"], H, num)
-        tip_label = "C"
+    a = pullback_attractive(model, left_mechanism,
+                            past[_role_for(model, "upper-attractive")], H, num)
+    r = pullback_repulsive(model, right_mechanism,
+                           future[_role_for(model, "middle-repulsive")], H, num)
+    tip_label = "C2" if model.concavity == DCONCAVE else "C"
     if a.status != "completed" or not a.trajectory.covers(t0):
         raise ClassifyError("left pullback attractive solution does not reach t0")
     if r.status != "completed" or not r.trajectory.covers(t0):

@@ -28,6 +28,7 @@ from .attractors import (
     DEFAULT_NUMERICS,
     AttractorError,
     Numerics,
+    _role_for,
     estimate_lyapunov,
     limit_hyperbolic_solutions,
     pullback_attractive,
@@ -50,7 +51,7 @@ from .ews import (
     warning_time,
 )
 from .integrator import IntegratorConfig, integrate
-from .models import CONCAVE, DCONCAVE, make_model
+from .models import make_model
 from .transitions import (
     ConstantRate,
     Phase,
@@ -268,14 +269,6 @@ def _require(exp: dict, name: str, key: str):
     return exp[key]
 
 
-def _default_attractive_role(model) -> str:
-    return "upper-attractive" if model.concavity == DCONCAVE else "attractive"
-
-
-def _default_repulsive_role(model) -> str:
-    return "middle-repulsive" if model.concavity == DCONCAVE else "repulsive"
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners: each returns (exit code, resolved experiment, result)
 # ---------------------------------------------------------------------------
@@ -327,7 +320,7 @@ def run_attractors(cfg, out, model, num):
             "status": sol.status, "bounded": sol.bounded,
             "band_exit_time": sol.band_exit_time,
         }
-    rep_role = _default_repulsive_role(model)
+    rep_role = _role_for(model, "middle-repulsive")
     if rep_role in future.estimates:
         sol = pullback_repulsive(model, mech, future[rep_role], H, num)
         write_csv(out / f"pullback_repulsive_{rep_role}.csv", ("t", "x"),
@@ -392,7 +385,7 @@ def run_lyapunov(cfg, out, model, num):
     else:
         raise ConfigError("lyapunov needs experiment.gamma or a mechanism block")
     window_length = float(exp.get("window_length", 2000.0))
-    role = exp.get("role") or _default_attractive_role(model)
+    role = exp.get("role") or _role_for(model, "upper-attractive")
     half = window_length / 2.0 + 100.0
     win = exp.get("window")
     win = (-half, half) if win is None else (float(win[0]), float(win[1]))
@@ -412,7 +405,7 @@ def run_ftle(cfg, out, model, num):
     exp = dict(cfg.get("experiment") or {})
     mech = build_mechanism(cfg.get("mechanism"))
     T = float(_require(exp, "ftle", "T"))
-    role = exp.get("role") or _default_attractive_role(model)
+    role = exp.get("role") or _role_for(model, "upper-attractive")
     t_min = exp.get("t_min")
     t_max = exp.get("t_max")
     H = resolve_horizon(mech, num)
@@ -451,7 +444,7 @@ def run_ews_region(cfg, out, model, num):
     T = float(_require(exp, "ews-region", "T"))
     L = float(_require(exp, "ews-region", "L"))
     search = exp.get("search") or (-400.0, 400.0)
-    role = exp.get("role") or _default_attractive_role(model)
+    role = exp.get("role") or _role_for(model, "upper-attractive")
     grid = ews_region(model, mechanism_family(block, parameter), kappas, cs,
                       T, L, num, search=(float(search[0]), float(search[1])),
                       role=role)

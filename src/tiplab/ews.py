@@ -22,13 +22,14 @@ from .attractors import (
     NonConvergentError,
     Numerics,
     PullbackSolution,
+    _role_for,
     gauss3_interval_integrals,
     pullback_attractive,
     pullback_repulsive,
 )
-from .classify import CaseLabel, LimitCache, resolve_horizon
+from .classify import CaseLabel, LimitCache, _bisect, resolve_horizon
 from .integrator import IntegrationError, integrate
-from .models import CONCAVE, DCONCAVE
+from .models import DCONCAVE
 
 
 class EwsError(RuntimeError):
@@ -170,18 +171,11 @@ def warning_time(series: FtleSeries, ews: EwsConfig,
     lo_t, hi_t = float(t[i - 1]), float(t[i])
     lo_v, hi_v = float(v[i - 1]), float(v[i])
 
-    def below(x: float) -> bool:
+    def reached(x: float) -> bool:
         w = (x - lo_t) / (hi_t - lo_t)
-        return lo_v + w * (hi_v - lo_v) < thr
+        return not (lo_v + w * (hi_v - lo_v) < thr)
 
-    a, b = lo_t, hi_t
-    while b - a > refine_tol:
-        mid = 0.5 * (a + b)
-        if below(mid):
-            a = mid
-        else:
-            b = mid
-    return b
+    return _bisect(reached, lo_t, hi_t, refine_tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +213,7 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
     cs = [float(c) for c in cs]
     outcomes = [[None] * len(cs) for _ in kappas]
     notes = {}
-    past_role = role if model.concavity == DCONCAVE else "attractive"
+    past_role = _role_for(model, role)
     for j, c in enumerate(cs):
         mech = mechanism_family(c)
         try:
@@ -248,14 +242,12 @@ class _RepellerCurve:
     """Pullback repulsive solutions of the frozen-rate problems, cached by
     rounded rate; repeated queries at nearby rates reuse one solution."""
 
-    def __init__(self, model, rate_family, num: Numerics, c_tol: float = 1.0e-4,
-                 role: str | None = None):
+    def __init__(self, model, rate_family, num: Numerics, c_tol: float = 1.0e-4):
         self.model = model
         self.rate_family = rate_family
         self.num = num
         self.c_tol = c_tol
-        self.role = role if role is not None else (
-            "middle-repulsive" if model.concavity == DCONCAVE else "repulsive")
+        self.role = _role_for(model, "middle-repulsive")
         self._cache: dict[int, PullbackSolution] = {}
         self._caches: dict[float, LimitCache] = {}
 
@@ -332,8 +324,7 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
 
     cache = LimitCache(model, num)
     past = cache.get(mech.gamma_minus, H)
-    role = "upper-attractive" if model.concavity == DCONCAVE else "attractive"
-    u = pullback_attractive(model, mech, past[role], H, num)
+    u = pullback_attractive(model, mech, past[_role_for(model, "upper-attractive")], H, num)
 
     rate_family = lambda c: ConstantRate(profile, c)
     curve = _RepellerCurve(model, rate_family, num)
@@ -381,17 +372,16 @@ def _first_root(fn, level: float, lo: float, hi: float,
         if v == 0.0:
             return float(t)
         if (prev_v < 0.0) != (v < 0.0):
-            a, b, fa = prev_t, t, prev_v
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = fn(mid) - level
+            exact = []
+
+            def crossed(m: float) -> bool:
+                fm = fn(m) - level
                 if fm == 0.0:
-                    return float(mid)
-                if (fa < 0.0) != (fm < 0.0):
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return 0.5 * (a + b)
+                    exact.append(float(m))
+                return (prev_v < 0.0) != (fm < 0.0)
+
+            a, b, _ = _bisect(crossed, prev_t, t, tol)
+            return exact[0] if exact else 0.5 * (a + b)
         prev_t, prev_v = t, v
     return None
 
@@ -419,13 +409,7 @@ def crossover_time(solution: PullbackSolution, future_limits,
     for k in range(1, n + 1):
         t = lo + k * step
         if landed(t):
-            a, b = prev, t
-            while b - a > 1.0e-6:
-                mid = 0.5 * (a + b)
-                if landed(mid):
-                    b = mid
-                else:
-                    a = mid
+            a, b, _ = _bisect(landed, prev, t, 1.0e-6)
             return 0.5 * (a + b)
         prev = t
     return None
@@ -479,8 +463,8 @@ class _UnreactedRun:
         self.cache = LimitCache(model, num)
         self.past = self.cache.get(self.mechanism.gamma_minus, self.H)
         self.future = self.cache.get(self.mechanism.gamma_plus, self.H)
-        role = "upper-attractive" if model.concavity == DCONCAVE else "attractive"
-        self.u = pullback_attractive(model, self.mechanism, self.past[role],
+        self.u = pullback_attractive(model, self.mechanism,
+                                     self.past[_role_for(model, "upper-attractive")],
                                      self.H, num)
         self.series = ftle_series(model, self.mechanism, self.u, T, num)
         self._label: CaseLabel | None = None
@@ -510,7 +494,7 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
     if r < 0.0:
         raise EwsError("reaction strength must be nonnegative")
     run = shared if shared is not None else _UnreactedRun(model, profile, delta, T, num)
-    t1 = warning_time(run.series, EwsConfig(kappa, L))
+    t1 = warning_time(run.series, EwsConfig(kappa, L), refine_tol=num.warn_refine_tol)
     if t1 is None:
         return ReactionOutcome(run.unreacted_label(), None, r, kappa, False)
 

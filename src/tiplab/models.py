@@ -2,8 +2,9 @@
 
 Every model in the catalog is a scalar field f(t, x, gamma) that is either
 concave or concave-derivative ("d-concave") in x on its declared state box.
-Coefficients are drawn from a closed catalog of bounded closed forms, so
-ranges and positivity can be checked without numerics on the model itself.
+Coefficients are drawn from a closed catalog of bounded closed forms (the
+curves, which also serve as transition profiles), so ranges and positivity
+can be checked without numerics on the model itself.
 """
 
 from __future__ import annotations
@@ -26,54 +27,60 @@ class DomainError(ModelError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient catalog
+# curve catalog: coefficients, transition profiles and rate curves
 # ---------------------------------------------------------------------------
 
-_COEFF_KINDS = (
-    "constant",
-    "sin",
-    "sin2",
-    "rational-dip",
-    "arctan",
-    "sigmoid-blend",
-    "sum",
-)
+# "arctan-ramp" is read as "arctan"
+CURVE_KINDS = ("constant", "sin", "sin2", "rational-dip", "arctan", "arctan-ramp",
+               "sigmoid-blend", "cauchy-pulse", "sum")
 
 
-class Coefficient:
+class Curve:
     """Bounded closed-form scalar function of time.
 
-    Supported kinds and parameters:
+    Kinds and parameters:
 
-    - ``constant``:     value
-    - ``sin``:          offset + amplitude*sin(omega*t)
-    - ``sin2``:         offset + amplitude*sin(omega*t)**2
-    - ``rational-dip``: offset + amplitude/(width + t**2), width > 0
-    - ``arctan``:       offset + amplitude*atan(scale*(t - center)), scale > 0
-    - ``sigmoid-blend``: left/(1+exp(rate*(t-center))) + right/(1+exp(-rate*(t-center)))
-    - ``sum``:          offset + sum of nested coefficient terms
+    - ``constant``:      value
+    - ``sin``:           offset + amplitude*sin(omega*t)
+    - ``sin2``:          offset + amplitude*sin(omega*t)**2
+    - ``rational-dip``:  offset + amplitude/(width + t**2), width > 0
+    - ``arctan``:        offset + amplitude*atan(scale*(t - center)), scale > 0;
+                         ``arctan-ramp`` is read as ``arctan``
+    - ``sigmoid-blend``: left/(1+exp(rate*(t-center))) + right/(1+exp(-rate*(t-center))),
+                         rate > 0
+    - ``cauchy-pulse``:  gamma_plus + (gamma_star - gamma_plus)/(1 + b*t**2), b > 0
+    - ``sum``:           offset + sum of nested curve terms
 
+    ``center`` is optional; without it the formula reads t for t - center.
+    ``bounds()`` holds closed-form range bounds. Every kind but sin, sin2 and
+    sum has finite limits at -inf and +inf (``limit_minus``, ``limit_plus``,
+    else None), so it can serve as a transition profile or a rate curve.
     Each kind emits its formula as a source fragment (``emit``); calling the
-    coefficient runs the fragment compiled on its own.
+    curve runs the fragment compiled on its own.
     """
 
-    __slots__ = ("kind", "params", "_p", "_fn", "_lo", "_hi")
+    __slots__ = ("kind", "params", "_p", "_fn", "_lo", "_hi", "limit_minus", "limit_plus")
 
     def __init__(self, kind: str, **params):
-        if kind not in _COEFF_KINDS:
-            raise ModelError(f"unknown coefficient kind {kind!r}")
-        self.kind = kind
+        if kind not in CURVE_KINDS:
+            raise ModelError(f"unknown curve kind {kind!r}")
+        self.kind = "arctan" if kind == "arctan-ramp" else kind
         self.params = dict(params)
-        self._p, self._lo, self._hi = _coefficient_numbers(kind, params)
+        (self._p, (self._lo, self._hi),
+         (self.limit_minus, self.limit_plus)) = _curve_numbers(self.kind, params)
+        if "center" in params:      # read by arctan and sigmoid-blend
+            self._p["center"] = float(params["center"])
         e = Emitter()
-        self._fn = e.compile("coefficient", "t", self.emit(e, "t"))
+        self._fn = e.compile("curve", "t", self.emit(e, "t"))
 
     def __call__(self, t: float) -> float:
         return self._fn(t)
 
     def emit(self, e: Emitter, arg: str) -> str:
         """Expression for the value at ``arg``; sin(omega*arg) terms are
-        shared with every other coefficient emitted into ``e``."""
+        shared with every other curve emitted into ``e``. The kinds with
+        limits emit a single expression that evaluates arg once, so it can
+        sit in a branch of a conditional."""
         p, kind = self._p, self.kind
         if kind == "constant":
             return e.num(p["value"])
@@ -81,8 +88,12 @@ class Coefficient:
             terms = " + ".join(paren(c.emit(e, arg)) for c in p["terms"])
             # sum() adds left to right from the integer 0
             return f"{e.num(p['offset'])} + (0 + {terms})"
+        if kind == "cauchy-pulse":
+            first, again = e.once(arg)
+            return (f"{e.num(p['gamma_plus'])} + {e.num(p['amp'])} / "
+                    f"(1.0 + {e.num(p['b'])} * {first} * {again})")
         if kind == "sigmoid-blend":
-            u = f"{e.num(p['rate'])} * ({arg} - {e.num(p['center'])})"
+            u = f"{e.num(p['rate'])} * {self._centered(e, arg)}"
             return e.sigmoid_blend(e.num(p["left"]), e.num(p["right"]), u)
         off, a = e.num(p["offset"]), e.num(p["amplitude"])
         if kind == "sin":
@@ -93,15 +104,23 @@ class Coefficient:
             first, again = e.once(arg)
             return f"{off} + {a} / ({e.num(p['width'])} + {first} * {again})"
         # arctan
-        return f"{off} + {a} * atan({e.num(p['scale'])} * ({arg} - {e.num(p['center'])}))"
+        return f"{off} + {a} * atan({e.num(p['scale'])} * {self._centered(e, arg)})"
+
+    def _centered(self, e: Emitter, arg: str) -> str:
+        """arg - center as an operand, or arg alone when no center was given
+        (whether one was given is structure, so the source still depends
+        only on the structure)."""
+        if "center" not in self._p:
+            return paren(arg)
+        return f"({paren(arg)} - {e.num(self._p['center'])})"
 
     def bounds(self) -> tuple[float, float]:
         """Closed-form range bounds (lo, hi); the range lies inside them."""
         return (self._lo, self._hi)
 
     def check_positive(self, t_max: float = 1.0e4, step: float = 0.25) -> float:
-        """Positive lower bound of the coefficient over all t; raises if there
-        is none.
+        """Positive lower bound of the curve over all t; raises if there is
+        none.
 
         The closed-form bound decides for every kind but ``sum``, whose bound
         (the sum of its terms' bounds) may be loose: when it is not positive,
@@ -114,77 +133,79 @@ class Coefficient:
             m = min(fn(i * step) for i in range(-n, n + 1))
         if m <= 0.0:
             raise ModelError(
-                f"coefficient {self.kind!r} is not positively bounded below "
+                f"curve {self.kind!r} is not positively bounded below "
                 f"(lower bound {m:.6g})"
             )
         return m
 
     def describe(self) -> dict:
-        d = {"kind": self.kind}
-        for k, v in self.params.items():
-            if k == "terms":
-                d["terms"] = [c.describe() for c in v]
-            else:
-                d[k] = v
+        d = {"kind": self.kind, **self.params}
+        if self.kind == "sum":
+            d["terms"] = [c.describe() for c in self.params["terms"]]
         return d
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Coefficient({self.kind}, {self.params})"
+        return f"Curve({self.kind}, {self.params})"
 
 
-def _coefficient_numbers(kind, p):
-    """Validated float parameters of a coefficient and its range bounds."""
+def _curve_numbers(kind, p):
+    """Validated float parameters of a curve, its range bounds (lo, hi) and
+    its limits at -inf and +inf ((None, None) when it has none)."""
+    none = (None, None)
     if kind == "constant":
         v = float(p["value"])
-        return {"value": v}, v, v
+        return {"value": v}, (v, v), (v, v)
     if kind == "sum":
         off = float(p.get("offset", 0.0))
         terms = p["terms"]
-        if not terms or not all(isinstance(c, Coefficient) for c in terms):
-            raise ModelError("sum terms must be Coefficient instances")
+        if not terms or not all(isinstance(c, Curve) for c in terms):
+            raise ModelError("sum terms must be Curve instances")
         lo = off + sum(c.bounds()[0] for c in terms)
         hi = off + sum(c.bounds()[1] for c in terms)
-        return {"offset": off, "terms": tuple(terms)}, lo, hi
+        return {"offset": off, "terms": tuple(terms)}, (lo, hi), none
+    if kind == "cauchy-pulse":
+        gp = float(p["gamma_plus"])
+        gs = float(p["gamma_star"])
+        b = float(p["b"])
+        if b <= 0.0:
+            raise ModelError("cauchy-pulse needs b > 0")
+        return {"gamma_plus": gp, "amp": gs - gp, "b": b}, sorted((gp, gs)), (gp, gp)
     if kind == "sigmoid-blend":
         left = float(p["left"])
         right = float(p["right"])
         rate = float(p.get("rate", 1.0))
-        ce = float(p.get("center", 0.0))
         if rate <= 0.0:
             raise ModelError("sigmoid-blend needs rate > 0")
-        lo, hi = sorted((left, right))
-        return {"left": left, "right": right, "rate": rate, "center": ce}, lo, hi
+        return {"left": left, "right": right, "rate": rate}, sorted((left, right)), (left, right)
     off = float(p.get("offset", 0.0))
     a = float(p["amplitude"])
     if kind in ("sin", "sin2"):
         w = float(p["omega"])
-        if kind == "sin":
-            lo, hi = off - abs(a), off + abs(a)
-        else:
-            lo, hi = sorted((off, off + a))
-        return {"offset": off, "amplitude": a, "omega": w}, lo, hi
+        bounds = (off - abs(a), off + abs(a)) if kind == "sin" else sorted((off, off + a))
+        return {"offset": off, "amplitude": a, "omega": w}, bounds, none
     if kind == "rational-dip":
         wd = float(p["width"])
         if wd <= 0.0:
             raise ModelError("rational-dip needs width > 0")
-        lo, hi = sorted((off, off + a / wd))
-        return {"offset": off, "amplitude": a, "width": wd}, lo, hi
-    # arctan
+        return ({"offset": off, "amplitude": a, "width": wd},
+                sorted((off, off + a / wd)), (off, off))
+    # arctan: off -+ |a|*pi/2 equals off -+ a*pi/2 bit for bit when a >= 0,
+    # and off +- a*pi/2 when a < 0
     sc = float(p["scale"])
-    ce = float(p.get("center", 0.0))
     if sc <= 0.0:
         raise ModelError("arctan needs scale > 0")
     half = abs(a) * math.pi / 2.0
-    return ({"offset": off, "amplitude": a, "scale": sc, "center": ce},
-            off - half, off + half)
+    lo, hi = off - half, off + half
+    return ({"offset": off, "amplitude": a, "scale": sc},
+            (lo, hi), (lo, hi) if a >= 0.0 else (hi, lo))
 
 
-def make_coefficient(spec) -> Coefficient:
-    """Build a Coefficient from a number, a Coefficient, or a {kind, params} dict."""
-    if isinstance(spec, Coefficient):
+def make_coefficient(spec) -> Curve:
+    """Build a Curve from a number, a Curve, or a {kind, params} dict."""
+    if isinstance(spec, Curve):
         return spec
     if isinstance(spec, (int, float)):
-        return Coefficient("constant", value=float(spec))
+        return Curve("constant", value=float(spec))
     if isinstance(spec, dict):
         kind = spec.get("kind")
         if "params" in spec:
@@ -193,7 +214,7 @@ def make_coefficient(spec) -> Coefficient:
             params = {k: v for k, v in spec.items() if k != "kind"}
         if kind == "sum":
             params["terms"] = [make_coefficient(s) for s in params.get("terms", [])]
-        return Coefficient(kind, **params)
+        return Curve(kind, **params)
     raise ModelError(f"cannot interpret coefficient spec {spec!r}")
 
 
@@ -222,7 +243,7 @@ class VectorFieldModel:
 
     family: str
     concavity: str
-    coefficients: dict[str, Coefficient]
+    coefficients: dict[str, Curve]
     constants: dict[str, float]
     state_box: tuple[float, float]
     domain: tuple[float, float]
@@ -471,14 +492,14 @@ def make_model(
 ) -> VectorFieldModel:
     """Build a catalog model.
 
-    Coefficient values may be numbers, Coefficient objects, or spec dicts.
+    Coefficient values may be numbers, Curve objects, or spec dicts.
     The coefficients the family requires positive must have a positive
-    lower bound over all t (see ``Coefficient.check_positive``).
+    lower bound over all t (see ``Curve.check_positive``).
     """
     if family not in _FAMILIES:
         raise ModelError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
     spec = _FAMILIES[family]
-    coeffs: dict[str, Coefficient] = {}
+    coeffs: dict[str, Curve] = {}
     for name in spec["required"]:
         if name not in coefficients:
             raise ModelError(f"family {family!r} requires coefficient {name!r}")

@@ -1,149 +1,44 @@
 """Transition profiles and the mechanisms that turn them into parameter paths.
 
-A profile is a bounded closed-form curve with limits at -inf and +inf; it can
-play the role of the transition itself (gamma values) or of a time-dependent
-rate or phase. A mechanism composes a profile into the effective parameter
-path t -> gamma(t) that drives the nonautonomous equation.
+A profile is a curve of the catalog in ``models`` with finite limits at -inf
+and +inf; it can play the role of the transition itself (gamma values) or of
+a time-dependent rate or phase. A mechanism composes a profile into the
+effective parameter path t -> gamma(t) that drives the nonautonomous
+equation.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from ._codegen import Emitter, paren
+from .models import CURVE_KINDS, Curve, ModelError
 
 
 class TransitionError(ValueError):
     """Invalid profile or mechanism construction."""
 
 
-# ---------------------------------------------------------------------------
-# profiles
-# ---------------------------------------------------------------------------
-
-_PROFILE_KINDS = ("constant", "cauchy-pulse", "arctan-ramp", "sigmoid-blend", "rational-dip", "arctan")
-
-
-class Profile:
-    """Closed-form curve with finite limits at t -> -inf and t -> +inf.
-
-    Kinds and parameters:
-
-    - ``constant``:      value
-    - ``cauchy-pulse``:  gamma_plus + (gamma_star - gamma_plus)/(1 + b*t**2); equal
-                         limits gamma_plus, extremum gamma_star at t = 0, b > 0
-    - ``arctan-ramp``:   offset + amplitude*atan(scale*t); limits offset -+ amplitude*pi/2
-    - ``sigmoid-blend``: left/(1+exp(rate*t)) + right/(1+exp(-rate*t)); limits left, right
-    - ``rational-dip``:  offset + amplitude/(width + t**2); equal limits offset
-    - ``arctan``:        offset + amplitude*atan(scale*t); alias of arctan-ramp for
-                         rate curves written around a nonzero offset
-
-    Each kind emits its formula as a single-expression source fragment
-    (``emit``); calling the profile runs the fragment compiled on its own.
-    """
-
-    __slots__ = ("kind", "params", "_p", "_fn", "limit_minus", "limit_plus", "_lo", "_hi",
-                 "monotone_after")
-
-    def __init__(self, kind: str, **params):
-        if kind not in _PROFILE_KINDS:
-            raise TransitionError(f"unknown profile kind {kind!r}")
-        self.kind = kind
-        self.params = dict(params)
-        (self._p, self.limit_minus, self.limit_plus,
-         self._lo, self._hi, self.monotone_after) = _profile_numbers(kind, params)
-        e = Emitter()
-        self._fn = e.compile("profile", "t", self.emit(e, "t"))
-
-    def __call__(self, t: float) -> float:
-        return self._fn(t)
-
-    def emit(self, e: Emitter, arg: str) -> str:
-        """Expression for the value at ``arg``, evaluating arg at most once;
-        a single expression, so it can sit in a branch of a conditional."""
-        p, kind = self._p, self.kind
-        if kind == "constant":
-            return e.num(p["value"])
-        if kind == "cauchy-pulse":
-            first, again = e.once(arg)
-            return (f"{e.num(p['gamma_plus'])} + {e.num(p['amp'])} / "
-                    f"(1.0 + {e.num(p['b'])} * {first} * {again})")
-        if kind == "sigmoid-blend":
-            u = f"{e.num(p['rate'])} * {paren(arg)}"
-            return e.sigmoid_blend(e.num(p["left"]), e.num(p["right"]), u)
-        off, a = e.num(p["offset"]), e.num(p["amplitude"])
-        if kind == "rational-dip":
-            first, again = e.once(arg)
-            return f"{off} + {a} / ({e.num(p['width'])} + {first} * {again})"
-        # arctan-ramp, arctan
-        return f"{off} + {a} * atan({e.num(p['scale'])} * {paren(arg)})"
-
-    def range_bounds(self) -> tuple[float, float]:
-        return (self._lo, self._hi)
-
-    def require_positive(self, label: str = "rate") -> None:
-        if self._lo <= 0.0:
-            raise TransitionError(
-                f"profile {self.kind!r} must stay strictly positive to act as a {label} "
-                f"(range bound {self._lo:.6g})"
-            )
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, **self.params}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Profile({self.kind}, {self.params})"
+def make_profile(kind: str, **params) -> Curve:
+    """A curve with finite limits at -inf and +inf: every curve kind but
+    sin, sin2 and sum."""
+    if kind not in CURVE_KINDS:
+        raise TransitionError(f"unknown profile kind {kind!r}")
+    try:
+        curve = Curve(kind, **params)
+    except ModelError as exc:
+        raise TransitionError(f"invalid {kind!r} profile: {exc}") from exc
+    if curve.limit_minus is None:
+        raise TransitionError(f"a {kind!r} curve has no limits at -inf and +inf; "
+                              "it cannot serve as a profile")
+    return curve
 
 
-def _profile_numbers(kind, p):
-    """Validated float parameters, then limit_minus, limit_plus, range_lo,
-    range_hi and monotone_after."""
-    if kind == "constant":
-        v = float(p["value"])
-        return {"value": v}, v, v, v, v, -math.inf
-    if kind == "cauchy-pulse":
-        gp = float(p["gamma_plus"])
-        gs = float(p["gamma_star"])
-        b = float(p["b"])
-        if b <= 0.0:
-            raise TransitionError("cauchy-pulse needs b > 0")
-        lo, hi = sorted((gp, gs))
-        # monotone toward the limit after the extremum at 0
-        return {"gamma_plus": gp, "amp": gs - gp, "b": b}, gp, gp, lo, hi, 0.0
-    if kind in ("arctan-ramp", "arctan"):
-        off = float(p.get("offset", 0.0))
-        a = float(p["amplitude"])
-        sc = float(p["scale"])
-        if sc <= 0.0:
-            raise TransitionError("arctan profile needs scale > 0")
-        half = a * math.pi / 2.0
-        lo, hi = sorted((off - half, off + half))
-        return ({"offset": off, "amplitude": a, "scale": sc},
-                off - half, off + half, lo, hi, -math.inf)
-    if kind == "sigmoid-blend":
-        left = float(p["left"])
-        right = float(p["right"])
-        rate = float(p.get("rate", 1.0))
-        if rate <= 0.0:
-            raise TransitionError("sigmoid-blend needs rate > 0")
-        lo, hi = sorted((left, right))
-        return ({"left": left, "right": right, "rate": rate},
-                left, right, lo, hi, -math.inf)
-    if kind == "rational-dip":
-        off = float(p.get("offset", 0.0))
-        a = float(p["amplitude"])
-        wd = float(p["width"])
-        if wd <= 0.0:
-            raise TransitionError("rational-dip needs width > 0")
-        lo, hi = sorted((off, off + a / wd))
-        mono = 0.0 if a < 0.0 else -math.inf if a == 0.0 else 0.0
-        return {"offset": off, "amplitude": a, "width": wd}, off, off, lo, hi, mono
-    raise TransitionError(f"unknown profile kind {kind!r}")
-
-
-def make_profile(kind: str, **params) -> Profile:
-    return Profile(kind, **params)
+def _require_positive_rate(delta: Curve) -> None:
+    try:
+        delta.check_positive()
+    except ModelError as exc:
+        raise TransitionError(f"the rate curve must stay strictly positive: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +97,7 @@ class ConstantRate(Mechanism):
 
     kind = "constant-rate"
 
-    def __init__(self, profile: Profile, c: float):
+    def __init__(self, profile: Curve, c: float):
         if c <= 0.0:
             raise TransitionError(f"rate must be positive, got {c}")
         self.profile = profile
@@ -222,7 +117,7 @@ class Phase(Mechanism):
 
     kind = "phase"
 
-    def __init__(self, profile: Profile, c: float, offset: float):
+    def __init__(self, profile: Curve, c: float, offset: float):
         if c <= 0.0:
             raise TransitionError(f"rate must be positive, got {c}")
         self.profile = profile
@@ -245,7 +140,7 @@ class Size(Mechanism):
 
     kind = "size"
 
-    def __init__(self, profile: Profile, c: float):
+    def __init__(self, profile: Curve, c: float):
         if c <= 0.0:
             raise TransitionError(f"size factor must be positive, got {c}")
         self.profile = profile
@@ -265,10 +160,10 @@ class TimeDependentRate(Mechanism):
 
     kind = "time-dependent-rate"
 
-    def __init__(self, profile: Profile, delta: Profile, d: float = 1.0):
+    def __init__(self, profile: Curve, delta: Curve, d: float = 1.0):
         if d <= 0.0:
             raise TransitionError(f"rate-curve speed d must be positive, got {d}")
-        delta.require_positive("rate")
+        _require_positive_rate(delta)
         self.profile = profile
         self.delta = delta
         self.d = float(d)
@@ -290,7 +185,7 @@ class TimeDependentPhase(Mechanism):
 
     kind = "time-dependent-phase"
 
-    def __init__(self, profile: Profile, c: float, delta: Profile, d: float = 1.0,
+    def __init__(self, profile: Curve, c: float, delta: Curve, d: float = 1.0,
                  convention: str = "minus"):
         if c <= 0.0:
             raise TransitionError(f"rate must be positive, got {c}")
@@ -349,12 +244,12 @@ class Reaction(Mechanism):
 
     kind = "reaction"
 
-    def __init__(self, profile: Profile, delta: Profile, r: float, b: float, t1: float):
+    def __init__(self, profile: Curve, delta: Curve, r: float, b: float, t1: float):
         if r < 0.0:
             raise TransitionError(f"reaction strength must be >= 0, got {r}")
         if b <= 0.0:
             raise TransitionError(f"reaction sharpness must be positive, got {b}")
-        delta.require_positive("rate")
+        _require_positive_rate(delta)
         self.profile = profile
         self.delta = delta
         self.r = float(r)

@@ -12,6 +12,7 @@ import pytest
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
     AttractorError,
+    _role_for,
     check_anchor_insensitivity,
     estimate_lyapunov,
     gauss3_interval_integrals,
@@ -187,3 +188,12 @@ def test_gauss3_interval_integrals():
     assert float(parts.sum()) == pytest.approx(2.0, abs=1e-12)
     want = [math.cos(i * h) - math.cos((i + 1) * h) for i in range(n)]
     assert parts == pytest.approx(want, abs=1e-13)
+
+
+def test_role_for_maps_d_concave_roles(cubic):
+    concave = make_model("concave-logistic-migration", {"r": 1.0, "I": 0.25})
+    for role in ("upper-attractive", "lower-attractive", "middle-repulsive"):
+        assert _role_for(cubic, role) == role
+    assert _role_for(concave, "upper-attractive") == "attractive"
+    assert _role_for(concave, "lower-attractive") == "attractive"
+    assert _role_for(concave, "middle-repulsive") == "repulsive"

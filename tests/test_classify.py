@@ -9,6 +9,7 @@ from tiplab.classify import (
     ClassifyError,
     IndeterminateError,
     LimitCache,
+    _bisect,
     classify,
     critical_value,
     gamma_interval,
@@ -148,3 +149,24 @@ def test_switching_time_outside_horizon(cubic, pulse):
     left = ConstantRate(pulse, 5.0)
     with pytest.raises(ClassifyError, match="horizon"):
         switching_classify(cubic, left, left, t0=1.0e5)
+
+
+def test_bisect_moves_the_end_the_predicate_names():
+    # pred holds at and above 0.3: b tracks the holding side from either end
+    a, b, steps = _bisect(lambda m: m >= 0.3, 0.0, 1.0, 1.0e-3)
+    assert a < 0.3 <= b and b - a <= 1.0e-3 and steps == 10
+    a, b, _ = _bisect(lambda m: m <= 0.3, 1.0, 0.0, 1.0e-3)
+    assert b <= 0.3 < a and a - b <= 1.0e-3
+
+
+def test_bisect_with_zero_tolerance_stops_at_adjacent_floats():
+    a, b, steps = _bisect(lambda m: m >= 0.3, 0.0, 1.0, 0.0)
+    assert a < b == math.nextafter(a, 1.0)
+    assert a < 0.3 <= b and steps < 100
+    assert _bisect(lambda m: True, 0.5, 0.5, 0.0) == (0.5, 0.5, 0)
+
+
+def test_gamma_interval_with_zero_tolerance_terminates(cubic):
+    res = gamma_interval(cubic, (-1.0, 1.0), 0.0, window=(-30.0, 30.0))
+    for lo, hi in (res.lower, res.upper):
+        assert math.nextafter(lo, hi) == hi

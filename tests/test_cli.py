@@ -130,3 +130,18 @@ def test_module_invocation(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "case=A" in proc.stdout
+
+
+def test_ftle_with_zero_refine_tolerance_terminates(tmp_path):
+    # bisection down to tolerance 0 stops at adjacent floats instead of
+    # looping forever
+    cfg = base_config(c=0.05, experiment={"T": 10.0, "kappa": 0.5, "L": -2.0})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tiplab.cli", "ftle", "--config", str(cfg_path),
+         "--set", "numerics.warn_refine_tol=0", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["result"]["warning_time"] is not None

@@ -278,3 +278,17 @@ def test_reaction_rescues_slow_rate(cubic):
     assert strong.label.label == "A"
     with pytest.raises(EwsError, match="nonnegative"):
         reaction_run(cubic, PULSE, delta, -1.0, 1.0, 0.5, 10.0, -2.0, NUM)
+
+
+def test_reaction_warns_at_the_configured_refinement(cubic):
+    from tiplab.ews import _UnreactedRun
+
+    delta = make_profile("constant", value=0.5)
+    coarse = NUM.with_(warn_refine_tol=0.25)
+    run = _UnreactedRun(cubic, PULSE, delta, 10.0, coarse)
+    out = reaction_run(cubic, PULSE, delta, 3.0, 1.0, 0.5, 10.0, -2.0, coarse,
+                       shared=run)
+    cfg = EwsConfig(0.5, -2.0)
+    assert out.warned
+    assert out.t1 == warning_time(run.series, cfg, refine_tol=0.25)
+    assert out.t1 != warning_time(run.series, cfg)

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from tiplab._codegen import Emitter
 from tiplab.models import (
+    Curve,
     DomainError,
     ModelError,
     check_concavity_class,
     make_coefficient,
     make_model,
 )
+from tiplab.transitions import TransitionError, make_profile
 
 
 def test_unknown_family():
@@ -179,3 +182,63 @@ def test_seeds_bracket_state_box(cubic, hmodel):
     # clamped into the open domain (holling pole at x = -b)
     lo_h, _ = hmodel.seeds(margin=1000.0)
     assert lo_h > hmodel.domain[0]
+
+
+# ---------------------------------------------------------------------------
+# one curve catalog for coefficients and profiles
+# ---------------------------------------------------------------------------
+
+def test_arctan_ramp_is_read_as_arctan():
+    ramp = make_profile("arctan-ramp", offset=0.5, amplitude=1.0, scale=0.5)
+    arctan = make_profile("arctan", offset=0.5, amplitude=1.0, scale=0.5)
+    assert ramp.kind == arctan.kind == "arctan"
+    assert ramp(1.7) == arctan(1.7)
+    assert (ramp.limit_minus, ramp.limit_plus) == (arctan.limit_minus, arctan.limit_plus)
+
+
+def test_center_is_emitted_only_when_given():
+    def source(curve):
+        return curve.emit(Emitter(), "t")
+
+    assert source(Curve("arctan", amplitude=1.0, scale=2.0)) == "k0 + k1 * atan(k2 * t)"
+    assert (source(Curve("arctan", amplitude=1.0, scale=2.0, center=0.0))
+            == "k0 + k1 * atan(k2 * (t - k3))")
+    plain = Curve("sigmoid-blend", left=1.0, right=2.0, rate=0.5)
+    shifted = Curve("sigmoid-blend", left=1.0, right=2.0, rate=0.5, center=3.0)
+    assert "- k" not in source(plain) and "(t - k1)" in source(shifted)
+    # a center moves the curve, not its limits
+    assert shifted(3.0) == plain(0.0) == 1.5
+    assert (shifted.limit_minus, shifted.limit_plus) == (1.0, 2.0)
+    # with center 0 the value is bitwise the uncentered one, -0.0 included
+    zero = Curve("arctan", amplitude=1.0, scale=2.0, center=0.0)
+    bare = Curve("arctan", amplitude=1.0, scale=2.0)
+    for t in (-0.0, 0.0, 1e-300, -3.7, 1e12):
+        assert zero(t).hex() == bare(t).hex()
+
+
+def test_curve_limits_and_bounds():
+    # a falling arctan: limits in time order, bounds sorted
+    fall = Curve("arctan", offset=19.5, amplitude=-1.0 / math.pi, scale=0.1)
+    assert fall.limit_minus.hex() == (19.5 - (-1.0 / math.pi) * math.pi / 2.0).hex()
+    assert fall.limit_plus.hex() == (19.5 + (-1.0 / math.pi) * math.pi / 2.0).hex()
+    assert fall.bounds() == (fall.limit_plus, fall.limit_minus)
+    pulse = Curve("cauchy-pulse", gamma_plus=1.5, gamma_star=0.8, b=0.02386)
+    assert pulse.bounds() == (0.8, 1.5) and pulse.limit_minus == pulse.limit_plus == 1.5
+    for kind, params in (("sin", {"amplitude": 1.0, "omega": 1.0}),
+                         ("sin2", {"amplitude": 1.0, "omega": 1.0})):
+        assert Curve(kind, **params).limit_minus is None
+
+
+def test_profiles_are_the_curves_with_limits():
+    for kind in ("sin", "sin2"):
+        with pytest.raises(TransitionError, match="no limits"):
+            make_profile(kind, amplitude=1.0, omega=1.0)
+    with pytest.raises(TransitionError, match="no limits"):
+        make_profile("sum", terms=[Curve("constant", value=1.0)])
+    with pytest.raises(TransitionError, match="scale > 0"):
+        make_profile("arctan", amplitude=1.0, scale=0.0)
+    with pytest.raises(ModelError, match="unknown curve kind"):
+        make_coefficient({"kind": "step", "value": 1.0})
+    # a profile serves as a coefficient as it is
+    pulse = make_profile("cauchy-pulse", gamma_plus=1.5, gamma_star=0.8, b=0.02386)
+    assert make_coefficient(pulse) is pulse

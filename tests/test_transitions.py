@@ -21,7 +21,7 @@ def test_cauchy_pulse_shape():
     p = make_profile("cauchy-pulse", gamma_plus=1.5, gamma_star=0.8, b=0.02386)
     assert p(0.0) == pytest.approx(0.8)
     assert p.limit_minus == p.limit_plus == 1.5
-    lo, hi = p.range_bounds()
+    lo, hi = p.bounds()
     assert (lo, hi) == (0.8, 1.5)
     # even, monotone back toward the limit on each side
     assert p(3.0) == p(-3.0)
