@@ -142,28 +142,32 @@ def _sup_gap(a: Trajectory, b: Trajectory, grid: np.ndarray) -> tuple[float, flo
     return gap, scale
 
 
-def _certified_run(rhs, t_from_of, x0_of, t_to, grid, num: Numerics, what: str):
+def _certified_run(rhs, t_from_of, x0_of, t_to, grid, num: Numerics):
     """Integrate with doubling burn-in until the window values stabilize.
 
-    t_from_of/x0_of map the current burn-in B to the start point; the run ends
-    at t_to. Returns (trajectory, burn_in, gap).
+    t_from_of/x0_of map the burn-in B to the start point (t_from_of is called
+    first); every run ends at t_to. Runs at B, 2B, ... up to
+    max_burn_doublings doublings and returns (trajectory, burn_in, gap) of
+    the first run within conv_tol of the one before.
     """
     B = num.burn_in
-    prev = integrate(rhs, t_from_of(B), x0_of(B), t_to, num.integ)
-    if prev.status != "completed":
-        raise NonConvergentError(f"{what}: escape during burn-in (no bounded solution reached)")
-    for _ in range(num.max_burn_doublings):
-        B *= 2.0
+    prev, gap = None, math.inf
+    for _ in range(num.max_burn_doublings + 1):
         cur = integrate(rhs, t_from_of(B), x0_of(B), t_to, num.integ)
         if cur.status != "completed":
-            raise NonConvergentError(f"{what}: escape during burn-in (no bounded solution reached)")
-        gap, scale = _sup_gap(cur, prev, grid)
-        if gap < num.conv_tol * scale:
-            return cur, B, gap
+            raise NonConvergentError("escape during burn-in (no bounded solution reached)")
+        if prev is not None:
+            gap, scale = _sup_gap(cur, prev, grid)
+            if gap < num.conv_tol * scale:
+                return cur, B, gap
         prev = cur
-    raise NonConvergentError(
-        f"{what}: burn-in doubling did not converge (last gap {gap:.3g})"
-    )
+        B *= 2.0
+    raise NonConvergentError(f"burn-in doubling did not converge (last gap {gap:.3g})")
+
+
+def _band(model, num: Numerics) -> tuple[float, float]:
+    """The state box widened by band_margin; leaving it counts as escape."""
+    return (model.state_box[0] - num.band_margin, model.state_box[1] + num.band_margin)
 
 
 def limit_hyperbolic_solutions(
@@ -172,156 +176,93 @@ def limit_hyperbolic_solutions(
     window: tuple[float, float] | None = None,
     num: Numerics = DEFAULT_NUMERICS,
     strict: bool = False,
-    right_pad: float = 0.0,
 ) -> LimitSet:
     """Estimate the hyperbolic solutions of x' = f(t, x, gamma) over a window.
 
     Attractive solutions come from forward burn-in started at seeds placed
-    outside the state box; the d-concave middle repulsive solution comes from
-    backward burn-in seeded between the attractive pair beyond the right edge
-    of the window, and the concave repulsive one from backward burn-in seeded
-    at the low seed. With strict=True an incomplete structure raises.
+    outside the state box and run on past the right edge of the window; the
+    d-concave middle repulsive solution comes from backward burn-in seeded
+    between the attractive pair beyond the right edge, and the concave
+    repulsive one from backward burn-in seeded at the low seed. With
+    strict=True an incomplete structure raises.
     """
     w0, w1 = window if window is not None else (-num.horizon, num.horizon)
     if not w1 > w0:
         raise AttractorError(f"empty window ({w0}, {w1})")
+    if model.concavity not in (CONCAVE, DCONCAVE):  # pragma: no cover
+        raise AttractorError(f"unknown concavity class {model.concavity!r}")
     grid = np.linspace(w0, w1, num.window_samples)
     seed_lo, seed_hi = model.seeds()
     rhs = model.frozen_rhs(gamma)
     out = LimitSet(gamma=gamma, concavity=model.concavity, window=(w0, w1))
-    pad = max(right_pad, 2.0 * num.burn_in)
 
-    if model.concavity == DCONCAVE:
-        _dconcave_limit_set(model, rhs, out, grid, w0, w1, pad, seed_lo, seed_hi, num)
-    elif model.concavity == CONCAVE:
-        _concave_limit_set(model, rhs, out, grid, w0, w1, seed_lo, seed_hi, num)
-    else:  # pragma: no cover
-        raise AttractorError(f"unknown concavity class {model.concavity!r}")
+    def estimate(role, t_from_of, x0_of, t_to):
+        """The certified estimate of one role, or None and a note."""
+        try:
+            tr, b, gap = _certified_run(rhs, t_from_of, x0_of, t_to, grid, num)
+        except (NonConvergentError, IntegrationError, DomainError) as e:
+            out.notes.append(f"{role}: {e}")
+            return None
+        return HyperbolicEstimate(role, gamma, tr, (w0, w1), b, gap)
 
+    def attractive(role, seed):
+        return estimate(role, lambda b: w0 - b, lambda b: seed, w1 + 2.0 * num.burn_in)
+
+    def repulsive(role, x0_of):
+        return estimate(role, lambda b: w1 + b, x0_of, w0)
+
+    def separation(*ests):
+        """Least gap between neighbouring estimates, listed top down."""
+        return min(float(np.min(hi.eval_array(grid) - lo.eval_array(grid)))
+                   for hi, lo in zip(ests, ests[1:]))
+
+    if model.concavity == CONCAVE:
+        chain = [attractive("attractive", seed_hi), repulsive("repulsive", lambda b: seed_lo)]
+    else:
+        upper = attractive("upper-attractive", seed_hi)
+        lower = attractive("lower-attractive", seed_lo)
+        if upper is None or lower is None:
+            chain = [replace(e, role="attractive") for e in (upper, lower) if e is not None]
+            if chain:
+                out.notes.append("single attractive estimate")
+        elif (gap := separation(upper, lower)) < num.sep_tol:
+            chain = [replace(upper, role="attractive")]
+            out.notes.append(f"attractive estimates collide (gap {gap:.3g}); not bistable")
+        else:
+            pair = [upper.trajectory, lower.trajectory]
+
+            def midpoint(b):
+                # the attractive runs are run again from their start when
+                # the seed point w1 + b moves past their end
+                start = w1 + b
+                if not all(tr.covers(start) for tr in pair):
+                    pair[:] = [integrate(rhs, tr.t[0], tr.x[0], start, num.integ) for tr in pair]
+                    if any(tr.status != "completed" for tr in pair):
+                        raise NonConvergentError("attractive extension escaped")
+                return 0.5 * (pair[0](start) + pair[1](start))
+
+            middle = repulsive("middle-repulsive", midpoint)
+            if middle is not None:
+                band_lo, band_hi = _band(model, num)
+                vals = middle.eval_array(grid)
+                if vals.min() < band_lo or vals.max() > band_hi:
+                    out.notes.append("middle-repulsive leaves the state band; not bistable")
+                    middle = None
+            chain = [upper, middle, lower]
+
+    out.estimates.update((e.role, e) for e in chain if e is not None)
+    if len(chain) > 1 and None not in chain:
+        out.separation = separation(*chain)
+        out.complete = out.separation >= num.sep_tol
+        if not out.complete:
+            out.notes.append(f"separation {out.separation:.3g} below sep_tol; "
+                             "not uniformly separated")
     if strict and not out.complete:
         raise AttractorError(
             f"incomplete hyperbolic structure at gamma={gamma}: "
             f"found {list(out.roles)}; notes: {out.notes}"
         )
     return out
-
-
-def _dconcave_limit_set(model, rhs, out, grid, w0, w1, pad, seed_lo, seed_hi, num):
-    upper = lower = None
-    try:
-        tr_u, b_u, g_u = _certified_run(
-            rhs, lambda b: w0 - b, lambda b: seed_hi, w1 + pad, grid, num, "upper attractive")
-        upper = (tr_u, b_u, g_u)
-    except (NonConvergentError, IntegrationError, DomainError) as e:
-        out.notes.append(f"upper attractive: {e}")
-    try:
-        tr_l, b_l, g_l = _certified_run(
-            rhs, lambda b: w0 - b, lambda b: seed_lo, w1 + pad, grid, num, "lower attractive")
-        lower = (tr_l, b_l, g_l)
-    except (NonConvergentError, IntegrationError, DomainError) as e:
-        out.notes.append(f"lower attractive: {e}")
-
-    if upper is None and lower is None:
-        return
-    if upper is None or lower is None:
-        tr, b, g = upper or lower
-        out.estimates["attractive"] = HyperbolicEstimate("attractive", out.gamma, tr, out.window, b, g)
-        out.notes.append("single attractive estimate")
-        return
-
-    tr_u, b_u, g_u = upper
-    tr_l, b_l, g_l = lower
-    att_gap = float(np.min(tr_u.eval_array(grid) - tr_l.eval_array(grid)))
-    if att_gap < num.sep_tol:
-        out.estimates["attractive"] = HyperbolicEstimate("attractive", out.gamma, tr_u, out.window, b_u, g_u)
-        out.notes.append(f"attractive estimates collide (gap {att_gap:.3g}); not bistable")
-        return
-
-    out.estimates["upper-attractive"] = HyperbolicEstimate(
-        "upper-attractive", out.gamma, tr_u, out.window, b_u, g_u)
-    out.estimates["lower-attractive"] = HyperbolicEstimate(
-        "lower-attractive", out.gamma, tr_l, out.window, b_l, g_l)
-
-    # middle repulsive: backward burn-in from the midpoint of the attractive
-    # pair taken beyond the right window edge; the attractive runs are
-    # extended whenever the seed point moves past their coverage
-    try:
-        tr_m, b_m, g_m = _middle_repulsive_run(
-            rhs, w0, w1, tr_u, tr_l, grid, num)
-    except (NonConvergentError, IntegrationError, DomainError) as e:
-        out.notes.append(f"middle repulsive: {e}")
-        return
-    band_lo = model.state_box[0] - num.band_margin
-    band_hi = model.state_box[1] + num.band_margin
-    vals = tr_m.eval_array(grid)
-    if vals.min() < band_lo or vals.max() > band_hi:
-        out.notes.append("middle repulsive leaves the state band; not bistable")
-        return
-    out.estimates["middle-repulsive"] = HyperbolicEstimate(
-        "middle-repulsive", out.gamma, tr_m, out.window, b_m, g_m)
-    sep = min(
-        float(np.min(tr_u.eval_array(grid) - vals)),
-        float(np.min(vals - tr_l.eval_array(grid))),
-    )
-    out.separation = sep
-    out.complete = sep >= num.sep_tol
-    if not out.complete:
-        out.notes.append(f"separation {sep:.3g} below sep_tol; not uniformly separated")
-
-
-def _middle_repulsive_run(rhs, w0, w1, tr_u, tr_l, grid, num: Numerics):
-    B = num.burn_in
-    prev = None
-    gap = math.inf
-    for _ in range(num.max_burn_doublings + 1):
-        start = w1 + B
-        if not (tr_u.covers(start) and tr_l.covers(start)):
-            tr_u = integrate(rhs, tr_u.t[0], tr_u.x[0], start, num.integ)
-            tr_l = integrate(rhs, tr_l.t[0], tr_l.x[0], start, num.integ)
-            if tr_u.status != "completed" or tr_l.status != "completed":
-                raise NonConvergentError("middle repulsive: attractive extension escaped")
-        seed = 0.5 * (tr_u(start) + tr_l(start))
-        cur = integrate(rhs, start, seed, w0, num.integ)
-        if cur.status != "completed" or not cur.covers(w0, w1):
-            raise NonConvergentError(
-                "middle repulsive: escape during backward burn-in (no bounded solution)")
-        if prev is not None:
-            gap, scale = _sup_gap(cur, prev, grid)
-            if gap < num.conv_tol * scale:
-                return cur, B, gap
-        prev = cur
-        B *= 2.0
-    raise NonConvergentError(
-        f"middle repulsive: burn-in doubling did not converge (last gap {gap:.3g})")
-
-
-def _concave_limit_set(model, rhs, out, grid, w0, w1, seed_lo, seed_hi, num):
-    attractive = None
-    try:
-        tr_a, b_a, g_a = _certified_run(
-            rhs, lambda b: w0 - b, lambda b: seed_hi, w1 + 2.0 * num.burn_in, grid, num,
-            "attractive")
-        attractive = (tr_a, b_a, g_a)
-        out.estimates["attractive"] = HyperbolicEstimate(
-            "attractive", out.gamma, tr_a, out.window, b_a, g_a)
-    except (NonConvergentError, IntegrationError, DomainError) as e:
-        out.notes.append(f"attractive: {e}")
-    try:
-        tr_r, b_r, g_r = _certified_run(
-            rhs, lambda b: w1 + b, lambda b: seed_lo, w0, grid, num, "repulsive")
-        out.estimates["repulsive"] = HyperbolicEstimate(
-            "repulsive", out.gamma, tr_r, out.window, b_r, g_r)
-    except (NonConvergentError, IntegrationError, DomainError) as e:
-        out.notes.append(f"repulsive: {e}")
-
-    if attractive is not None and "repulsive" in out.estimates:
-        tr_a = attractive[0]
-        tr_r = out.estimates["repulsive"].trajectory
-        sep = float(np.min(tr_a.eval_array(grid) - tr_r.eval_array(grid)))
-        out.separation = sep
-        out.complete = sep >= num.sep_tol
-        if not out.complete:
-            out.notes.append(f"separation {sep:.3g} below sep_tol")
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +334,7 @@ def pullback_attractive(model, mechanism, anchor: HyperbolicEstimate,
                         num: Numerics = DEFAULT_NUMERICS) -> PullbackSolution:
     """Forward solution of the transition equation anchored at the past
     attractive estimate: starts from (-horizon, anchor(-horizon))."""
-    if not anchor.attractive:
-        raise AttractorError("pullback_attractive needs an attractive anchor")
-    H = float(horizon if horizon is not None else num.horizon)
-    if not anchor.trajectory.covers(-H):
-        raise AttractorError(f"anchor window does not cover -{H}")
-    rhs = model.transition_rhs(mechanism)
-    traj = integrate(rhs, -H, anchor(-H), H, num.integ)
-    band = (model.state_box[0] - num.band_margin, model.state_box[1] + num.band_margin)
-    return PullbackSolution(
-        role=_ROLE_SHORT[anchor.role], trajectory=traj, anchor=anchor,
-        horizon=H, band=band, band_exit_time=_band_exit(traj, band, backward=False),
-    )
+    return _pullback(model, mechanism, anchor, horizon, num, backward=False)
 
 
 def pullback_repulsive(model, mechanism, anchor: HyperbolicEstimate,
@@ -412,17 +342,22 @@ def pullback_repulsive(model, mechanism, anchor: HyperbolicEstimate,
                        num: Numerics = DEFAULT_NUMERICS) -> PullbackSolution:
     """Backward solution of the transition equation anchored at the future
     repulsive estimate: starts from (+horizon, anchor(+horizon))."""
-    if anchor.attractive:
-        raise AttractorError("pullback_repulsive needs a repulsive anchor")
+    return _pullback(model, mechanism, anchor, horizon, num, backward=True)
+
+
+def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> PullbackSolution:
+    kind = "repulsive" if backward else "attractive"
+    if anchor.attractive == backward:
+        raise AttractorError(f"pullback_{kind}: the anchor is not {kind}")
     H = float(horizon if horizon is not None else num.horizon)
-    if not anchor.trajectory.covers(H):
-        raise AttractorError(f"anchor window does not cover +{H}")
-    rhs = model.transition_rhs(mechanism)
-    traj = integrate(rhs, H, anchor(H), -H, num.integ)
-    band = (model.state_box[0] - num.band_margin, model.state_box[1] + num.band_margin)
+    t_from = H if backward else -H
+    if not anchor.trajectory.covers(t_from):
+        raise AttractorError(f"anchor window does not cover {t_from}")
+    traj = integrate(model.transition_rhs(mechanism), t_from, anchor(t_from), -t_from, num.integ)
+    band = _band(model, num)
     return PullbackSolution(
         role=_ROLE_SHORT[anchor.role], trajectory=traj, anchor=anchor,
-        horizon=H, band=band, band_exit_time=_band_exit(traj, band, backward=True),
+        horizon=H, band=band, band_exit_time=_band_exit(traj, band, backward),
     )
 
 

@@ -249,7 +249,7 @@ class _RepellerCurve:
         self.c_tol = c_tol
         self.role = _role_for(model, "middle-repulsive")
         self._cache: dict[int, PullbackSolution] = {}
-        self._caches: dict[float, LimitCache] = {}
+        self._limits = LimitCache(model, num)
 
     def solution(self, c: float) -> PullbackSolution:
         key = round(c / self.c_tol)
@@ -258,8 +258,7 @@ class _RepellerCurve:
             return hit
         mech = self.rate_family(c)
         H = resolve_horizon(mech, self.num)
-        lim_cache = self._caches.setdefault(H, LimitCache(self.model, self.num))
-        future = lim_cache.get(mech.gamma_plus, H)
+        future = self._limits.get(mech.gamma_plus, H)
         sol = pullback_repulsive(self.model, mech, future[self.role], H, self.num)
         self._cache[key] = sol
         return sol

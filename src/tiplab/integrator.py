@@ -228,7 +228,8 @@ def _integrate_forward(rhs, t0, x0, t1, cfg):
         sc = atol + rtol * max(abs(x), abs(x_new))
         aerr = abs(err)
         if aerr <= sc:
-            t_next = t + h
+            # t + (t1 - t) can miss t1 by an ulp; the clipped step ends on t1
+            t_next = t1 if h == t1 - t else t + h
             if abs(x_new) >= x_max:
                 tb = _locate_blow(t, x, k1, t_next, x_new, k7, x_max)
                 xb = _hermite(t, x, k1, t_next, x_new, k7, tb)

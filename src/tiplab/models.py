@@ -30,9 +30,19 @@ class DomainError(ModelError):
 # curve catalog: coefficients, transition profiles and rate curves
 # ---------------------------------------------------------------------------
 
+# the parameter names each curve kind reads
+_CURVE_PARAMS = {
+    "constant": {"value"},
+    "sin": {"offset", "amplitude", "omega"},
+    "sin2": {"offset", "amplitude", "omega"},
+    "rational-dip": {"offset", "amplitude", "width"},
+    "arctan": {"offset", "amplitude", "scale", "center"},
+    "sigmoid-blend": {"left", "right", "rate", "center"},
+    "cauchy-pulse": {"gamma_plus", "gamma_star", "b"},
+    "sum": {"offset", "terms"},
+}
 # "arctan-ramp" is read as "arctan"
-CURVE_KINDS = ("constant", "sin", "sin2", "rational-dip", "arctan", "arctan-ramp",
-               "sigmoid-blend", "cauchy-pulse", "sum")
+CURVE_KINDS = (*_CURVE_PARAMS, "arctan-ramp")
 
 
 class Curve:
@@ -51,7 +61,8 @@ class Curve:
     - ``cauchy-pulse``:  gamma_plus + (gamma_star - gamma_plus)/(1 + b*t**2), b > 0
     - ``sum``:           offset + sum of nested curve terms
 
-    ``center`` is optional; without it the formula reads t for t - center.
+    ``center`` is optional (arctan and sigmoid-blend only); without it the
+    formula reads t for t - center. Any other parameter name raises.
     ``bounds()`` holds closed-form range bounds. Every kind but sin, sin2 and
     sum has finite limits at -inf and +inf (``limit_minus``, ``limit_plus``,
     else None), so it can serve as a transition profile or a rate curve.
@@ -65,6 +76,9 @@ class Curve:
         if kind not in CURVE_KINDS:
             raise ModelError(f"unknown curve kind {kind!r}")
         self.kind = "arctan" if kind == "arctan-ramp" else kind
+        stray = sorted(set(params) - _CURVE_PARAMS[self.kind])
+        if stray:
+            raise ModelError(f"unknown {self.kind!r} curve parameters {stray}")
         self.params = dict(params)
         (self._p, (self._lo, self._hi),
          (self.limit_minus, self.limit_plus)) = _curve_numbers(self.kind, params)

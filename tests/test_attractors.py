@@ -197,3 +197,32 @@ def test_role_for_maps_d_concave_roles(cubic):
     assert _role_for(concave, "upper-attractive") == "attractive"
     assert _role_for(concave, "lower-attractive") == "attractive"
     assert _role_for(concave, "middle-repulsive") == "repulsive"
+
+
+def test_notes_name_their_role_once(cubic):
+    # near the saddle-node the lower burn-in does not settle
+    ls = limit_hyperbolic_solutions(cubic, 0.3849, (-30.0, 30.0))
+    assert ls.notes == [ls.notes[0], "single attractive estimate"]
+    assert ls.notes[0].startswith("lower-attractive: burn-in doubling did not converge")
+    assert ls.notes[0].count("attractive") == 1
+
+
+def test_burn_in_without_doublings_is_not_certified(cubic, num):
+    ls = limit_hyperbolic_solutions(cubic, 0.0, WINDOW, num.with_(max_burn_doublings=0))
+    assert ls.roles == ()
+    assert ls.notes == ["upper-attractive: burn-in doubling did not converge (last gap inf)",
+                        "lower-attractive: burn-in doubling did not converge (last gap inf)"]
+
+
+def test_pullbacks_check_their_anchor(cubic, cubic_pulse, num):
+    mech = ConstantRate(cubic_pulse, 5.0)
+    ls = limit_hyperbolic_solutions(cubic, 0.0, (-40.0, 40.0), num)
+    with pytest.raises(AttractorError, match="the anchor is not repulsive"):
+        pullback_repulsive(cubic, mech, ls["upper-attractive"], 30.0, num)
+    with pytest.raises(AttractorError, match="the anchor is not attractive"):
+        pullback_attractive(cubic, mech, ls["middle-repulsive"], 30.0, num)
+    # the estimates reach one certified burn-in beyond the window
+    with pytest.raises(AttractorError, match="does not cover 2000.0"):
+        pullback_repulsive(cubic, mech, ls["middle-repulsive"], 2000.0, num)
+    with pytest.raises(AttractorError, match="does not cover -2000.0"):
+        pullback_attractive(cubic, mech, ls["upper-attractive"], 2000.0, num)

@@ -113,3 +113,21 @@ def test_trajectory_call_outside_span_raises():
     traj = integrate(lambda t, x: -x, 0.0, 1.0, 1.0)
     with pytest.raises(IntegrationError):
         traj(5.0)
+
+
+def test_clipped_last_step_ends_on_the_end_point():
+    # t + (t1 - t) misses t1 by an ulp on these spans: the first ended in a
+    # false blow-up, the second in a step-size underflow
+    decay = integrate(lambda t, x: -1e-3 * x, -13.744969837743398, 5000.0, 0.009223327641657505)
+    assert decay.status == "completed"
+    assert decay.t[-1] == 0.009223327641657505
+    want = 5000.0 * math.exp(-1e-3 * (0.009223327641657505 + 13.744969837743398))
+    assert decay.x[-1] == pytest.approx(want, rel=1e-9)
+    fast = integrate(lambda t, x: -x, -49.07370222314418, 1.0, 0.002720523327191292)
+    assert fast.t[-1] == 0.002720523327191292
+    rng = np.random.default_rng(7)
+    for t0, t1 in zip(rng.uniform(-50.0, -1.0, 200), rng.uniform(0.0, 0.01, 200)):
+        fwd = integrate(lambda t, x: -1e-3 * x, t0, 5000.0, t1)
+        assert fwd.status == "completed" and fwd.t[-1] == t1
+        back = integrate(lambda t, x: 1e-3 * x, -t0, 5000.0, -t1)
+        assert back.status == "completed" and back.t[0] == -t1

@@ -242,3 +242,18 @@ def test_profiles_are_the_curves_with_limits():
     # a profile serves as a coefficient as it is
     pulse = make_profile("cauchy-pulse", gamma_plus=1.5, gamma_star=0.8, b=0.02386)
     assert make_coefficient(pulse) is pulse
+
+
+def test_unknown_curve_parameters_raise():
+    # a misspelt center would otherwise build the uncentred curve
+    with pytest.raises(TransitionError, match=r"unknown 'arctan' curve parameters \['centre'\]"):
+        make_profile("arctan", amplitude=1.0, scale=1.0, centre=5.0)
+    with pytest.raises(ModelError, match=r"\['amplitude'\]"):
+        make_coefficient({"kind": "constant", "value": 2.0, "amplitude": 9})
+    # center is read by arctan and sigmoid-blend only
+    with pytest.raises(ModelError, match="center"):
+        Curve("rational-dip", amplitude=1.0, width=2.0, center=1.0)
+    with pytest.raises(ModelError, match="unknown"):
+        make_model("gompertz", {"r": {"kind": "sin", "offset": 2.0, "amplitude": 1.0,
+                                      "omega": 1.0, "phase": 0.5}, "K": 1.0})
+    assert make_profile("arctan", amplitude=1.0, scale=1.0, center=5.0)(5.0) == 0.0
