@@ -306,9 +306,6 @@ class PullbackSolution:
     def __call__(self, t: float) -> float:
         return self.trajectory(t)
 
-    def eval_array(self, times) -> np.ndarray:
-        return self.trajectory.eval_array(times)
-
     @property
     def status(self) -> str:
         return self.trajectory.status
@@ -362,11 +359,10 @@ def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> Pullbac
 
 
 def check_anchor_insensitivity(model, mechanism, solution: PullbackSolution,
-                               num: Numerics = DEFAULT_NUMERICS,
-                               delta0: float | None = None) -> float:
-    """Re-run the pullback integration from a perturbed anchor value and
-    report the largest deviation from the solution at the half horizon."""
-    d0 = delta0 if delta0 is not None else num.anchor_delta
+                               num: Numerics = DEFAULT_NUMERICS) -> float:
+    """Re-run the pullback integration from an anchor value moved by
+    num.anchor_delta and report the largest deviation from the solution at
+    the half horizon."""
     H = solution.horizon
     rhs = model.transition_rhs(mechanism)
     backward = solution.trajectory.direction == "backward"
@@ -375,7 +371,8 @@ def check_anchor_insensitivity(model, mechanism, solution: PullbackSolution,
     base = solution(t_probe)
     worst = 0.0
     for sgn in (1.0, -1.0):
-        traj = integrate(rhs, t_from, solution.anchor(t_from) + sgn * d0, t_probe, num.integ)
+        x0 = solution.anchor(t_from) + sgn * num.anchor_delta
+        traj = integrate(rhs, t_from, x0, t_probe, num.integ)
         worst = max(worst, abs(traj(t_probe) - base))
     return worst
 
@@ -406,9 +403,6 @@ class LyapunovEstimate:
     window: float
     sensitivity: float       # change when the averaging window is halved
     quad_gap: float          # change under quadrature refinement
-
-    def __float__(self) -> float:  # pragma: no cover
-        return self.value
 
 
 def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,

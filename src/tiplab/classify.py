@@ -366,6 +366,9 @@ def lambda_star(model, profile, c: float, s: float,
 # bistability interval of a frozen-parameter family
 # ---------------------------------------------------------------------------
 
+_GAMMA_SCAN_POINTS = 13     # coarse scan of the gamma range before bisecting
+
+
 @dataclass
 class GammaIntervalResult:
     lower: tuple[float, float]    # bracket around the lower edge
@@ -380,8 +383,7 @@ class GammaIntervalResult:
 
 def gamma_interval(model, gamma_range: tuple[float, float], tol: float,
                    num: Numerics = DEFAULT_NUMERICS,
-                   window: tuple[float, float] | None = None,
-                   scan_points: int = 13) -> GammaIntervalResult:
+                   window: tuple[float, float] | None = None) -> GammaIntervalResult:
     """Bracket both edges of the parameter interval on which the frozen
     d-concave equation has three uniformly separated hyperbolic solutions."""
     if model.concavity != DCONCAVE:
@@ -398,7 +400,8 @@ def gamma_interval(model, gamma_range: tuple[float, float], tol: float,
             return False
 
     g_lo, g_hi = float(gamma_range[0]), float(gamma_range[1])
-    grid = [g_lo + (g_hi - g_lo) * i / (scan_points - 1) for i in range(scan_points)]
+    n = _GAMMA_SCAN_POINTS
+    grid = [g_lo + (g_hi - g_lo) * i / (n - 1) for i in range(n)]
     flags = [bistable(g) for g in grid]
     if not any(flags):
         raise ClassifyError(f"no bistable parameter found in {gamma_range}")

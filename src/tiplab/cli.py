@@ -191,6 +191,22 @@ _NUMERICS_FIELDS = {f.name for f in dataclasses.fields(Numerics)} - {"integ"}
 _INTEG_FIELDS = {f.name for f in dataclasses.fields(IntegratorConfig)}
 
 
+def _drop_removed_integrator_keys(block: dict) -> dict:
+    """Older manifests list ``method``, ``first_step`` and ``fixed_step``.
+    They are dropped where they hold what the adaptive DP54 integrator does
+    anyway, and refused otherwise."""
+    block = dict(block)
+    method = block.pop("method", "dopri54")
+    if method != "dopri54":
+        raise ConfigError(f"integrator method {method!r} was removed; "
+                          "only the adaptive dopri54 remains")
+    block.pop("fixed_step", None)
+    if block.pop("first_step", None) is not None:
+        raise ConfigError("integrator.first_step was removed; "
+                          "the first step always follows from the span")
+    return block
+
+
 def build_numerics(cfg: dict) -> Numerics:
     block = dict(cfg.get("numerics") or {})
     integ_block = block.pop("integrator", None)
@@ -198,6 +214,7 @@ def build_numerics(cfg: dict) -> Numerics:
     if unknown:
         raise ConfigError(f"unknown numerics keys {sorted(unknown)}")
     if integ_block is not None:
+        integ_block = _drop_removed_integrator_keys(integ_block)
         bad = set(integ_block) - _INTEG_FIELDS
         if bad:
             raise ConfigError(f"unknown integrator keys {sorted(bad)}")

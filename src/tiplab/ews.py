@@ -36,6 +36,11 @@ class EwsError(RuntimeError):
     pass
 
 
+_FTLE_MAX_HALVINGS = 4     # step halvings of the FTLE quadrature
+_REPELLER_C_TOL = 1.0e-4   # frozen rates closer than this share one repeller
+_CROSSOVER_STEP = 0.25     # scan step of crossover_time before it bisects
+
+
 # ---------------------------------------------------------------------------
 # FTLE series
 # ---------------------------------------------------------------------------
@@ -75,13 +80,13 @@ def _series_on_step(g, a0: float, h: float, n: int, m: int) -> np.ndarray:
 def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
                 num: Numerics = DEFAULT_NUMERICS,
                 t_min: float | None = None,
-                t_max: float | None = None,
-                max_halvings: int = 4) -> FtleSeries:
+                t_max: float | None = None) -> FtleSeries:
     """Sliding-window average of f_x along the solution, for window length T.
 
     One pass of composite 3-point Gauss quadrature on a uniform step that
     divides T yields every window by differencing the cumulative sums; the
-    step is halved until two passes agree below num.quad_tol.
+    step is halved until two passes agree below num.quad_tol, at most
+    _FTLE_MAX_HALVINGS times.
     """
     if T <= 0.0:
         raise EwsError("window length must be positive")
@@ -112,7 +117,7 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
 
     vals = _series_on_step(g, a0, h, n, m)
     gap = math.inf
-    for _ in range(max_halvings):
+    for _ in range(_FTLE_MAX_HALVINGS):
         h2, n2, m2 = h / 2.0, 2 * n, 2 * m
         vals2 = _series_on_step(g, a0, h2, n2, m2)
         gap = float(np.abs(vals2[::2] - vals).max())
@@ -242,17 +247,16 @@ class _RepellerCurve:
     """Pullback repulsive solutions of the frozen-rate problems, cached by
     rounded rate; repeated queries at nearby rates reuse one solution."""
 
-    def __init__(self, model, rate_family, num: Numerics, c_tol: float = 1.0e-4):
+    def __init__(self, model, rate_family, num: Numerics):
         self.model = model
         self.rate_family = rate_family
         self.num = num
-        self.c_tol = c_tol
         self.role = _role_for(model, "middle-repulsive")
         self._cache: dict[int, PullbackSolution] = {}
         self._limits = LimitCache(model, num)
 
     def solution(self, c: float) -> PullbackSolution:
-        key = round(c / self.c_tol)
+        key = round(c / _REPELLER_C_TOL)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -291,8 +295,7 @@ class SafePointReport:
 
 def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
                    c_star: float | None = None, d: float = 1.0,
-                   num: Numerics = DEFAULT_NUMERICS,
-                   inf_scan: float = 1.0e4) -> SafePointReport:
+                   num: Numerics = DEFAULT_NUMERICS) -> SafePointReport:
     """Certificates for the time-dependent-rate problem x' = f(t, x, G(D(t) t)).
 
     The warning point s1 is the first root of D(d s) - c0. On the grid
@@ -307,14 +310,12 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
 
     c_star = float(c_star) if c_star is not None else float(delta.limit_plus)
 
-    # crude global infimum, then the exact no-tipping short-circuit
-    ts = np.linspace(-inf_scan, inf_scan, 20001)
-    dmin = min(dval(t) for t in ts)
     mech = TimeDependentRate(profile, delta, d)
     H = resolve_horizon(mech, num)
     grid = np.asarray([float(t) for t in grid])
 
-    if dmin >= c0:
+    # D never falls to c0 when its closed-form lower bound does not
+    if delta.bounds()[0] >= c0:
         empty = np.full(len(grid), math.nan)
         return SafePointReport(None, True, grid, empty, empty, empty,
                                ["neither"] * len(grid), "no tipping possible", t0)
@@ -360,9 +361,8 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
                            flags, conclusion, t0)
 
 
-def _first_root(fn, level: float, lo: float, hi: float,
-                samples: int = 8001, tol: float = 1.0e-9) -> float | None:
-    ts = np.linspace(lo, hi, samples)
+def _first_root(fn, level: float, lo: float, hi: float) -> float | None:
+    ts = np.linspace(lo, hi, 8001)
     prev_t, prev_v = ts[0], fn(ts[0]) - level
     if prev_v == 0.0:
         return float(prev_t)
@@ -379,18 +379,18 @@ def _first_root(fn, level: float, lo: float, hi: float,
                     exact.append(float(m))
                 return (prev_v < 0.0) != (fm < 0.0)
 
-            a, b, _ = _bisect(crossed, prev_t, t, tol)
+            a, b, _ = _bisect(crossed, prev_t, t, 1.0e-9)
             return exact[0] if exact else 0.5 * (a + b)
         prev_t, prev_v = t, v
     return None
 
 
 def crossover_time(solution: PullbackSolution, future_limits,
-                   num: Numerics = DEFAULT_NUMERICS,
-                   step: float = 0.25) -> float | None:
+                   num: Numerics = DEFAULT_NUMERICS) -> float | None:
     """First time the solution lands on the future extinction branch, i.e.
     comes within the tracking tolerance of the lower attractor; None if it
-    never does (tracking runs)."""
+    never does (tracking runs). Scanned on a _CROSSOVER_STEP grid, then
+    bisected."""
     upper = future_limits["upper-attractive"]
     lower = future_limits["lower-attractive"]
     traj = solution.trajectory
@@ -401,12 +401,12 @@ def crossover_time(solution: PullbackSolution, future_limits,
         tol = num.track_tol_factor * (upper(t) - lower(t))
         return abs(traj(t) - lower(t)) < tol
 
-    n = int((hi - lo) / step)
+    n = int((hi - lo) / _CROSSOVER_STEP)
     prev = lo
     if landed(prev):
         return float(prev)
     for k in range(1, n + 1):
-        t = lo + k * step
+        t = lo + k * _CROSSOVER_STEP
         if landed(t):
             a, b, _ = _bisect(landed, prev, t, 1.0e-6)
             return 0.5 * (a + b)

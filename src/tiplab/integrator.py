@@ -1,11 +1,10 @@
 """Scalar ODE integration with dense output and blow-up detection.
 
-The default method is the Dormand-Prince embedded Runge-Kutta 5(4) pair with
-FSAL and standard step-size control; a fixed-step classical RK4 is available
-for cross-checks. Between accepted nodes the solution is evaluated by cubic
-Hermite interpolation on the stored values and slopes. Backward integration
-is realized by the substitution s = -t, so one forward stepper serves both
-directions.
+The method is the Dormand-Prince embedded Runge-Kutta 5(4) pair with FSAL
+and standard step-size control. Between accepted nodes the solution is
+evaluated by cubic Hermite interpolation on the stored values and slopes.
+Backward integration is realized by the substitution s = -t, so one forward
+stepper serves both directions.
 """
 
 from __future__ import annotations
@@ -23,18 +22,13 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "dopri54"        # "dopri54" (adaptive) or "rk4" (fixed step)
     rtol: float = 1.0e-10
     atol: float = 1.0e-12
     max_step: float = 10.0
-    first_step: float | None = None
     x_max: float = 1.0e6           # |x| >= x_max counts as blow-up
     max_steps: int = 20_000_000
-    fixed_step: float = 1.0e-2     # rk4 only
 
     def __post_init__(self):
-        if self.method not in ("dopri54", "rk4"):
-            raise IntegrationError(f"unknown method {self.method!r}")
         if self.rtol <= 0 or self.atol <= 0 or self.max_step <= 0 or self.x_max <= 0:
             raise IntegrationError("tolerances, max_step and x_max must be positive")
 
@@ -71,14 +65,10 @@ class Trajectory:
     t: np.ndarray
     x: np.ndarray
     f: np.ndarray
-    status: str = "completed"
-    t_blow: float | None = None
-    blow_sign: int | None = None
-    _tl: list = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._tl is None:
-            self._tl = self.t.tolist()
+    status: str
+    t_blow: float | None
+    blow_sign: int | None
+    _tl: list = field(repr=False)  # t as a list, for bisect in __call__
 
     @property
     def t_start(self) -> float:
@@ -101,43 +91,28 @@ class Trajectory:
     def __call__(self, time: float) -> float:
         """Cubic Hermite evaluation; exact at nodes."""
         tl = self._tl
-        n = len(tl)
         if not tl[0] <= time <= tl[-1]:
             raise IntegrationError(
                 f"evaluation time {time} outside trajectory span [{tl[0]}, {tl[-1]}]"
             )
         i = bisect.bisect_right(tl, time) - 1
-        if i >= n - 1:
-            return float(self.x[n - 1])
-        t0, t1 = tl[i], tl[i + 1]
-        if time == t0:
+        if i >= len(tl) - 1:
+            return float(self.x[-1])
+        if time == tl[i]:
             return float(self.x[i])
-        h = t1 - t0
-        s = (time - t0) / h
-        x0, x1 = self.x[i], self.x[i + 1]
-        f0, f1 = self.f[i], self.f[i + 1]
-        m = 1.0 - s
-        return float(
-            m * m * (1.0 + 2.0 * s) * x0
-            + s * m * m * h * f0
-            + s * s * (3.0 - 2.0 * s) * x1
-            - s * s * m * h * f1
-        )
+        return float(_hermite(tl[i], self.x[i], self.f[i],
+                              tl[i + 1], self.x[i + 1], self.f[i + 1], time))
 
     def eval_array(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized Hermite evaluation over ascending or arbitrary times."""
+        """Vectorized Hermite evaluation; every time must lie in the span."""
         times = np.asarray(times, dtype=float)
-        if times.size and (times.min() < self.t[0] - 1e-12 or times.max() > self.t[-1] + 1e-12):
-            raise IntegrationError("evaluation times outside trajectory span")
-        idx = np.clip(np.searchsorted(self.t, times, side="right") - 1, 0, len(self.t) - 2)
-        t0 = self.t[idx]
-        h = self.t[idx + 1] - t0
-        s = np.clip((times - t0) / h, 0.0, 1.0)
-        x0, x1 = self.x[idx], self.x[idx + 1]
-        f0, f1 = self.f[idx], self.f[idx + 1]
-        m = 1.0 - s
-        return (m * m * (1.0 + 2.0 * s) * x0 + s * m * m * h * f0
-                + s * s * (3.0 - 2.0 * s) * x1 - s * s * m * h * f1)
+        t = self.t
+        if times.size and (times.min() < t[0] or times.max() > t[-1]):
+            raise IntegrationError(
+                f"evaluation times outside trajectory span [{t[0]}, {t[-1]}]")
+        i = np.clip(np.searchsorted(t, times, side="right") - 1, 0, len(t) - 2)
+        return _hermite(t[i], self.x[i], self.f[i],
+                        t[i + 1], self.x[i + 1], self.f[i + 1], times)
 
     def shifted(self, dx: float) -> "Trajectory":
         """Trajectory of x + dx; valid when the shifted curve solves the
@@ -190,13 +165,8 @@ def _integrate_forward(rhs, t0, x0, t1, cfg):
         raise IntegrationError(f"right-hand side not finite at start ({t0}, {x0})")
     fs = [k1]
     status, t_blow, blow_sign = "completed", None, None
-
-    if cfg.method == "rk4":
-        return _integrate_rk4(rhs, t0, x0, t1, cfg, ts, xs, fs)
-
     span = t1 - t0
-    h = cfg.first_step if cfg.first_step else min(cfg.max_step, max(1e-6, 1e-3 * span))
-    h = min(h, span)
+    h = min(cfg.max_step, max(1e-6, 1e-3 * span), span)
     t, x = t0, x0
     isfinite = math.isfinite
     rtol, atol, x_max = cfg.rtol, cfg.atol, cfg.x_max
@@ -252,38 +222,6 @@ def _integrate_forward(rhs, t0, x0, t1, cfg):
             h *= factor
         else:
             h *= max(0.2, 0.9 * (sc / aerr) ** 0.2)
-    return ts, xs, fs, status, t_blow, blow_sign
-
-
-def _integrate_rk4(rhs, t0, x0, t1, cfg, ts, xs, fs):
-    status, t_blow, blow_sign = "completed", None, None
-    span = t1 - t0
-    n = max(1, math.ceil(span / cfg.fixed_step))
-    h = span / n
-    t, x = t0, x0
-    k1 = fs[0]
-    for _ in range(n):
-        k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs(t + h, x + h * k3)
-        x_new = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(x_new):
-            raise IntegrationError(f"fixed-step solution not finite near t={t}")
-        t_next = t + h
-        f_new = rhs(t_next, x_new)
-        if abs(x_new) >= cfg.x_max:
-            tb = _locate_blow(t, x, k1, t_next, x_new, f_new, cfg.x_max)
-            xb = _hermite(t, x, k1, t_next, x_new, f_new, tb)
-            ts.append(tb)
-            xs.append(xb)
-            fb = rhs(tb, xb)
-            fs.append(fb if math.isfinite(fb) else 0.0)
-            status, t_blow, blow_sign = "blow-up", tb, (1 if x_new >= 0 else -1)
-            break
-        t, x, k1 = t_next, x_new, f_new
-        ts.append(t)
-        xs.append(x)
-        fs.append(k1)
     return ts, xs, fs, status, t_blow, blow_sign
 
 

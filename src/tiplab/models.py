@@ -43,6 +43,8 @@ _CURVE_PARAMS = {
 }
 # "arctan-ramp" is read as "arctan"
 CURVE_KINDS = (*_CURVE_PARAMS, "arctan-ramp")
+# grid on which Curve.check_positive samples a loose ``sum`` bound
+_POSITIVE_T_MAX, _POSITIVE_STEP = 1.0e4, 0.25
 
 
 class Curve:
@@ -132,19 +134,20 @@ class Curve:
         """Closed-form range bounds (lo, hi); the range lies inside them."""
         return (self._lo, self._hi)
 
-    def check_positive(self, t_max: float = 1.0e4, step: float = 0.25) -> float:
+    def check_positive(self) -> float:
         """Positive lower bound of the curve over all t; raises if there is
         none.
 
         The closed-form bound decides for every kind but ``sum``, whose bound
         (the sum of its terms' bounds) may be loose: when it is not positive,
-        the minimum is sampled over [-t_max, t_max] instead.
+        the minimum is sampled on a _POSITIVE_STEP grid over
+        [-_POSITIVE_T_MAX, _POSITIVE_T_MAX] instead.
         """
         m = self._lo
         if m <= 0.0 and self.kind == "sum":
             fn = self._fn
-            n = int(t_max / step)
-            m = min(fn(i * step) for i in range(-n, n + 1))
+            n = int(_POSITIVE_T_MAX / _POSITIVE_STEP)
+            m = min(fn(i * _POSITIVE_STEP) for i in range(-n, n + 1))
         if m <= 0.0:
             raise ModelError(
                 f"curve {self.kind!r} is not positively bounded below "
@@ -559,33 +562,32 @@ class ConcavityReport:
     samples: int
 
 
-def check_concavity_class(
-    model,
-    state_box: tuple[float, float] | None = None,
-    t_span: tuple[float, float] = (0.0, 60.0),
-    t_samples: int = 31,
-    x_samples: int = 41,
-    gammas: tuple[float, ...] = (-1.0, 0.0, 1.0),
-    step_factor: float = 1.0e-3,
-) -> ConcavityReport:
+# the sample grid of check_concavity_class: t on [0, 60], x across the state
+# box, three frozen parameters, and the difference step as a box fraction
+_CONCAVITY_T_SPAN, _CONCAVITY_T_SAMPLES, _CONCAVITY_X_SAMPLES = (0.0, 60.0), 31, 41
+_CONCAVITY_GAMMAS, _CONCAVITY_STEP = (-1.0, 0.0, 1.0), 1.0e-3
+
+
+def check_concavity_class(model) -> ConcavityReport:
     """Verify strict concavity of f (concave class) or of f_x (d-concave class)
     by sampled second difference quotients in x over the state box.
 
     Passes when every sampled quotient is <= -delta for the reported delta > 0.
     """
-    box = state_box if state_box is not None else model.state_box
-    lo, hi = box
-    h = (hi - lo) * step_factor
+    lo, hi = model.state_box
+    h = (hi - lo) * _CONCAVITY_STEP
+    nx, nt = _CONCAVITY_X_SAMPLES, _CONCAVITY_T_SAMPLES
+    t0, t1 = _CONCAVITY_T_SPAN
     # keep x +- h inside the sampled box
-    xs = [lo + h + (hi - lo - 2 * h) * i / (x_samples - 1) for i in range(x_samples)]
-    ts = [t_span[0] + (t_span[1] - t_span[0]) * i / (t_samples - 1) for i in range(t_samples)]
+    xs = [lo + h + (hi - lo - 2 * h) * i / (nx - 1) for i in range(nx)]
+    ts = [t0 + (t1 - t0) * i / (nt - 1) for i in range(nt)]
     if model.concavity == CONCAVE:
         g = model.f
     else:
         g = model.fx
     worst = -math.inf
     n = 0
-    for gam in gammas:
+    for gam in _CONCAVITY_GAMMAS:
         for t in ts:
             for x in xs:
                 d2 = (g(t, x + h, gam) - 2.0 * g(t, x, gam) + g(t, x - h, gam)) / (h * h)

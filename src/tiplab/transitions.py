@@ -45,6 +45,9 @@ def _require_positive_rate(delta: Curve) -> None:
 # mechanisms
 # ---------------------------------------------------------------------------
 
+_PATH_SAMPLES = 401     # samples behind Mechanism.path_scale
+
+
 class Mechanism:
     """Parameter path t -> gamma(t) with known limits at -inf/+inf.
 
@@ -82,10 +85,12 @@ class Mechanism:
         p = self.path
         return max(abs(p(-horizon) - self._gamma_minus), abs(p(horizon) - self._gamma_plus))
 
-    def path_scale(self, horizon: float = 400.0, samples: int = 401) -> float:
-        """Spread of the path over [-horizon, horizon]; 0 for constant paths."""
+    def path_scale(self, horizon: float) -> float:
+        """Spread of the path over [-horizon, horizon], sampled at
+        _PATH_SAMPLES points; 0 for constant paths."""
         p = self.path
-        vals = [p(-horizon + 2.0 * horizon * i / (samples - 1)) for i in range(samples)]
+        n = _PATH_SAMPLES
+        vals = [p(-horizon + 2.0 * horizon * i / (n - 1)) for i in range(n)]
         return max(vals) - min(vals)
 
     def describe(self) -> dict:

@@ -257,6 +257,17 @@ def test_no_return_for_subcritical_rate(cubic):
     assert np.all(rep.u_delta < rep.m_future)
 
 
+def test_rate_whose_infimum_lies_beyond_any_sample(cubic):
+    # D = 3 - atan(1e-4 t)/pi falls toward its infimum 2.5 < c0 only far out:
+    # D(1e4) = 2.75 and D(t) = c0 at t = 3.1e4, past the horizon
+    delta = make_profile("arctan", offset=3.0, amplitude=-1.0 / math.pi, scale=1e-4)
+    assert delta(1.0e4) > 2.6 > delta.bounds()[0]
+    rep = safe_no_return(cubic, PULSE, delta, 2.6, 0.0, [-5.0, 0.0, 5.0], num=NUM)
+    assert not rep.no_tipping
+    assert rep.s1 is None
+    assert rep.conclusion != "no tipping possible"
+
+
 # ---------------------------------------------------------------------------
 # reacting to a warning
 # ---------------------------------------------------------------------------

@@ -86,17 +86,6 @@ def test_domain_error_steps_are_retried():
     assert traj(30.0) == pytest.approx(2.0 - math.exp(-30.0) * 2.0, abs=1e-7)
 
 
-def test_rk4_fixed_step():
-    cfg = IntegratorConfig(method="rk4", fixed_step=1e-3)
-    traj = integrate(lambda t, x: -x, 0.0, 1.0, 5.0, cfg)
-    assert traj(5.0) == pytest.approx(math.exp(-5.0), rel=1e-9)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(IntegrationError, match="unknown method"):
-        IntegratorConfig(method="euler")
-
-
 def test_invalid_tolerances_rejected():
     with pytest.raises(IntegrationError):
         IntegratorConfig(rtol=-1e-8)
@@ -113,6 +102,45 @@ def test_trajectory_call_outside_span_raises():
     traj = integrate(lambda t, x: -x, 0.0, 1.0, 1.0)
     with pytest.raises(IntegrationError):
         traj(5.0)
+
+
+@pytest.mark.parametrize("t_end", [3.0, -3.0])
+def test_eval_array_refuses_times_outside_the_span(t_end):
+    traj = integrate(lambda t, x: math.sin(t) - x, 0.0, 1.0, t_end)
+    t = traj.t
+    for outside in (t[-1] + 1e-13, t[0] - 1e-13):
+        with pytest.raises(IntegrationError, match="outside"):
+            traj.eval_array(np.array([0.5 * (t[0] + t[-1]), outside]))
+    ends = traj.eval_array(np.array([t[0], t[-1]]))
+    assert ends[0] == traj.x[0] and ends[-1] == traj.x[-1]
+
+
+def test_eval_array_matches_scalar_evaluation():
+    traj = integrate(lambda t, x: math.cos(t) - 0.3 * x, 0.0, 0.2, -15.0)
+    times = np.concatenate((traj.t, np.linspace(traj.t[0], traj.t[-1], 501)))
+    assert [float(v) for v in traj.eval_array(times)] == [traj(s) for s in times]
+
+
+def _log_pole(t, x):
+    # x' = 1/(1 - t): x grows like -log(1 - t), so the step size underflows
+    # short of t = 1 while x is still finite
+    return 1.0 / (1.0 - t)
+
+
+def test_stall_below_the_blow_up_scale_raises():
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        integrate(_log_pole, 0.0, 0.0, 2.0)
+
+
+def test_stall_above_the_blow_up_scale_is_a_blow_up():
+    traj = integrate(_log_pole, 0.0, 2000.0, 2.0)
+    assert traj.status == "blow-up" and traj.blow_sign == 1
+    # recorded at the stall point: the last node, just short of the pole
+    assert traj.t_blow == traj.t[-1]
+    assert 1.0 - 1e-9 < traj.t_blow < 1.0
+    assert abs(traj.x[-1]) >= 1e-3 * DEFAULT_CONFIG.x_max
+    # the steps next to the pole carry the largest error
+    assert traj.x[-1] == pytest.approx(2000.0 - math.log(1.0 - traj.t_blow), abs=1e-3)
 
 
 def test_clipped_last_step_ends_on_the_end_point():

@@ -28,3 +28,16 @@ def test_old_manifest_reruns_to_goldens(subcommand, tmp_path):
     assert result_files(out) == result_files(want)
     for name in result_files(out):
         assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("key, value", [("method", "rk4"), ("first_step", 0.01)])
+def test_removed_integrator_setting_is_refused(key, value, tmp_path, capsys):
+    manifest = json.loads((MANIFESTS / "classify.json").read_text())
+    manifest["config"]["numerics"]["integrator"][key] = value
+    with pytest.raises(cli.ConfigError, match="was removed"):
+        cli.build_numerics(manifest["config"])
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    rc = cli.main(["classify", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "was removed" in capsys.readouterr().err
