@@ -55,9 +55,6 @@ class Numerics:
     warn_refine_tol: float = 1.0e-3
     integ: IntegratorConfig = DEFAULT_CONFIG
 
-    def with_(self, **kw) -> "Numerics":
-        return replace(self, **kw)
-
 
 DEFAULT_NUMERICS = Numerics()
 
@@ -402,7 +399,7 @@ class LyapunovEstimate:
     value: float
     window: float
     sensitivity: float       # change when the averaging window is halved
-    quad_gap: float          # change under quadrature refinement
+    quad_gap: float          # change under quadrature refinement, not an error bound
 
 
 def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
@@ -411,7 +408,8 @@ def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
     """Average of f_x along a hyperbolic estimate over a centered window.
 
     The average over half the window is reported as a sensitivity measure;
-    the quadrature is refined once and the change recorded.
+    the quadrature is refined once and the change recorded as quad_gap, a
+    refinement gap and not an error bound of the exponent.
     """
     w0, w1 = solution.window
     c = 0.5 * (w0 + w1)

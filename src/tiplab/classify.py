@@ -26,7 +26,7 @@ from .attractors import (
     pullback_attractive,
     pullback_repulsive,
 )
-from .integrator import IntegrationError
+from .integrator import IntegrationError, Trajectory
 from .models import CONCAVE, DCONCAVE
 
 
@@ -125,10 +125,38 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
     return out
 
 
-def _terminal_distance(sol: PullbackSolution, target: float, H: float) -> float:
-    if not sol.trajectory.covers(H):
-        return math.inf
-    return abs(sol(H) - target)
+def pullback_of(model, mechanism, role: str, num: Numerics = DEFAULT_NUMERICS,
+                cache: LimitCache | None = None,
+                horizon: float | None = None) -> PullbackSolution:
+    """Pullback solution of the transition equation for a (d-concave) role:
+    an attractive role is anchored at the past limit set, a repulsive one at
+    the future limit set. The horizon defaults to resolve_horizon."""
+    H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
+    cache = cache if cache is not None else LimitCache(model, num)
+    role = _role_for(model, role)
+    if role.endswith("attractive"):
+        past = cache.get(mechanism.gamma_minus, H)
+        return pullback_attractive(model, mechanism, past[role], H, num)
+    future = cache.get(mechanism.gamma_plus, H)
+    return pullback_repulsive(model, mechanism, future[role], H, num)
+
+
+def _tracking_targets(mechanism, future: LimitSet, H: float,
+                      num: Numerics) -> tuple[float, float, float]:
+    """The future upper attractor at +H, the solution below it (the lower
+    attractor, d-concave, or the repeller, concave) and the distance within
+    which a solution tracks an attractor: a fraction of their gap. The path
+    has not fully reached its limit at +-H, and the pullback solution lags
+    the frozen attractor by O(that tail); the tolerance budgets for it."""
+    up, below = (("upper-attractive", "lower-attractive") if future.concavity == DCONCAVE
+                 else ("attractive", "repulsive"))
+    upper, lower = future[up](H), future[below](H)
+    return upper, lower, max(num.track_tol_factor * (upper - lower),
+                             num.tail_track_factor * mechanism.tail_gap(H))
+
+
+def _terminal_distance(traj: Trajectory, target: float, H: float) -> float:
+    return abs(traj(H) - target) if traj.covers(H) else math.inf
 
 
 def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
@@ -136,17 +164,11 @@ def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
     low = pullback_attractive(model, mechanism, past["lower-attractive"], H, num)
     m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
 
-    up_target = future["upper-attractive"](H)
-    low_target = future["lower-attractive"](H)
-    # the path has not fully reached its limit at +-H, and the pullback
-    # solution lags the frozen attractor by O(that tail); budget for it
-    track_tol = max(num.track_tol_factor * (up_target - low_target),
-                    num.tail_track_factor * mechanism.tail_gap(H))
-
-    d_u_up = _terminal_distance(u, up_target, H)
-    d_u_low = _terminal_distance(u, low_target, H)
-    d_l_up = _terminal_distance(low, up_target, H)
-    d_l_low = _terminal_distance(low, low_target, H)
+    up_target, low_target, track_tol = _tracking_targets(mechanism, future, H, num)
+    d_u_up = _terminal_distance(u.trajectory, up_target, H)
+    d_u_low = _terminal_distance(u.trajectory, low_target, H)
+    d_l_up = _terminal_distance(low.trajectory, up_target, H)
+    d_l_low = _terminal_distance(low.trajectory, low_target, H)
     evidence = {
         "u_to_upper": d_u_up, "u_to_lower": d_u_low,
         "l_to_upper": d_l_up, "l_to_lower": d_l_low,
@@ -169,10 +191,8 @@ def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
     a = pullback_attractive(model, mechanism, past["attractive"], H, num)
     r = pullback_repulsive(model, mechanism, future["repulsive"], H, num)
 
-    a_target = future["attractive"](H)
-    track_tol = max(num.track_tol_factor * (a_target - future["repulsive"](H)),
-                    num.tail_track_factor * mechanism.tail_gap(H))
-    d_a = _terminal_distance(a, a_target, H)
+    a_target, _, track_tol = _tracking_targets(mechanism, future, H, num)
+    d_a = _terminal_distance(a.trajectory, a_target, H)
     evidence = {
         "a_to_attractive": d_a, "a_status": a.status, "r_status": r.status,
         "a_blow": a.trajectory.t_blow, "r_blow": r.trajectory.t_blow,
@@ -435,12 +455,8 @@ def switching_classify(model, left_mechanism, right_mechanism, t0: float = 0.0,
     if not -H < t0 < H:
         raise ClassifyError(f"switching time {t0} outside the horizon ({H})")
     cache = LimitCache(model, num)
-    past = cache.get(left_mechanism.gamma_minus, H)
-    future = cache.get(right_mechanism.gamma_plus, H)
-    a = pullback_attractive(model, left_mechanism,
-                            past[_role_for(model, "upper-attractive")], H, num)
-    r = pullback_repulsive(model, right_mechanism,
-                           future[_role_for(model, "middle-repulsive")], H, num)
+    a = pullback_of(model, left_mechanism, "upper-attractive", num, cache, H)
+    r = pullback_of(model, right_mechanism, "middle-repulsive", num, cache, H)
     tip_label = "C2" if model.concavity == DCONCAVE else "C"
     if a.status != "completed" or not a.trajectory.covers(t0):
         raise ClassifyError("left pullback attractive solution does not reach t0")

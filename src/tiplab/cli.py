@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .attractors import (
     DEFAULT_NUMERICS,
-    AttractorError,
     Numerics,
     _role_for,
     estimate_lyapunov,
@@ -36,10 +35,10 @@ from .attractors import (
 )
 from .classify import (
     IndeterminateError,
-    LimitCache,
     classify,
     critical_value,
     lambda_star,
+    pullback_of,
     resolve_horizon,
 )
 from .ews import (
@@ -185,6 +184,18 @@ def mechanism_family(block: dict, parameter: str):
     probe.setdefault(parameter, 1.0)
     build_mechanism(probe)
     return family
+
+
+def _swept(cfg: dict, exp: dict, name: str) -> tuple[dict, str]:
+    """Mechanism block and the parameter a sweep subcommand varies."""
+    block = cfg.get("mechanism")
+    if not isinstance(block, dict) or "kind" not in block:
+        raise ConfigError(f"{name} needs a mechanism block with a kind")
+    parameter = exp.get("parameter") or _SWEEP_PARAM.get(block["kind"])
+    if parameter is None:
+        raise ConfigError(f"mechanism kind {block['kind']!r} has no sweep parameter; "
+                          "set experiment.parameter")
+    return block, parameter
 
 
 _NUMERICS_FIELDS = {f.name for f in dataclasses.fields(Numerics)} - {"integ"}
@@ -365,14 +376,7 @@ def run_classify(cfg, out, model, num):
 
 def run_critical_rate(cfg, out, model, num):
     exp = dict(cfg.get("experiment") or {})
-    block = cfg.get("mechanism")
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError("critical-rate needs a mechanism block with a kind")
-    parameter = exp.get("parameter") or _SWEEP_PARAM.get(block["kind"])
-    if parameter is None:
-        raise ConfigError(
-            f"mechanism kind {block['kind']!r} has no sweep parameter; "
-            "set experiment.parameter")
+    block, parameter = _swept(cfg, exp, "critical-rate")
     lower = float(_require(exp, "critical-rate", "lower"))
     upper = float(_require(exp, "critical-rate", "upper"))
     tol = float(exp.get("tol", 1.0e-6))
@@ -425,10 +429,7 @@ def run_ftle(cfg, out, model, num):
     role = exp.get("role") or _role_for(model, "upper-attractive")
     t_min = exp.get("t_min")
     t_max = exp.get("t_max")
-    H = resolve_horizon(mech, num)
-    cache = LimitCache(model, num)
-    past = cache.get(mech.gamma_minus, H)
-    sol = pullback_attractive(model, mech, past[role], H, num)
+    sol = pullback_of(model, mech, role, num)
     series = ftle_series(model, mech, sol, T, num,
                          t_min=float(t_min) if t_min is not None else None,
                          t_max=float(t_max) if t_max is not None else None)
@@ -450,12 +451,7 @@ def run_ftle(cfg, out, model, num):
 
 def run_ews_region(cfg, out, model, num):
     exp = dict(cfg.get("experiment") or {})
-    block = cfg.get("mechanism")
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError("ews-region needs a mechanism block with a kind")
-    parameter = exp.get("parameter") or _SWEEP_PARAM.get(block["kind"])
-    if parameter is None:
-        raise ConfigError(f"mechanism kind {block['kind']!r} has no sweep parameter")
+    block, parameter = _swept(cfg, exp, "ews-region")
     kappas = _values(_require(exp, "ews-region", "kappas"), "kappas")
     cs = _values(_require(exp, "ews-region", "cs"), "cs")
     T = float(_require(exp, "ews-region", "T"))

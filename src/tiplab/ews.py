@@ -22,14 +22,19 @@ from .attractors import (
     NonConvergentError,
     Numerics,
     PullbackSolution,
-    _role_for,
     gauss3_interval_integrals,
-    pullback_attractive,
-    pullback_repulsive,
 )
-from .classify import CaseLabel, LimitCache, _bisect, resolve_horizon
+from .classify import (
+    CaseLabel,
+    LimitCache,
+    _bisect,
+    _terminal_distance,
+    _tracking_targets,
+    pullback_of,
+    resolve_horizon,
+)
 from .integrator import IntegrationError, integrate
-from .models import DCONCAVE
+from .models import CONCAVE, DCONCAVE
 
 
 class EwsError(RuntimeError):
@@ -51,13 +56,7 @@ class FtleSeries:
     window_length: float
     t: np.ndarray
     values: np.ndarray
-    quad_gap: float
-
-    def __call__(self, time: float) -> float:
-        if time < self.t[0] or time > self.t[-1]:
-            raise EwsError(f"time {time} outside the series range "
-                           f"[{self.t[0]}, {self.t[-1]}]")
-        return float(np.interp(time, self.t, self.values))
+    quad_gap: float    # last refinement gap, not an error bound (see ftle_series)
 
     @property
     def max_value(self) -> float:
@@ -86,13 +85,15 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     One pass of composite 3-point Gauss quadrature on a uniform step that
     divides T yields every window by differencing the cumulative sums; the
     step is halved until two passes agree below num.quad_tol, at most
-    _FTLE_MAX_HALVINGS times.
+    _FTLE_MAX_HALVINGS times. The last gap is returned as quad_gap: it is a
+    refinement gap, not an error bound, since the solution is read through
+    cubic Hermite interpolation whose error does not shrink with the step.
     """
     if T <= 0.0:
         raise EwsError("window length must be positive")
     traj = solution.trajectory
-    lo_feasible = traj.t_start + T
-    hi_feasible = traj.t_end
+    lo_feasible = traj.t[0] + T
+    hi_feasible = traj.t[-1]
     if lo_feasible > hi_feasible:
         raise EwsError(f"solution span {traj.span} shorter than the window {T}")
     t1 = min(t_max, hi_feasible) if t_max is not None else hi_feasible
@@ -110,7 +111,7 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     h = T / m
     a0 = t0 - T
     n = m + max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
-    while a0 + n * h > traj.t_end + 1e-12:
+    while a0 + n * h > traj.t[-1] + 1e-12:
         n -= 1
     if n < m:
         raise EwsError("no full window fits in the solution span")
@@ -138,8 +139,6 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
 class EwsConfig:
     kappa: float
     L: float
-    t_min: float | None = None
-    t_max: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.kappa < 1.0:
@@ -158,15 +157,6 @@ def warning_time(series: FtleSeries, ews: EwsConfig,
     bisection on the linear interpolant; None if never triggered."""
     thr = ews.threshold
     t, v = series.t, series.values
-    if ews.t_min is not None or ews.t_max is not None:
-        keep = np.ones(len(t), dtype=bool)
-        if ews.t_min is not None:
-            keep &= t >= ews.t_min
-        if ews.t_max is not None:
-            keep &= t <= ews.t_max
-        t, v = t[keep], v[keep]
-        if len(t) == 0:
-            raise EwsError("empty search window")
     hits = np.nonzero(v >= thr)[0]
     if len(hits) == 0:
         return None
@@ -201,9 +191,6 @@ class RegionGrid:
             for j, b in enumerate(self.axis2):
                 yield a, b, self.outcomes[i][j]
 
-    def outcome(self, a, b):
-        return self.outcomes[self.axis1.index(a)][self.axis2.index(b)]
-
 
 def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
                num: Numerics = DEFAULT_NUMERICS,
@@ -218,14 +205,10 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
     cs = [float(c) for c in cs]
     outcomes = [[None] * len(cs) for _ in kappas]
     notes = {}
-    past_role = _role_for(model, role)
     for j, c in enumerate(cs):
         mech = mechanism_family(c)
         try:
-            H = resolve_horizon(mech, num)
-            cache = LimitCache(model, num)
-            past = cache.get(mech.gamma_minus, H)
-            sol = pullback_attractive(model, mech, past[past_role], H, num)
+            sol = pullback_of(model, mech, role, num)
             series = ftle_series(model, mech, sol, T, num,
                                  t_min=search[0], t_max=search[1])
         except (EwsError, NonConvergentError, IntegrationError) as exc:
@@ -234,8 +217,7 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
                 outcomes[i][j] = False
             continue
         for i, k in enumerate(kappas):
-            thr = k * L
-            outcomes[i][j] = bool((series.values >= thr).any())
+            outcomes[i][j] = bool((series.values >= k * L).any())
     return RegionGrid(kappas, cs, outcomes, "kappa", "c", notes)
 
 
@@ -251,27 +233,19 @@ class _RepellerCurve:
         self.model = model
         self.rate_family = rate_family
         self.num = num
-        self.role = _role_for(model, "middle-repulsive")
         self._cache: dict[int, PullbackSolution] = {}
         self._limits = LimitCache(model, num)
 
     def solution(self, c: float) -> PullbackSolution:
         key = round(c / _REPELLER_C_TOL)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        mech = self.rate_family(c)
-        H = resolve_horizon(mech, self.num)
-        future = self._limits.get(mech.gamma_plus, H)
-        sol = pullback_repulsive(self.model, mech, future[self.role], H, self.num)
-        self._cache[key] = sol
-        return sol
+        if key not in self._cache:
+            self._cache[key] = pullback_of(self.model, self.rate_family(c),
+                                           "middle-repulsive", self.num, self._limits)
+        return self._cache[key]
 
     def value(self, c: float, t: float) -> float:
         sol = self.solution(c)
-        if not sol.trajectory.covers(t):
-            return math.nan
-        return sol(t)
+        return sol(t) if sol.trajectory.covers(t) else math.nan
 
 
 @dataclass
@@ -322,9 +296,7 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
 
     s1 = _first_root(dval, c0, -H, H)
 
-    cache = LimitCache(model, num)
-    past = cache.get(mech.gamma_minus, H)
-    u = pullback_attractive(model, mech, past[_role_for(model, "upper-attractive")], H, num)
+    u = pullback_of(model, mech, "upper-attractive", num, horizon=H)
 
     rate_family = lambda c: ConstantRate(profile, c)
     curve = _RepellerCurve(model, rate_family, num)
@@ -427,23 +399,6 @@ class ReactionOutcome:
     warned: bool
 
 
-def _terminal_label(model, x_end: float, H: float, future, num) -> tuple[str, dict]:
-    if model.concavity == DCONCAVE:
-        up, low = future["upper-attractive"](H), future["lower-attractive"](H)
-        tol = num.track_tol_factor * (up - low)
-        ev = {"x_end": x_end, "to_upper": abs(x_end - up),
-              "to_lower": abs(x_end - low), "track_tol": tol}
-        if ev["to_upper"] < tol:
-            return "A", ev
-        if ev["to_lower"] < tol:
-            return "C2", ev
-        return "indeterminate", ev
-    att, rep = future["attractive"](H), future["repulsive"](H)
-    tol = num.track_tol_factor * (att - rep)
-    ev = {"x_end": x_end, "to_attractive": abs(x_end - att), "track_tol": tol}
-    return ("A", ev) if ev["to_attractive"] < tol else ("indeterminate", ev)
-
-
 class _UnreactedRun:
     """Shared state for a reaction sweep: the unreacted solution, its FTLE
     series, the limit sets and the unreacted label, computed once for the
@@ -453,18 +408,13 @@ class _UnreactedRun:
         from .transitions import TimeDependentRate
 
         self.model = model
-        self.profile = profile
-        self.delta = delta
-        self.T = T
         self.num = num
         self.mechanism = TimeDependentRate(profile, delta, 1.0)
         self.H = resolve_horizon(self.mechanism, num)
         self.cache = LimitCache(model, num)
-        self.past = self.cache.get(self.mechanism.gamma_minus, self.H)
+        self.u = pullback_of(model, self.mechanism, "upper-attractive", num,
+                             self.cache, self.H)
         self.future = self.cache.get(self.mechanism.gamma_plus, self.H)
-        self.u = pullback_attractive(model, self.mechanism,
-                                     self.past[_role_for(model, "upper-attractive")],
-                                     self.H, num)
         self.series = ftle_series(model, self.mechanism, self.u, T, num)
         self._label: CaseLabel | None = None
 
@@ -483,7 +433,10 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
                  T: float, L: float, num: Numerics = DEFAULT_NUMERICS,
                  shared: _UnreactedRun | None = None) -> ReactionOutcome:
     """Integrate the upper pullback solution, switch to the increased-rate
-    equation at the first warning time, and label the terminal state.
+    equation at the first warning time, and label the terminal state by the
+    tracking rule of classify: A near the future upper attractor, else C2
+    near the lower one (d-concave), else C on a concave blow-up, else
+    indeterminate.
 
     Without a warning the unreacted equation's own classification is
     returned, with t1 = None.
@@ -498,15 +451,22 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
         return ReactionOutcome(run.unreacted_label(), None, r, kappa, False)
 
     reaction = Reaction(profile, delta, r, b, t1)
-    rhs = model.transition_rhs(reaction)
-    traj = integrate(rhs, t1, run.u(t1), run.H, num.integ)
-    if traj.status != "completed":
-        label, ev = "indeterminate", {"status": traj.status, "t_blow": traj.t_blow}
+    H = run.H
+    traj = integrate(model.transition_rhs(reaction), t1, run.u(t1), H, num.integ)
+    upper, below, tol = _tracking_targets(reaction, run.future, H, num)
+    ev = {"to_upper": _terminal_distance(traj, upper, H), "track_tol": tol,
+          "status": traj.status, "t_blow": traj.t_blow, "t1": t1, "r": r, "kappa": kappa}
+    if model.concavity == DCONCAVE:
+        ev["to_lower"] = _terminal_distance(traj, below, H)
+    if ev["to_upper"] < tol:
+        label = "A"
+    elif ev.get("to_lower", math.inf) < tol:
+        label = "C2"
+    elif model.concavity == CONCAVE and traj.status == "blow-up":
+        label = "C"
     else:
-        label, ev = _terminal_label(model, traj.x[-1], run.H, run.future, num)
-    ev.update({"t1": t1, "r": r, "kappa": kappa})
-    return ReactionOutcome(CaseLabel(label, model.concavity, run.H, ev),
-                           t1, r, kappa, True)
+        label = "indeterminate"
+    return ReactionOutcome(CaseLabel(label, model.concavity, H, ev), t1, r, kappa, True)
 
 
 def reaction_region(model, profile, delta, rs, kappas, b: float, T: float,

@@ -67,7 +67,6 @@ class Trajectory:
     f: np.ndarray
     status: str
     t_blow: float | None
-    blow_sign: int | None
     _tl: list = field(repr=False)  # t as a list, for bisect in __call__
 
     @property
@@ -118,7 +117,7 @@ class Trajectory:
         """Trajectory of x + dx; valid when the shifted curve solves the
         correspondingly translated equation (slopes are unchanged)."""
         return Trajectory(self.direction, self.t, self.x + dx, self.f,
-                          self.status, self.t_blow, self.blow_sign, _tl=self._tl)
+                          self.status, self.t_blow, _tl=self._tl)
 
 
 def _hermite(t0, x0, f0, t1, x1, f1, time):
@@ -164,7 +163,7 @@ def _integrate_forward(rhs, t0, x0, t1, cfg):
     if not math.isfinite(k1):
         raise IntegrationError(f"right-hand side not finite at start ({t0}, {x0})")
     fs = [k1]
-    status, t_blow, blow_sign = "completed", None, None
+    status, t_blow = "completed", None
     span = t1 - t0
     h = min(cfg.max_step, max(1e-6, 1e-3 * span), span)
     t, x = t0, x0
@@ -183,7 +182,6 @@ def _integrate_forward(rhs, t0, x0, t1, cfg):
                 # short of x_max; record the blow-up at the stall point
                 status = "blow-up"
                 t_blow = t
-                blow_sign = 1 if x >= 0 else -1
                 break
             raise IntegrationError(f"step size underflow at t={t}")
         try:
@@ -212,7 +210,6 @@ def _integrate_forward(rhs, t0, x0, t1, cfg):
                 fs.append(fb if isfinite(fb) else 0.0)
                 status = "blow-up"
                 t_blow = tb
-                blow_sign = 1 if x_new >= 0 else -1
                 break
             t, x, k1 = t_next, x_new, k7
             ts.append(t)
@@ -222,7 +219,7 @@ def _integrate_forward(rhs, t0, x0, t1, cfg):
             h *= factor
         else:
             h *= max(0.2, 0.9 * (sc / aerr) ** 0.2)
-    return ts, xs, fs, status, t_blow, blow_sign
+    return ts, xs, fs, status, t_blow
 
 
 def integrate(rhs, t_start: float, x0: float, t_end: float,
@@ -238,15 +235,15 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     if abs(x0) >= config.x_max:
         raise IntegrationError(f"initial value {x0} already beyond the blow-up bound")
     if t_end > t_start:
-        ts, xs, fs, status, t_blow, blow_sign = _integrate_forward(
+        ts, xs, fs, status, t_blow = _integrate_forward(
             rhs, t_start, x0, t_end, config)
         return Trajectory(
             "forward",
             np.array(ts), np.array(xs), np.array(fs),
-            status, t_blow, blow_sign, _tl=ts,
+            status, t_blow, _tl=ts,
         )
     rev = lambda s, y: -rhs(-s, y)
-    ts, xs, fs, status, t_blow, blow_sign = _integrate_forward(
+    ts, xs, fs, status, t_blow = _integrate_forward(
         rev, -t_start, x0, -t_end, config)
     # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
     ts = [-s for s in reversed(ts)]
@@ -255,5 +252,5 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     return Trajectory(
         "backward",
         np.array(ts), xs_arr, fs_arr,
-        status, (-t_blow if t_blow is not None else None), blow_sign, _tl=ts,
+        status, (-t_blow if t_blow is not None else None), _tl=ts,
     )

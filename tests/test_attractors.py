@@ -5,6 +5,7 @@ closed-form oracles (polynomial roots) for every estimate.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_notes_name_their_role_once(cubic):
 
 
 def test_burn_in_without_doublings_is_not_certified(cubic, num):
-    ls = limit_hyperbolic_solutions(cubic, 0.0, WINDOW, num.with_(max_burn_doublings=0))
+    ls = limit_hyperbolic_solutions(cubic, 0.0, WINDOW, replace(num, max_burn_doublings=0))
     assert ls.roles == ()
     assert ls.notes == ["upper-attractive: burn-in doubling did not converge (last gap inf)",
                         "lower-attractive: burn-in doubling did not converge (last gap inf)"]

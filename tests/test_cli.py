@@ -110,6 +110,20 @@ def test_critical_rate_subcommand(tmp_path):
     assert res["boundary_label"] == "B2"
 
 
+def test_sweep_without_parameter_asks_for_one(tmp_path, capsys):
+    # a switching mechanism has no default sweep parameter
+    cfg = base_config(experiment={"kappas": [0.5], "cs": [1.0], "T": 10.0,
+                                  "L": -2.0, "lower": 0.05, "upper": 5.0})
+    cfg["mechanism"] = {"kind": "switching", "left": dict(cfg["mechanism"]),
+                        "right": dict(cfg["mechanism"])}
+    for subcommand in ("ews-region", "critical-rate"):
+        rc, _ = run_cli(tmp_path, subcommand, cfg)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'switching' has no sweep parameter" in err
+        assert "set experiment.parameter" in err
+
+
 def test_ftle_reports_warning_time(tmp_path):
     cfg = base_config(c=0.05, experiment={"T": 10.0, "kappa": 0.5, "L": -2.0})
     rc, out = run_cli(tmp_path, "ftle", cfg)

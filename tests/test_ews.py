@@ -7,6 +7,7 @@ warning tests.
 
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tiplab.attractors import (
     PullbackSolution,
     pullback_attractive,
 )
-from tiplab.classify import LimitCache, resolve_horizon
+from tiplab.classify import LimitCache, classify, pullback_of, resolve_horizon
 from tiplab.ews import (
     EwsConfig,
     EwsError,
@@ -29,7 +30,8 @@ from tiplab.ews import (
     warning_time,
 )
 from tiplab.integrator import integrate
-from tiplab.transitions import ConstantRate, make_profile
+from tiplab.models import make_model
+from tiplab.transitions import ConstantRate, TimeDependentRate, make_profile
 
 NUM = DEFAULT_NUMERICS
 
@@ -67,10 +69,6 @@ def test_ftle_exact_on_linear_field():
 def test_ftle_series_helpers():
     model, mech, sol = linear_stub()
     series = ftle_series(model, mech, sol, 10.0, NUM)
-    # node lookup and linear interpolation stay inside the sampled range
-    assert series(series.t[3]) == pytest.approx(series.values[3], abs=1e-15)
-    with pytest.raises(EwsError, match="outside the series range"):
-        series(series.t[-1] + 1.0)
     sub = series.restricted(0.0, 5.0)
     assert sub.t[0] >= 0.0 and sub.t[-1] <= 5.0
     assert sub.max_value == pytest.approx(sub.values.max())
@@ -136,9 +134,7 @@ def test_warning_time_edge_cases():
                       np.full(21, -0.5), 0.0)
     assert warning_time(flat, EwsConfig(0.5, -2.0)) == pytest.approx(2.0)
     # restricting the search window past the bump suppresses the warning
-    assert warning_time(series, EwsConfig(0.5, -2.0, t_min=6.0)) is None
-    with pytest.raises(EwsError, match="empty search window"):
-        warning_time(series, EwsConfig(0.5, -2.0, t_min=20.0))
+    assert warning_time(series.restricted(6.0, math.inf), EwsConfig(0.5, -2.0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +190,18 @@ def test_window_maxima_nested_in_T(cubic, slow_run):
     assert maxima[2] <= maxima[1] + 1e-4
 
 
+def test_ftle_along_a_repulsive_solution(cubic):
+    # a backward run spans the same interval as a forward one; away from the
+    # pulse the pullback repulsive solution sits at the repeller x = 0,
+    # where f_x = 1
+    mech = ConstantRate(PULSE, 5.0)
+    m = pullback_of(cubic, mech, "middle-repulsive", NUM)
+    assert m.trajectory.direction == "backward"
+    series = ftle_series(cubic, mech, m, 10.0, NUM)
+    assert series.t[0] == pytest.approx(m.trajectory.t[0] + 10.0)
+    assert np.abs(series.restricted(-300.0, -100.0).values - 1.0).max() < 1e-6
+
+
 def test_ews_region_grid(cubic):
     grid = ews_region(cubic, lambda c: ConstantRate(PULSE, c),
                       kappas=[0.5, 0.8], cs=[0.05, 5.0], T=10.0, L=-2.0,
@@ -203,7 +211,6 @@ def test_ews_region_grid(cubic):
     # tipped runs are detected at any threshold; the tracking run only once
     # kappa*L drops below its ceiling near -1.42
     assert grid.outcomes == [[True, False], [True, True]]
-    assert grid.outcome(0.5, 5.0) is False
     assert len(list(grid.rows())) == 4
 
 
@@ -295,7 +302,7 @@ def test_reaction_warns_at_the_configured_refinement(cubic):
     from tiplab.ews import _UnreactedRun
 
     delta = make_profile("constant", value=0.5)
-    coarse = NUM.with_(warn_refine_tol=0.25)
+    coarse = replace(NUM, warn_refine_tol=0.25)
     run = _UnreactedRun(cubic, PULSE, delta, 10.0, coarse)
     out = reaction_run(cubic, PULSE, delta, 3.0, 1.0, 0.5, 10.0, -2.0, coarse,
                        shared=run)
@@ -303,3 +310,21 @@ def test_reaction_warns_at_the_configured_refinement(cubic):
     assert out.warned
     assert out.t1 == warning_time(run.series, cfg, refine_tol=0.25)
     assert out.t1 != warning_time(run.series, cfg)
+
+
+def test_reacted_concave_escape_is_case_c():
+    # x' = -(x - gamma)^2 + 1/4 under a deep, fast pulse escapes to -inf
+    # (classify: C); a reaction of strength 0 replays that escape after the
+    # warning, and the shared tracking rule labels it C as classify does
+    cquad = make_model("concave-logistic-migration", {"r": 1.0, "I": 0.25})
+    deep = make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-3.0, b=0.5)
+    delta = make_profile("constant", value=5.0)
+    unreacted = classify(cquad, TimeDependentRate(deep, delta, 1.0), NUM)
+    out = reaction_run(cquad, deep, delta, 0.0, 1.0, 0.5, 1.0, -1.0, NUM)
+    assert unreacted.label == "C" and unreacted.evidence["a_status"] == "blow-up"
+    assert out.warned and out.label.evidence["status"] == "blow-up"
+    assert out.t1 < out.label.evidence["t_blow"]
+    assert out.label.label == "C"
+    # with r = 0 the reacted path is the unreacted one, so one rule gives
+    # one tolerance
+    assert out.label.evidence["track_tol"] == unreacted.evidence["track_tol"]

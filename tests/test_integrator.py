@@ -134,7 +134,7 @@ def test_stall_below_the_blow_up_scale_raises():
 
 def test_stall_above_the_blow_up_scale_is_a_blow_up():
     traj = integrate(_log_pole, 0.0, 2000.0, 2.0)
-    assert traj.status == "blow-up" and traj.blow_sign == 1
+    assert traj.status == "blow-up" and traj.x[-1] > 0
     # recorded at the stall point: the last node, just short of the pole
     assert traj.t_blow == traj.t[-1]
     assert 1.0 - 1e-9 < traj.t_blow < 1.0
