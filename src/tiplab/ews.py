@@ -205,10 +205,11 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
     cs = [float(c) for c in cs]
     outcomes = [[None] * len(cs) for _ in kappas]
     notes = {}
+    cache = LimitCache(model, num)
     for j, c in enumerate(cs):
         mech = mechanism_family(c)
         try:
-            sol = pullback_of(model, mech, role, num)
+            sol = pullback_of(model, mech, role, num, cache)
             series = ftle_series(model, mech, sol, T, num,
                                  t_min=search[0], t_max=search[1])
         except (EwsError, NonConvergentError, IntegrationError) as exc:
@@ -453,7 +454,8 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
     reaction = Reaction(profile, delta, r, b, t1)
     H = run.H
     traj = integrate(model.transition_rhs(reaction), t1, run.u(t1), H, num.integ)
-    upper, below, tol = _tracking_targets(reaction, run.future, H, num)
+    # tail term of the unreacted path: the run never follows the Reaction's -H end
+    upper, below, tol = _tracking_targets(run.mechanism, run.future, H, num)
     ev = {"to_upper": _terminal_distance(traj, upper, H), "track_tol": tol,
           "status": traj.status, "t_blow": traj.t_blow, "t1": t1, "r": r, "kappa": kappa}
     if model.concavity == DCONCAVE:

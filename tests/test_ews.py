@@ -298,6 +298,19 @@ def test_reaction_rescues_slow_rate(cubic):
         reaction_run(cubic, PULSE, delta, -1.0, 1.0, 0.5, 10.0, -2.0, NUM)
 
 
+def test_reaction_at_the_past_rate_keeps_its_tolerance(cubic):
+    # at r = delta's past limit the Reaction's rate vanishes at -H, so its
+    # path sits at the pulse peak there; the reacted run never follows that
+    # end, and its tolerance must not budget for it: the run still tips
+    delta = make_profile("constant", value=0.5)
+    none = reaction_run(cubic, PULSE, delta, 0.0, 1.0, 0.5, 10.0, -2.0, NUM)
+    for r in (0.4, 0.5, 0.6):
+        out = reaction_run(cubic, PULSE, delta, r, 1.0, 0.5, 10.0, -2.0, NUM)
+        assert out.warned
+        assert out.label.evidence["track_tol"] == none.label.evidence["track_tol"]
+        assert out.label.label == "C2"
+
+
 def test_reaction_warns_at_the_configured_refinement(cubic):
     from tiplab.ews import _UnreactedRun
 
