@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import platform
 import sys
@@ -50,17 +51,8 @@ from .ews import (
     warning_time,
 )
 from .integrator import IntegratorConfig, integrate
-from .models import make_model
-from .transitions import (
-    ConstantRate,
-    Phase,
-    Reaction,
-    Size,
-    Switching,
-    TimeDependentPhase,
-    TimeDependentRate,
-    make_profile,
-)
+from .models import Curve, make_model
+from .transitions import MECHANISMS, Mechanism, make_profile
 
 
 class ConfigError(ValueError):
@@ -130,49 +122,37 @@ def build_profile(block: dict):
     return make_profile(block["kind"], **params)
 
 
-def build_mechanism(block: dict):
+def _mechanism_class(block) -> type[Mechanism]:
     if not isinstance(block, dict) or "kind" not in block:
         raise ConfigError("mechanism block needs a kind")
-    kind = block["kind"]
-    try:
-        if kind == "constant-rate":
-            return ConstantRate(build_profile(block["profile"]), float(block["c"]))
-        if kind == "phase":
-            return Phase(build_profile(block["profile"]), float(block["c"]),
-                         float(block["offset"]))
-        if kind == "size":
-            return Size(build_profile(block["profile"]), float(block["c"]))
-        if kind == "time-dependent-rate":
-            return TimeDependentRate(build_profile(block["profile"]),
-                                     build_profile(block["delta"]),
-                                     float(block.get("d", 1.0)))
-        if kind == "time-dependent-phase":
-            return TimeDependentPhase(build_profile(block["profile"]),
-                                      float(block["c"]),
-                                      build_profile(block["delta"]),
-                                      float(block.get("d", 1.0)),
-                                      convention=block.get("convention", "minus"))
-        if kind == "switching":
-            return Switching(build_mechanism(block["left"]),
-                             build_mechanism(block["right"]),
-                             float(block.get("t0", 0.0)))
-        if kind == "reaction":
-            return Reaction(build_profile(block["profile"]),
-                            build_profile(block["delta"]),
-                            float(block["r"]), float(block["b"]),
-                            float(block["t1"]))
-    except KeyError as exc:
-        raise ConfigError(f"mechanism kind {kind!r} needs field {exc}") from exc
-    raise ConfigError(f"unknown mechanism kind {kind!r}")
+    cls = MECHANISMS.get(block["kind"])
+    if cls is None:
+        raise ConfigError(f"unknown mechanism kind {block['kind']!r}")
+    return cls
 
 
-_SWEEP_PARAM = {
-    "constant-rate": "c",
-    "phase": "c",
-    "size": "c",
-    "time-dependent-rate": "d",
-    "time-dependent-phase": "c",
-}
+def build_mechanism(block: dict):
+    """The mechanism a block describes. Its fields are the parameters of the
+    kind's constructor: a curve field is read as a profile block, a mechanism
+    field as a mechanism block, any other converted to its annotated type.
+    A missing required field and a field the kind does not take both raise."""
+    cls = _mechanism_class(block)
+    kind = cls.kind
+    fields = inspect.signature(cls, eval_str=True).parameters
+    stray = sorted(set(block) - {"kind", *fields})
+    if stray:
+        raise ConfigError(f"mechanism kind {kind!r} takes no field "
+                          f"{', '.join(map(repr, stray))}")
+    args = {}
+    for name, field in fields.items():
+        if name not in block:
+            if field.default is field.empty:
+                raise ConfigError(f"mechanism kind {kind!r} needs field {name!r}")
+            continue
+        build = {Curve: build_profile, Mechanism: build_mechanism}.get(
+            field.annotation, field.annotation)
+        args[name] = build(block[name])
+    return cls(**args)
 
 
 def mechanism_family(block: dict, parameter: str):
@@ -186,12 +166,10 @@ def mechanism_family(block: dict, parameter: str):
     return family
 
 
-def _swept(cfg: dict, exp: dict, name: str) -> tuple[dict, str]:
+def _swept(cfg: dict, exp: dict) -> tuple[dict, str]:
     """Mechanism block and the parameter a sweep subcommand varies."""
     block = cfg.get("mechanism")
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError(f"{name} needs a mechanism block with a kind")
-    parameter = exp.get("parameter") or _SWEEP_PARAM.get(block["kind"])
+    parameter = exp.get("parameter") or _mechanism_class(block).sweep
     if parameter is None:
         raise ConfigError(f"mechanism kind {block['kind']!r} has no sweep parameter; "
                           "set experiment.parameter")
@@ -376,20 +354,14 @@ def run_classify(cfg, out, model, num):
 
 def run_critical_rate(cfg, out, model, num):
     exp = dict(cfg.get("experiment") or {})
-    block, parameter = _swept(cfg, exp, "critical-rate")
+    block, parameter = _swept(cfg, exp)
     lower = float(_require(exp, "critical-rate", "lower"))
     upper = float(_require(exp, "critical-rate", "upper"))
     tol = float(exp.get("tol", 1.0e-6))
     family = mechanism_family(block, parameter)
     res = critical_value(model, family, lower, upper, tol, num)
-    result = {
-        "parameter": parameter,
-        "lower": res.lower, "upper": res.upper,
-        "midpoint": res.midpoint, "width": res.width,
-        "label_lower": res.label_lower, "label_upper": res.label_upper,
-        "boundary_label": res.boundary_label,
-        "iterations": res.iterations, "horizon": res.horizon,
-    }
+    result = {"parameter": parameter, **res.to_dict(),
+              "midpoint": res.midpoint, "width": res.width}
     write_json(out / "critical.json", result)
     print(f"critical {parameter} in [{res.lower:.17g}, {res.upper:.17g}] "
           f"({res.label_lower} -> {res.label_upper})")
@@ -451,7 +423,7 @@ def run_ftle(cfg, out, model, num):
 
 def run_ews_region(cfg, out, model, num):
     exp = dict(cfg.get("experiment") or {})
-    block, parameter = _swept(cfg, exp, "ews-region")
+    block, parameter = _swept(cfg, exp)
     kappas = _values(_require(exp, "ews-region", "kappas"), "kappas")
     cs = _values(_require(exp, "ews-region", "cs"), "cs")
     T = float(_require(exp, "ews-region", "T"))
@@ -534,9 +506,9 @@ def run_reaction_region(cfg, out, model, num):
     if not isinstance(block, dict) or block.get("kind") != "time-dependent-rate":
         raise ConfigError("reaction-region needs a time-dependent-rate mechanism "
                           "(the unreacted problem)")
-    if float(block.get("d", 1.0)) != 1.0:
-        raise ConfigError("reaction-region runs the unreacted problem at d=1")
     mech = build_mechanism(block)
+    if mech.d != 1.0:
+        raise ConfigError("reaction-region runs the unreacted problem at d=1")
     rs = _values(_require(exp, "reaction-region", "rs"), "rs")
     kappas = _values(_require(exp, "reaction-region", "kappas"), "kappas")
     b = float(_require(exp, "reaction-region", "b"))

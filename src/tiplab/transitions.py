@@ -9,6 +9,7 @@ equation.
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable
 
 from ._codegen import Emitter, paren
@@ -54,9 +55,18 @@ class Mechanism:
     Each mechanism emits its path as a single-expression source fragment in
     t (``emit_path``); ``path`` is that fragment compiled on its own, and
     ``VectorFieldModel.transition_rhs`` inlines it into the field.
+
+    A kind's constructor is its only declaration: its parameters are the
+    fields of the kind's config block, with their annotated types and
+    defaults, and each is kept as the attribute of the same name.
+    ``sweep`` names the field a sweep varies when none is given (None: the
+    kind has no default sweep field).
     """
 
     kind: str = "?"
+    sweep: str | None = None
+    gamma_minus: float
+    gamma_plus: float
     _path = None
 
     @property
@@ -72,18 +82,10 @@ class Mechanism:
     def __call__(self, t: float) -> float:
         return self.path(t)
 
-    @property
-    def gamma_minus(self) -> float:
-        return self._gamma_minus
-
-    @property
-    def gamma_plus(self) -> float:
-        return self._gamma_plus
-
     def tail_gap(self, horizon: float) -> float:
         """How far the path still is from its limits at -+horizon."""
         p = self.path
-        return max(abs(p(-horizon) - self._gamma_minus), abs(p(horizon) - self._gamma_plus))
+        return max(abs(p(-horizon) - self.gamma_minus), abs(p(horizon) - self.gamma_plus))
 
     def path_scale(self, horizon: float) -> float:
         """Spread of the path over [-horizon, horizon], sampled at
@@ -94,33 +96,38 @@ class Mechanism:
         return max(vals) - min(vals)
 
     def describe(self) -> dict:
-        raise NotImplementedError
+        """The kind and every constructor field; curves and nested
+        mechanisms as their own descriptions."""
+        d = {"kind": self.kind}
+        for name in inspect.signature(type(self)).parameters:
+            value = getattr(self, name)
+            d[name] = value.describe() if isinstance(value, (Curve, Mechanism)) else value
+        return d
 
 
 class ConstantRate(Mechanism):
     """gamma(t) = Gamma(c*t) for a fixed rate c > 0."""
 
     kind = "constant-rate"
+    sweep = "c"
 
     def __init__(self, profile: Curve, c: float):
         if c <= 0.0:
             raise TransitionError(f"rate must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
-        self._gamma_minus = profile.limit_minus
-        self._gamma_plus = profile.limit_plus
+        self.gamma_minus = profile.limit_minus
+        self.gamma_plus = profile.limit_plus
 
     def emit_path(self, e: Emitter) -> str:
         return self.profile.emit(e, f"{e.num(self.c)} * t")
-
-    def describe(self):
-        return {"kind": self.kind, "profile": self.profile.describe(), "c": self.c}
 
 
 class Phase(Mechanism):
     """gamma(t) = Gamma(c*(t + offset))."""
 
     kind = "phase"
+    sweep = "c"
 
     def __init__(self, profile: Curve, c: float, offset: float):
         if c <= 0.0:
@@ -128,15 +135,11 @@ class Phase(Mechanism):
         self.profile = profile
         self.c = float(c)
         self.offset = float(offset)
-        self._gamma_minus = profile.limit_minus
-        self._gamma_plus = profile.limit_plus
+        self.gamma_minus = profile.limit_minus
+        self.gamma_plus = profile.limit_plus
 
     def emit_path(self, e: Emitter) -> str:
         return self.profile.emit(e, f"{e.num(self.c)} * (t + {e.num(self.offset)})")
-
-    def describe(self):
-        return {"kind": self.kind, "profile": self.profile.describe(),
-                "c": self.c, "offset": self.offset}
 
 
 class Size(Mechanism):
@@ -144,26 +147,25 @@ class Size(Mechanism):
     translation of the state variable."""
 
     kind = "size"
+    sweep = "c"
 
     def __init__(self, profile: Curve, c: float):
         if c <= 0.0:
             raise TransitionError(f"size factor must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
-        self._gamma_minus = self.c * profile.limit_minus
-        self._gamma_plus = self.c * profile.limit_plus
+        self.gamma_minus = self.c * profile.limit_minus
+        self.gamma_plus = self.c * profile.limit_plus
 
     def emit_path(self, e: Emitter) -> str:
         return f"{e.num(self.c)} * {paren(self.profile.emit(e, 't'))}"
-
-    def describe(self):
-        return {"kind": self.kind, "profile": self.profile.describe(), "c": self.c}
 
 
 class TimeDependentRate(Mechanism):
     """gamma(t) = Gamma(Delta(d*t) * t) for a strictly positive rate curve Delta."""
 
     kind = "time-dependent-rate"
+    sweep = "d"
 
     def __init__(self, profile: Curve, delta: Curve, d: float = 1.0):
         if d <= 0.0:
@@ -172,16 +174,12 @@ class TimeDependentRate(Mechanism):
         self.profile = profile
         self.delta = delta
         self.d = float(d)
-        self._gamma_minus = profile.limit_minus
-        self._gamma_plus = profile.limit_plus
+        self.gamma_minus = profile.limit_minus
+        self.gamma_plus = profile.limit_plus
 
     def emit_path(self, e: Emitter) -> str:
         rate = self.delta.emit(e, f"{e.num(self.d)} * t")
         return self.profile.emit(e, f"{paren(rate)} * t")
-
-    def describe(self):
-        return {"kind": self.kind, "profile": self.profile.describe(),
-                "delta": self.delta.describe(), "d": self.d}
 
 
 class TimeDependentPhase(Mechanism):
@@ -189,6 +187,7 @@ class TimeDependentPhase(Mechanism):
     or Gamma(c*(t + Delta(d*t))) (convention "plus")."""
 
     kind = "time-dependent-phase"
+    sweep = "c"
 
     def __init__(self, profile: Curve, c: float, delta: Curve, d: float = 1.0,
                  convention: str = "minus"):
@@ -203,19 +202,14 @@ class TimeDependentPhase(Mechanism):
         self.c = float(c)
         self.d = float(d)
         self.convention = convention
-        self._gamma_minus = profile.limit_minus
-        self._gamma_plus = profile.limit_plus
+        self.gamma_minus = profile.limit_minus
+        self.gamma_plus = profile.limit_plus
 
     def emit_path(self, e: Emitter) -> str:
         c = e.num(self.c)
         phase = self.delta.emit(e, f"{e.num(self.d)} * t")
         sign = "-" if self.convention == "minus" else "+"
         return self.profile.emit(e, f"{c} * (t {sign} {paren(phase)})")
-
-    def describe(self):
-        return {"kind": self.kind, "profile": self.profile.describe(),
-                "delta": self.delta.describe(), "c": self.c, "d": self.d,
-                "convention": self.convention}
 
 
 class Switching(Mechanism):
@@ -227,16 +221,12 @@ class Switching(Mechanism):
         self.left = left
         self.right = right
         self.t0 = float(t0)
-        self._gamma_minus = left.gamma_minus
-        self._gamma_plus = right.gamma_plus
+        self.gamma_minus = left.gamma_minus
+        self.gamma_plus = right.gamma_plus
 
     def emit_path(self, e: Emitter) -> str:
         left, right = self.left.emit_path(e), self.right.emit_path(e)
         return f"{paren(left)} if t < {e.num(self.t0)} else {paren(right)}"
-
-    def describe(self):
-        return {"kind": self.kind, "left": self.left.describe(),
-                "right": self.right.describe(), "t0": self.t0}
 
 
 class Reaction(Mechanism):
@@ -262,14 +252,15 @@ class Reaction(Mechanism):
         self.t1 = float(t1)
         # asymptotic speed of the profile argument decides which limit is reached
         past = delta.limit_minus - self.r
-        self._gamma_minus = profile.limit_minus if past > 0.0 else profile.limit_plus
-        self._gamma_plus = profile.limit_plus   # delta.limit_plus + r > 0 always
+        self.gamma_minus = profile.limit_minus if past > 0.0 else profile.limit_plus
+        self.gamma_plus = profile.limit_plus   # delta.limit_plus + r > 0 always
 
     def emit_path(self, e: Emitter) -> str:
         rate = self.delta.emit(e, "t")
         boost = f"{e.num(self.r)} * tanh({e.num(self.b)} * (t - {e.num(self.t1)}))"
         return self.profile.emit(e, f"({paren(rate)} + {boost}) * t")
 
-    def describe(self):
-        return {"kind": self.kind, "profile": self.profile.describe(),
-                "delta": self.delta.describe(), "r": self.r, "b": self.b, "t1": self.t1}
+
+# kind -> class; each class's constructor declares the kind's config fields
+MECHANISMS = {cls.kind: cls for cls in (ConstantRate, Phase, Size, TimeDependentRate,
+                                       TimeDependentPhase, Switching, Reaction)}
