@@ -124,6 +124,15 @@ class LimitSet:
         return LimitSet(gamma, self.concavity, self.window, est,
                         self.separation, self.complete, list(self.notes))
 
+    def require_complete(self) -> "LimitSet":
+        """The set itself; raises when the structure is incomplete."""
+        if not self.complete:
+            raise AttractorError(
+                f"incomplete hyperbolic structure at gamma={self.gamma}: "
+                f"found {list(self.roles)}; notes: {self.notes}"
+            )
+        return self
+
 
 def _sup_gap(a: Trajectory, b: Trajectory, grid: np.ndarray) -> tuple[float, float]:
     """Sup-norm gap over the grid and the comparison threshold scale.
@@ -172,7 +181,6 @@ def limit_hyperbolic_solutions(
     gamma: float,
     window: tuple[float, float] | None = None,
     num: Numerics = DEFAULT_NUMERICS,
-    strict: bool = False,
 ) -> LimitSet:
     """Estimate the hyperbolic solutions of x' = f(t, x, gamma) over a window.
 
@@ -180,8 +188,8 @@ def limit_hyperbolic_solutions(
     outside the state box and run on past the right edge of the window; the
     d-concave middle repulsive solution comes from backward burn-in seeded
     between the attractive pair beyond the right edge, and the concave
-    repulsive one from backward burn-in seeded at the low seed. With
-    strict=True an incomplete structure raises.
+    repulsive one from backward burn-in seeded at the low seed.
+    ``LimitSet.require_complete`` raises on an incomplete structure.
     """
     w0, w1 = window if window is not None else (-num.horizon, num.horizon)
     if not w1 > w0:
@@ -254,11 +262,6 @@ def limit_hyperbolic_solutions(
         if not out.complete:
             out.notes.append(f"separation {out.separation:.3g} below sep_tol; "
                              "not uniformly separated")
-    if strict and not out.complete:
-        raise AttractorError(
-            f"incomplete hyperbolic structure at gamma={gamma}: "
-            f"found {list(out.roles)}; notes: {out.notes}"
-        )
     return out
 
 

@@ -70,31 +70,41 @@ def resolve_horizon(mechanism, num: Numerics = DEFAULT_NUMERICS) -> float:
 
 class LimitCache:
     """Limit sets keyed by (gamma, horizon); translation-invariant models are
-    served by shifting a single base computation."""
+    served by shifting a single base computation.
+
+    ``LimitCache.of(model, num)`` reads and fills the sets the model keeps
+    for num, so every caller on that model shares them; this is what the
+    entry points use unless given a cache. ``LimitCache(model, num)``
+    starts empty and is private to its holder."""
 
     def __init__(self, model, num: Numerics):
         self.model = model
         self.num = num
         self._sets: dict[tuple[float, float], LimitSet] = {}
 
+    @classmethod
+    def of(cls, model, num: Numerics) -> "LimitCache":
+        cache = cls(model, num)
+        cache._sets = model.limit_sets(num)
+        return cache
+
     def get(self, gamma: float, horizon: float) -> LimitSet:
+        """The complete limit set over (-horizon, horizon). An incomplete
+        one is kept too, and raises AttractorError on every get."""
+        return self._limit_set(gamma, horizon).require_complete()
+
+    def _limit_set(self, gamma: float, horizon: float) -> LimitSet:
         key = (gamma, horizon)
-        hit = self._sets.get(key)
-        if hit is not None:
-            return hit
-        if self.model.translation_invariant:
-            base_key = (0.0, horizon)
-            base = self._sets.get(base_key)
-            if base is None:
-                base = limit_hyperbolic_solutions(
-                    self.model, 0.0, (-horizon, horizon), self.num, strict=True)
-                self._sets[base_key] = base
-            ls = base.shifted(gamma, gamma) if gamma != 0.0 else base
-        else:
-            ls = limit_hyperbolic_solutions(
-                self.model, gamma, (-horizon, horizon), self.num, strict=True)
-        self._sets[key] = ls
-        return ls
+        if key not in self._sets:
+            window = (-horizon, horizon)
+            if not self.model.translation_invariant:
+                ls = limit_hyperbolic_solutions(self.model, gamma, window, self.num)
+            elif gamma == 0.0:
+                ls = limit_hyperbolic_solutions(self.model, 0.0, window, self.num)
+            else:
+                ls = self._limit_set(0.0, horizon).require_complete().shifted(gamma, gamma)
+            self._sets[key] = ls
+        return self._sets[key]
 
 
 def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
@@ -108,7 +118,7 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
     with a doubled horizon.
     """
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
-    cache = cache if cache is not None else LimitCache(model, num)
+    cache = cache if cache is not None else LimitCache.of(model, num)
     past = cache.get(mechanism.gamma_minus, H)
     future = cache.get(mechanism.gamma_plus, H)
 
@@ -132,7 +142,7 @@ def pullback_of(model, mechanism, role: str, num: Numerics = DEFAULT_NUMERICS,
     an attractive role is anchored at the past limit set, a repulsive one at
     the future limit set. The horizon defaults to resolve_horizon."""
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
-    cache = cache if cache is not None else LimitCache(model, num)
+    cache = cache if cache is not None else LimitCache.of(model, num)
     role = _role_for(model, role)
     if role.endswith("attractive"):
         past = cache.get(mechanism.gamma_minus, H)
@@ -281,10 +291,9 @@ def critical_value(model, mechanism_family: Callable[[float], object],
             or mech_lo.gamma_plus != mech_hi.gamma_plus):
         raise ClassifyError("mechanism family must keep the same parameter limits")
     H = max(resolve_horizon(mech_lo, num), resolve_horizon(mech_hi, num))
-    cache = LimitCache(model, num)
 
-    lab_lo = classify(model, mech_lo, num, horizon=H, cache=cache)
-    lab_hi = classify(model, mech_hi, num, horizon=H, cache=cache)
+    lab_lo = classify(model, mech_lo, num, horizon=H)
+    lab_hi = classify(model, mech_hi, num, horizon=H)
     if lab_lo.indeterminate or lab_hi.indeterminate:
         raise IndeterminateError(
             f"endpoint classification indeterminate (lower={lab_lo.label}, upper={lab_hi.label})")
@@ -293,7 +302,7 @@ def critical_value(model, mechanism_family: Callable[[float], object],
             f"both endpoints classify as {lab_lo.label}; nothing to bisect")
 
     def like_upper(mid: float) -> bool:
-        lab_mid = classify(model, mechanism_family(mid), num, horizon=H, cache=cache)
+        lab_mid = classify(model, mechanism_family(mid), num, horizon=H)
         if lab_mid.indeterminate:
             raise IndeterminateError(
                 f"indeterminate classification inside the bracket at parameter {mid}")
@@ -350,9 +359,8 @@ def lambda_star(model, profile, c: float, s: float,
     num_H = resolve_horizon(mech, num)
 
     def label_at(lam: float) -> str:
-        tilted = model.tilted(lam)
         try:
-            out = classify(tilted, mech, num, horizon=num_H, cache=LimitCache(tilted, num))
+            out = classify(model.tilted(lam), mech, num, horizon=num_H)
         except (NonConvergentError, AttractorError):
             # Below the saddle-node of the limit equations the tilted field
             # has no bounded solutions at all, which is the Case C phenotype.
@@ -454,9 +462,8 @@ def switching_classify(model, left_mechanism, right_mechanism, t0: float = 0.0,
     H = max(resolve_horizon(left_mechanism, num), resolve_horizon(right_mechanism, num))
     if not -H < t0 < H:
         raise ClassifyError(f"switching time {t0} outside the horizon ({H})")
-    cache = LimitCache(model, num)
-    a = pullback_of(model, left_mechanism, "upper-attractive", num, cache, H)
-    r = pullback_of(model, right_mechanism, "middle-repulsive", num, cache, H)
+    a = pullback_of(model, left_mechanism, "upper-attractive", num, horizon=H)
+    r = pullback_of(model, right_mechanism, "middle-repulsive", num, horizon=H)
     tip_label = "C2" if model.concavity == DCONCAVE else "C"
     if a.status != "completed" or not a.trajectory.covers(t0):
         raise ClassifyError("left pullback attractive solution does not reach t0")

@@ -372,6 +372,9 @@ def run_critical_rate(cfg, out, model, num):
 def run_lyapunov(cfg, out, model, num):
     exp = dict(cfg.get("experiment") or {})
     if exp.get("gamma") is not None:
+        if cfg.get("mechanism"):
+            raise ConfigError("lyapunov takes experiment.gamma or a mechanism "
+                              "block, not both")
         gamma = float(exp["gamma"])
     elif cfg.get("mechanism"):
         gamma = build_mechanism(cfg["mechanism"]).gamma_minus
@@ -452,6 +455,11 @@ def run_bifurcation_map(cfg, out, model, num):
     block = cfg.get("mechanism")
     if not isinstance(block, dict) or "profile" not in block:
         raise ConfigError("bifurcation-map needs a mechanism block with a profile")
+    stray = sorted(set(block) - {"profile"})
+    if stray:
+        # c and s come from experiment.cs and experiment.ss
+        raise ConfigError("bifurcation-map reads only the profile of its mechanism "
+                          f"block, not {', '.join(map(repr, stray))}")
     profile = build_profile(block["profile"])
     cs = _values(_require(exp, "bifurcation-map", "cs"), "cs")
     ss = _values(_require(exp, "bifurcation-map", "ss"), "ss")
@@ -544,16 +552,19 @@ SUBCOMMANDS = {
 }
 
 
-def _resolved_mechanism(cfg: dict):
+def _resolved_mechanism(cfg: dict, swept: str | None):
     """Mechanism block with every default materialized, via the round-trip
-    build -> describe; blocks without a buildable mechanism pass through."""
+    build -> describe. A sweep's block may leave out its swept field, which
+    stays out; a block without a kind (bifurcation-map's profile block)
+    passes through as given."""
     block = cfg.get("mechanism")
-    if not isinstance(block, dict):
+    if not isinstance(block, dict) or "kind" not in block:
         return block
-    try:
+    if swept is None or swept in block:
         return build_mechanism(block).describe()
-    except Exception:
-        return block
+    described = build_mechanism({**block, swept: 1.0}).describe()
+    del described[swept]
+    return described
 
 
 def main(argv=None) -> int:
@@ -587,7 +598,7 @@ def main(argv=None) -> int:
             "subcommand": args.subcommand,
             "config": {
                 "model": model.describe(),
-                "mechanism": _resolved_mechanism(cfg),
+                "mechanism": _resolved_mechanism(cfg, resolved_exp.get("parameter")),
                 "numerics": resolved_numerics(num),
                 "experiment": resolved_exp,
             },

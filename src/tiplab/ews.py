@@ -205,11 +205,10 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
     cs = [float(c) for c in cs]
     outcomes = [[None] * len(cs) for _ in kappas]
     notes = {}
-    cache = LimitCache(model, num)
     for j, c in enumerate(cs):
         mech = mechanism_family(c)
         try:
-            sol = pullback_of(model, mech, role, num, cache)
+            sol = pullback_of(model, mech, role, num)
             series = ftle_series(model, mech, sol, T, num,
                                  t_min=search[0], t_max=search[1])
         except (EwsError, NonConvergentError, IntegrationError) as exc:
@@ -235,13 +234,12 @@ class _RepellerCurve:
         self.rate_family = rate_family
         self.num = num
         self._cache: dict[int, PullbackSolution] = {}
-        self._limits = LimitCache(model, num)
 
     def solution(self, c: float) -> PullbackSolution:
         key = round(c / _REPELLER_C_TOL)
         if key not in self._cache:
             self._cache[key] = pullback_of(self.model, self.rate_family(c),
-                                           "middle-repulsive", self.num, self._limits)
+                                           "middle-repulsive", self.num)
         return self._cache[key]
 
     def value(self, c: float, t: float) -> float:
@@ -412,7 +410,7 @@ class _UnreactedRun:
         self.num = num
         self.mechanism = TimeDependentRate(profile, delta, 1.0)
         self.H = resolve_horizon(self.mechanism, num)
-        self.cache = LimitCache(model, num)
+        self.cache = LimitCache.of(model, num)
         self.u = pullback_of(model, self.mechanism, "upper-attractive", num,
                              self.cache, self.H)
         self.future = self.cache.get(self.mechanism.gamma_plus, self.H)

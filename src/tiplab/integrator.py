@@ -4,13 +4,15 @@ The method is the Dormand-Prince embedded Runge-Kutta 5(4) pair with FSAL
 and standard step-size control. Between accepted nodes the solution is
 evaluated by cubic Hermite interpolation on the stored values and slopes.
 Backward integration is realized by the substitution s = -t, so one forward
-stepper serves both directions.
+stepper serves both directions. Nodes are collected in flat ``array('d')``
+buffers, which the trajectory reads as numpy arrays without a copy.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +60,8 @@ class Trajectory:
 
     status is "completed" or "blow-up"; in the latter case t_blow marks where
     |x| reached the blow-up bound and no samples exist beyond it in the
-    direction of integration.
+    direction of integration. t, x and f are read-only: limit sets are
+    shared between callers, so an in-place write would change later answers.
     """
 
     direction: str                 # "forward" | "backward"
@@ -67,7 +70,7 @@ class Trajectory:
     f: np.ndarray
     status: str
     t_blow: float | None
-    _tl: list = field(repr=False)  # t as a list, for bisect in __call__
+    _tl: array = field(repr=False)  # the buffer t views, for bisect in __call__
 
     @property
     def t_start(self) -> float:
@@ -116,8 +119,18 @@ class Trajectory:
     def shifted(self, dx: float) -> "Trajectory":
         """Trajectory of x + dx; valid when the shifted curve solves the
         correspondingly translated equation (slopes are unchanged)."""
-        return Trajectory(self.direction, self.t, self.x + dx, self.f,
+        return Trajectory(self.direction, self.t, _read_only(self.x + dx), self.f,
                           self.status, self.t_blow, _tl=self._tl)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _view(buf: array) -> np.ndarray:
+    """Read-only float array over the buffer, without a copy."""
+    return _read_only(np.frombuffer(buf, dtype=float))
 
 
 def _hermite(t0, x0, f0, t1, x1, f1, time):
@@ -157,12 +170,12 @@ def _step_dopri(rhs, t, x, h, k1):
 
 
 def _integrate_forward(rhs, t0, x0, t1, cfg):
-    ts = [t0]
-    xs = [x0]
+    ts = array("d", (t0,))
+    xs = array("d", (x0,))
     k1 = rhs(t0, x0)
     if not math.isfinite(k1):
         raise IntegrationError(f"right-hand side not finite at start ({t0}, {x0})")
-    fs = [k1]
+    fs = array("d", (k1,))
     status, t_blow = "completed", None
     span = t1 - t0
     h = min(cfg.max_step, max(1e-6, 1e-3 * span), span)
@@ -237,20 +250,16 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     if t_end > t_start:
         ts, xs, fs, status, t_blow = _integrate_forward(
             rhs, t_start, x0, t_end, config)
-        return Trajectory(
-            "forward",
-            np.array(ts), np.array(xs), np.array(fs),
-            status, t_blow, _tl=ts,
-        )
+        return Trajectory("forward", _view(ts), _view(xs), _view(fs),
+                          status, t_blow, _tl=ts)
     rev = lambda s, y: -rhs(-s, y)
     ts, xs, fs, status, t_blow = _integrate_forward(
         rev, -t_start, x0, -t_end, config)
     # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
-    ts = [-s for s in reversed(ts)]
-    xs_arr = np.array(xs[::-1])
-    fs_arr = -np.array(fs[::-1])
-    return Trajectory(
-        "backward",
-        np.array(ts), xs_arr, fs_arr,
-        status, (-t_blow if t_blow is not None else None), _tl=ts,
-    )
+    for buf in (ts, xs, fs):
+        buf.reverse()
+    for buf in (ts, fs):
+        v = np.frombuffer(buf, dtype=float)
+        np.negative(v, out=v)
+    return Trajectory("backward", _view(ts), _view(xs), _view(fs),
+                      status, (-t_blow if t_blow is not None else None), _tl=ts)

@@ -242,6 +242,10 @@ def make_coefficient(spec) -> Curve:
 CONCAVE = "concave"
 DCONCAVE = "d-concave"
 
+# tilted copies a model keeps (VectorFieldModel.tilted); once this many are
+# held, further tilts are built anew on every call
+_TILTS_HELD = 8
+
 
 @dataclass
 class VectorFieldModel:
@@ -256,6 +260,11 @@ class VectorFieldModel:
     f, its x-derivatives and the right-hand sides are generated from the
     family's formulas and the coefficients' fragments, and compiled into one
     function each.
+
+    The model keeps what it computes once for all callers: its tilted
+    copies (``tilted``) and, per ``Numerics``, the limit sets of its frozen
+    equations (``limit_sets``). Neither refers back to the model, so they
+    are freed with it.
     """
 
     family: str
@@ -269,8 +278,12 @@ class VectorFieldModel:
     _f: Callable = field(init=False, repr=False, compare=False)
     _fx: Callable = field(init=False, repr=False, compare=False)
     _fxx: Callable | None = field(init=False, repr=False, compare=False)
+    _tilts: dict = field(init=False, repr=False, compare=False)
+    _limit_sets: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._tilts = {}
+        self._limit_sets = {}
         self._f = self._compile("f", "t, x, g")
         self._fx = self._compile("fx", "t, x, g")
         self._fxx = (self._compile("fxx", "t, x, g")
@@ -327,8 +340,25 @@ class VectorFieldModel:
         return e.compile("transition_rhs", "t, x", self._emit(e, "f"))
 
     def tilted(self, lam: float) -> "VectorFieldModel":
-        """The same model with field f(t, x, gamma) + lam."""
-        return replace(self, tilt=float(lam))
+        """The same model with field f(t, x, gamma) + lam.
+
+        The same lam gives the same copy, so its limit sets are shared; 0.0
+        and -0.0 are kept apart, since the tilt is part of the rhs. Only the
+        first _TILTS_HELD tilts are kept.
+        """
+        lam = float(lam)
+        key = lam.hex()
+        model = self._tilts.get(key)
+        if model is None:
+            model = replace(self, tilt=lam)
+            if len(self._tilts) < _TILTS_HELD:
+                self._tilts[key] = model
+        return model
+
+    def limit_sets(self, num) -> dict:
+        """The limit sets kept for the numerics num (classify.LimitCache.of
+        fills it); they live as long as the model."""
+        return self._limit_sets.setdefault(num, {})
 
     def seeds(self, margin: float = 10.0) -> tuple[float, float]:
         """Burn-in seeds outside the state box, clamped into the domain."""

@@ -159,3 +159,14 @@ def test_clipped_last_step_ends_on_the_end_point():
         assert fwd.status == "completed" and fwd.t[-1] == t1
         back = integrate(lambda t, x: 1e-3 * x, -t0, 5000.0, -t1)
         assert back.status == "completed" and back.t[0] == -t1
+
+
+def test_trajectory_arrays_are_read_only():
+    # limit sets are shared between callers: a write would change later answers
+    rhs = lambda t, x: -x + math.sin(t)
+    forward = integrate(rhs, 0.0, 1.0, 5.0)
+    backward = integrate(rhs, 5.0, 1.0, 0.0)
+    for traj in (forward, backward, forward.shifted(0.5), backward.shifted(0.5)):
+        for arr in (traj.t, traj.x, traj.f):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0

@@ -79,3 +79,35 @@ def test_sweep_of_a_field_the_kind_lacks_is_refused(subcommand, tmp_path, capsys
                           "cs": [0.05, 1.0, 5.0], "lower": 0.05, "upper": 5.0}}
     assert run_cli(tmp_path, subcommand, cfg) == 1
     assert "takes no field 'd'" in capsys.readouterr().err
+
+
+def test_bifurcation_map_refuses_mechanism_keys_besides_profile(tmp_path, capsys):
+    # lambda* takes c and s from experiment.cs and .ss: a c in the block was
+    # never read, yet went into the manifest
+    cfg = dict(CONFIGS["bifurcation-map"])
+    cfg["mechanism"] = {**cfg["mechanism"], "kind": "constant-rate", "c": 5.0, "bogus": 1}
+    assert run_cli(tmp_path, "bifurcation-map", cfg) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError: bifurcation-map reads only the profile" in err
+    assert "'bogus', 'c', 'kind'" in err
+
+
+def test_lyapunov_refuses_gamma_with_a_mechanism_block(tmp_path, capsys):
+    cfg = {**CONFIGS["lyapunov"], "mechanism": CONFIGS["ftle"]["mechanism"]}
+    assert run_cli(tmp_path, "lyapunov", cfg) == 1
+    assert "experiment.gamma or a mechanism block, not both" in capsys.readouterr().err
+
+
+def test_manifest_mechanism_block_must_build():
+    # only a block without a kind passes into the manifest as given
+    profile_only = {"profile": CONFIGS["ftle"]["mechanism"]["profile"]}
+    assert cli._resolved_mechanism({"mechanism": profile_only}, None) is profile_only
+    assert cli._resolved_mechanism({}, None) is None
+    with pytest.raises(cli.ConfigError, match="takes no field 'bogus'"):
+        cli._resolved_mechanism({"mechanism": {**CONFIGS["ftle"]["mechanism"], "bogus": 1}},
+                                None)
+    # a sweep's block resolves without its swept field, and no other is spared
+    sweep = CONFIGS["critical-rate"]["mechanism"]
+    assert cli._resolved_mechanism({"mechanism": sweep}, "c") == sweep
+    with pytest.raises(cli.ConfigError, match="needs field 'c'"):
+        cli._resolved_mechanism({"mechanism": sweep}, None)
