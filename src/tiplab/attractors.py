@@ -269,15 +269,6 @@ def limit_hyperbolic_solutions(
 # pullback solutions of transition equations
 # ---------------------------------------------------------------------------
 
-_ROLE_SHORT = {
-    "upper-attractive": "u",
-    "lower-attractive": "l",
-    "middle-repulsive": "m",
-    "attractive": "a",
-    "repulsive": "r",
-}
-
-
 def _role_for(model, role: str) -> str:
     """The role a d-concave role stands for on the model: itself on a
     d-concave model, the one attractive or repulsive role on a concave one."""
@@ -353,7 +344,7 @@ def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> Pullbac
     traj = integrate(model.transition_rhs(mechanism), t_from, anchor(t_from), -t_from, num.integ)
     band = _band(model, num)
     return PullbackSolution(
-        role=_ROLE_SHORT[anchor.role], trajectory=traj, anchor=anchor,
+        role=anchor.role, trajectory=traj, anchor=anchor,
         horizon=H, band=band, band_exit_time=_band_exit(traj, band, backward),
     )
 

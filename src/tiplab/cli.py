@@ -131,45 +131,55 @@ def _mechanism_class(block) -> type[Mechanism]:
     return cls
 
 
+def _read_fields(block: dict, fields, what: str) -> dict:
+    """The fields of a config block, keyed by the parameters that declare
+    them. Each value is converted by its parameter's annotation: a curve
+    field is read as a profile block, a mechanism field as a mechanism block.
+    A null field counts as missing: a required one raises, an optional one
+    is left out so that its default holds. A value its converter refuses
+    raises a ConfigError that names the field, and through nested blocks
+    the path to it."""
+    args = {}
+    for name, field in fields.items():
+        if block.get(name) is None:
+            if field.default is field.empty:
+                raise ConfigError(f"{what} needs field {name!r}")
+            continue
+        convert = {Curve: build_profile, Mechanism: build_mechanism}.get(
+            field.annotation, field.annotation)
+        try:
+            args[name] = convert(block[name])
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{what} field {name!r}: {exc}") from exc
+    return args
+
+
 def build_mechanism(block: dict):
     """The mechanism a block describes. Its fields are the parameters of the
-    kind's constructor: a curve field is read as a profile block, a mechanism
-    field as a mechanism block, any other converted to its annotated type.
-    A missing required field and a field the kind does not take both raise."""
+    kind's constructor, read by _read_fields. A field the kind does not take
+    raises."""
     cls = _mechanism_class(block)
-    kind = cls.kind
     fields = inspect.signature(cls, eval_str=True).parameters
     stray = sorted(set(block) - {"kind", *fields})
     if stray:
-        raise ConfigError(f"mechanism kind {kind!r} takes no field "
+        raise ConfigError(f"mechanism kind {cls.kind!r} takes no field "
                           f"{', '.join(map(repr, stray))}")
-    args = {}
-    for name, field in fields.items():
-        if name not in block:
-            if field.default is field.empty:
-                raise ConfigError(f"mechanism kind {kind!r} needs field {name!r}")
-            continue
-        build = {Curve: build_profile, Mechanism: build_mechanism}.get(
-            field.annotation, field.annotation)
-        args[name] = build(block[name])
-    return cls(**args)
+    return cls(**_read_fields(block, fields, f"mechanism kind {cls.kind!r}"))
 
 
 def mechanism_family(block: dict, parameter: str):
     """Single-parameter family v -> mechanism with block[parameter] = v."""
     def family(value: float):
         return build_mechanism({**block, parameter: float(value)})
-    # fail early on malformed blocks
-    probe = {**block}
-    probe.setdefault(parameter, 1.0)
-    build_mechanism(probe)
+    build_mechanism({parameter: 1.0, **block})  # fail early on malformed blocks
     return family
 
 
-def _swept(cfg: dict, exp: dict) -> tuple[dict, str]:
-    """Mechanism block and the parameter a sweep subcommand varies."""
+def _swept(cfg: dict, parameter: str | None) -> tuple[dict, str]:
+    """Mechanism block and the parameter a sweep subcommand varies: the
+    given one, or else the kind's sweep field."""
     block = cfg.get("mechanism")
-    parameter = exp.get("parameter") or _mechanism_class(block).sweep
+    parameter = parameter or _mechanism_class(block).sweep
     if parameter is None:
         raise ConfigError(f"mechanism kind {block['kind']!r} has no sweep parameter; "
                           "set experiment.parameter")
@@ -256,49 +266,48 @@ def write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _values(spec, name: str) -> list[float]:
-    """A grid given either as an explicit list or as start/stop/num."""
+def _grid(spec) -> list[float]:
+    """A non-empty grid given either as an explicit list or as start/stop/num."""
     if isinstance(spec, dict):
         try:
-            return [float(v) for v in np.linspace(
-                float(spec["start"]), float(spec["stop"]), int(spec["num"]))]
+            spec = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
         except KeyError as exc:
-            raise ConfigError(f"{name} grid block needs field {exc}") from exc
-    if isinstance(spec, (list, tuple)):
-        return [float(v) for v in spec]
-    raise ConfigError(f"{name} must be a list or a start/stop/num block")
+            raise ValueError(f"grid block needs field {exc}") from None
+    elif not isinstance(spec, (list, tuple)):
+        raise ValueError("must be a list or a start/stop/num block")
+    if len(spec) == 0:
+        raise ValueError("grid is empty")
+    return [float(v) for v in spec]
 
 
-def _require(exp: dict, name: str, key: str):
-    if key not in exp or exp[key] is None:
-        raise ConfigError(f"{name} needs experiment.{key}")
-    return exp[key]
+def _pair(spec) -> tuple[float, float]:
+    """Two numbers: the ends of a window, a search span or a bracket."""
+    if not isinstance(spec, (list, tuple)) or len(spec) != 2:
+        raise ValueError(f"needs two numbers, got {spec!r}")
+    return float(spec[0]), float(spec[1])
 
 
 # ---------------------------------------------------------------------------
-# subcommand runners: each returns (exit code, resolved experiment, result)
+# subcommand runners. The keyword-only parameters declare the experiment
+# block: the annotation converts a field, the default is its default, and
+# None marks an optional field. Each returns (exit code, the experiment
+# fields resolved from other blocks, result).
 # ---------------------------------------------------------------------------
 
-def run_simulate(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
-    t_start = float(_require(exp, "simulate", "t_start"))
-    x0 = float(_require(exp, "simulate", "x0"))
-    t_end = float(_require(exp, "simulate", "t_end"))
+def run_simulate(cfg, out, model, num, /, *, t_start: float, x0: float, t_end: float):
     mech = build_mechanism(cfg.get("mechanism"))
     traj = integrate(model.transition_rhs(mech), t_start, x0, t_end, num.integ)
     write_csv(out / "trajectory.csv", ("t", "x"), zip(traj.t, traj.x))
     result = {"status": traj.status, "t_blow": traj.t_blow,
               "samples": int(len(traj.t))}
     print(f"simulate: status={traj.status} samples={len(traj.t)}")
-    return 0, {"t_start": t_start, "x0": x0, "t_end": t_end}, result
+    return 0, {}, result
 
 
-def run_attractors(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
+def run_attractors(cfg, out, model, num, /, *, window: _pair = None):
     mech = build_mechanism(cfg.get("mechanism"))
     H = resolve_horizon(mech, num)
-    window = exp.get("window")
-    window = (-H, H) if window is None else (float(window[0]), float(window[1]))
+    window = window or (-H, H)
     result = {"horizon": H, "limits": {}, "pullback": {}}
     limits = {}
     for tag, gamma in (("minus", mech.gamma_minus), ("plus", mech.gamma_plus)):
@@ -316,48 +325,33 @@ def run_attractors(cfg, out, model, num):
             "notes": list(ls.notes),
         }
     past, future = limits["minus"], limits["plus"]
-    for role in sorted(past.estimates):
-        if not role.endswith("attractive"):
-            continue
-        sol = pullback_attractive(model, mech, past[role], H, num)
-        write_csv(out / f"pullback_attractive_{role}.csv", ("t", "x"),
-                  zip(sol.trajectory.t, sol.trajectory.x))
-        result["pullback"][f"attractive_{role}"] = {
-            "status": sol.status, "bounded": sol.bounded,
-            "band_exit_time": sol.band_exit_time,
-        }
+    pullbacks = [(f"attractive_{role}", pullback_attractive(model, mech, past[role], H, num))
+                 for role in sorted(past.estimates) if role.endswith("attractive")]
     rep_role = _role_for(model, "middle-repulsive")
     if rep_role in future.estimates:
-        sol = pullback_repulsive(model, mech, future[rep_role], H, num)
-        write_csv(out / f"pullback_repulsive_{rep_role}.csv", ("t", "x"),
+        pullbacks.append((f"repulsive_{rep_role}",
+                          pullback_repulsive(model, mech, future[rep_role], H, num)))
+    for name, sol in pullbacks:
+        write_csv(out / f"pullback_{name}.csv", ("t", "x"),
                   zip(sol.trajectory.t, sol.trajectory.x))
-        result["pullback"][f"repulsive_{rep_role}"] = {
-            "status": sol.status, "bounded": sol.bounded,
-            "band_exit_time": sol.band_exit_time,
-        }
+        result["pullback"][name] = {"status": sol.status, "bounded": sol.bounded,
+                                    "band_exit_time": sol.band_exit_time}
     print(f"attractors: past complete={past.complete} "
           f"future complete={future.complete}")
-    return 0, {"window": list(window)}, result
+    return 0, {"window": window}, result
 
 
-def run_classify(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
+def run_classify(cfg, out, model, num, /, *, horizon: float = None):
     mech = build_mechanism(cfg.get("mechanism"))
-    horizon = exp.get("horizon")
-    label = classify(model, mech, num,
-                     horizon=float(horizon) if horizon is not None else None)
+    label = classify(model, mech, num, horizon=horizon)
     write_json(out / "case.json", label.to_dict())
     print(f"case={label.label}")
-    code = 2 if label.indeterminate else 0
-    return code, {"horizon": horizon}, label.to_dict()
+    return 2 if label.indeterminate else 0, {}, label.to_dict()
 
 
-def run_critical_rate(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
-    block, parameter = _swept(cfg, exp)
-    lower = float(_require(exp, "critical-rate", "lower"))
-    upper = float(_require(exp, "critical-rate", "upper"))
-    tol = float(exp.get("tol", 1.0e-6))
+def run_critical_rate(cfg, out, model, num, /, *, lower: float, upper: float,
+                      tol: float = 1.0e-6, parameter: str = None):
+    block, parameter = _swept(cfg, parameter)
     family = mechanism_family(block, parameter)
     res = critical_value(model, family, lower, upper, tol, num)
     result = {"parameter": parameter, **res.to_dict(),
@@ -365,77 +359,62 @@ def run_critical_rate(cfg, out, model, num):
     write_json(out / "critical.json", result)
     print(f"critical {parameter} in [{res.lower:.17g}, {res.upper:.17g}] "
           f"({res.label_lower} -> {res.label_upper})")
-    resolved = {"parameter": parameter, "lower": lower, "upper": upper, "tol": tol}
-    return 0, resolved, result
+    return 0, {"parameter": parameter}, result
 
 
-def run_lyapunov(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
-    if exp.get("gamma") is not None:
+def run_lyapunov(cfg, out, model, num, /, *, gamma: float = None,
+                 window_length: float = 2000.0, role: str = None, window: _pair = None):
+    if gamma is not None:
         if cfg.get("mechanism"):
             raise ConfigError("lyapunov takes experiment.gamma or a mechanism "
                               "block, not both")
-        gamma = float(exp["gamma"])
     elif cfg.get("mechanism"):
         gamma = build_mechanism(cfg["mechanism"]).gamma_minus
     else:
         raise ConfigError("lyapunov needs experiment.gamma or a mechanism block")
-    window_length = float(exp.get("window_length", 2000.0))
-    role = exp.get("role") or _role_for(model, "upper-attractive")
+    role = role or _role_for(model, "upper-attractive")
     half = window_length / 2.0 + 100.0
-    win = exp.get("window")
-    win = (-half, half) if win is None else (float(win[0]), float(win[1]))
-    ls = limit_hyperbolic_solutions(model, gamma, win, num)
+    window = window or (-half, half)
+    ls = limit_hyperbolic_solutions(model, gamma, window, num)
     est = estimate_lyapunov(model, gamma, ls[role], window_length, num)
     result = {"value": est.value, "window": est.window,
               "sensitivity": est.sensitivity, "quad_gap": est.quad_gap,
               "gamma": gamma, "role": role}
     write_json(out / "lyapunov.json", result)
     print(f"lyapunov={est.value:.17g} (role={role}, gamma={gamma})")
-    resolved = {"gamma": gamma, "window_length": window_length, "role": role,
-                "window": list(win)}
-    return 0, resolved, result
+    return 0, {"gamma": gamma, "role": role, "window": window}, result
 
 
-def run_ftle(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
+def run_ftle(cfg, out, model, num, /, *, T: float, role: str = None,
+             t_min: float = None, t_max: float = None,
+             kappa: float = None, L: float = None):
+    if (kappa is None) != (L is None):
+        given, missing = ("kappa", "L") if L is None else ("L", "kappa")
+        raise ConfigError(f"ftle experiment needs field {missing!r} "
+                          f"with field {given!r}")
     mech = build_mechanism(cfg.get("mechanism"))
-    T = float(_require(exp, "ftle", "T"))
-    role = exp.get("role") or _role_for(model, "upper-attractive")
-    t_min = exp.get("t_min")
-    t_max = exp.get("t_max")
+    role = role or _role_for(model, "upper-attractive")
     sol = pullback_of(model, mech, role, num)
-    series = ftle_series(model, mech, sol, T, num,
-                         t_min=float(t_min) if t_min is not None else None,
-                         t_max=float(t_max) if t_max is not None else None)
+    series = ftle_series(model, mech, sol, T, num, t_min=t_min, t_max=t_max)
     write_csv(out / "ftle.csv", ("t", "lambda"), zip(series.t, series.values))
     result = {"max": series.max_value, "quad_gap": series.quad_gap,
               "t_range": [float(series.t[0]), float(series.t[-1])]}
-    kappa, L = exp.get("kappa"), exp.get("L")
-    if kappa is not None and L is not None:
-        wt = warning_time(series, EwsConfig(float(kappa), float(L)),
-                          refine_tol=num.warn_refine_tol)
+    if kappa is not None:
+        wt = warning_time(series, EwsConfig(kappa, L), refine_tol=num.warn_refine_tol)
         result["warning_time"] = wt
         print(f"ftle: max={series.max_value:.6g} warning_time={wt}")
     else:
         print(f"ftle: max={series.max_value:.6g}")
-    resolved = {"T": T, "role": role, "t_min": t_min, "t_max": t_max,
-                "kappa": kappa, "L": L}
-    return 0, resolved, result
+    return 0, {"role": role}, result
 
 
-def run_ews_region(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
-    block, parameter = _swept(cfg, exp)
-    kappas = _values(_require(exp, "ews-region", "kappas"), "kappas")
-    cs = _values(_require(exp, "ews-region", "cs"), "cs")
-    T = float(_require(exp, "ews-region", "T"))
-    L = float(_require(exp, "ews-region", "L"))
-    search = exp.get("search") or (-400.0, 400.0)
-    role = exp.get("role") or _role_for(model, "upper-attractive")
+def run_ews_region(cfg, out, model, num, /, *, kappas: _grid, cs: _grid,
+                   T: float, L: float, search: _pair = (-400.0, 400.0),
+                   role: str = None, parameter: str = None):
+    block, parameter = _swept(cfg, parameter)
+    role = role or _role_for(model, "upper-attractive")
     grid = ews_region(model, mechanism_family(block, parameter), kappas, cs,
-                      T, L, num, search=(float(search[0]), float(search[1])),
-                      role=role)
+                      T, L, num, search=search, role=role)
     write_csv(out / "region.csv", (grid.axis1_name, grid.axis2_name, "outcome"),
               grid.rows())
     detected = sum(1 for _, _, o in grid.rows() if o)
@@ -443,15 +422,11 @@ def run_ews_region(cfg, out, model, num):
               "total_cells": len(kappas) * len(cs),
               "notes": {str(k): v for k, v in grid.notes.items()}}
     print(f"ews-region: {detected}/{len(kappas) * len(cs)} cells detected")
-    resolved = {"parameter": parameter, "kappas": kappas, "cs": cs, "T": T,
-                "L": L, "search": [float(search[0]), float(search[1])],
-                "role": role}
-    code = 1 if grid.notes else 0
-    return code, resolved, result
+    return 1 if grid.notes else 0, {"parameter": parameter, "role": role}, result
 
 
-def run_bifurcation_map(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
+def run_bifurcation_map(cfg, out, model, num, /, *, cs: _grid, ss: _grid,
+                        bracket: _pair = (-0.6, 0.6), tol: float = 1.0e-3):
     block = cfg.get("mechanism")
     if not isinstance(block, dict) or "profile" not in block:
         raise ConfigError("bifurcation-map needs a mechanism block with a profile")
@@ -461,39 +436,25 @@ def run_bifurcation_map(cfg, out, model, num):
         raise ConfigError("bifurcation-map reads only the profile of its mechanism "
                           f"block, not {', '.join(map(repr, stray))}")
     profile = build_profile(block["profile"])
-    cs = _values(_require(exp, "bifurcation-map", "cs"), "cs")
-    ss = _values(_require(exp, "bifurcation-map", "ss"), "ss")
-    bracket = exp.get("bracket") or (-0.6, 0.6)
-    tol = float(exp.get("tol", 1.0e-3))
     rows = []
     for c in cs:
         for s in ss:
-            res = lambda_star(model, profile, c, s,
-                              bracket=(float(bracket[0]), float(bracket[1])),
-                              tol=tol, num=num)
+            res = lambda_star(model, profile, c, s, bracket=bracket, tol=tol, num=num)
             rows.append((c, s, res.value))
     write_csv(out / "region.csv", ("c", "s", "lambda_star"), rows)
     positive = sum(1 for _, _, v in rows if v > 0)
     result = {"points": len(rows), "positive_cells": positive}
     print(f"bifurcation-map: {positive}/{len(rows)} points with lambda*>0")
-    resolved = {"cs": cs, "ss": ss,
-                "bracket": [float(bracket[0]), float(bracket[1])], "tol": tol}
-    return 0, resolved, result
+    return 0, {}, result
 
 
-def run_safe_points(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
-    block = cfg.get("mechanism")
-    if not isinstance(block, dict) or block.get("kind") != "time-dependent-rate":
+def run_safe_points(cfg, out, model, num, /, *, c0: float, grid: _grid,
+                    t0: float = 0.0, c_star: float = None):
+    mech = build_mechanism(cfg.get("mechanism"))
+    if mech.kind != "time-dependent-rate":
         raise ConfigError("safe-points needs a time-dependent-rate mechanism")
-    mech = build_mechanism(block)
-    c0 = float(_require(exp, "safe-points", "c0"))
-    t0 = float(exp.get("t0", 0.0))
-    grid = _values(_require(exp, "safe-points", "grid"), "grid")
-    c_star = exp.get("c_star")
     report = safe_no_return(model, mech.profile, mech.delta, c0, t0, grid,
-                            c_star=float(c_star) if c_star is not None else None,
-                            d=mech.d, num=num)
+                            c_star=c_star, d=mech.d, num=num)
     write_csv(out / "safepoints.csv",
               ("t", "u_delta", "m_frozen", "m_future", "flag"),
               zip(report.grid, report.u_delta, report.m_frozen,
@@ -504,24 +465,17 @@ def run_safe_points(cfg, out, model, num):
               "first_no_return": report.first("no-return")}
     write_json(out / "safepoints.json", result)
     print(f"safe-points: s1={report.s1} conclusion={report.conclusion}")
-    resolved = {"c0": c0, "t0": t0, "grid": grid, "c_star": c_star}
-    return 0, resolved, result
+    return 0, {}, result
 
 
-def run_reaction_region(cfg, out, model, num):
-    exp = dict(cfg.get("experiment") or {})
-    block = cfg.get("mechanism")
-    if not isinstance(block, dict) or block.get("kind") != "time-dependent-rate":
+def run_reaction_region(cfg, out, model, num, /, *, rs: _grid, kappas: _grid,
+                        b: float, T: float, L: float):
+    mech = build_mechanism(cfg.get("mechanism"))
+    if mech.kind != "time-dependent-rate":
         raise ConfigError("reaction-region needs a time-dependent-rate mechanism "
                           "(the unreacted problem)")
-    mech = build_mechanism(block)
     if mech.d != 1.0:
         raise ConfigError("reaction-region runs the unreacted problem at d=1")
-    rs = _values(_require(exp, "reaction-region", "rs"), "rs")
-    kappas = _values(_require(exp, "reaction-region", "kappas"), "kappas")
-    b = float(_require(exp, "reaction-region", "b"))
-    T = float(_require(exp, "reaction-region", "T"))
-    L = float(_require(exp, "reaction-region", "L"))
     grid = reaction_region(model, mech.profile, mech.delta, rs, kappas,
                            b, T, L, num)
     write_csv(out / "region.csv", (grid.axis1_name, grid.axis2_name, "outcome"),
@@ -530,12 +484,9 @@ def run_reaction_region(cfg, out, model, num):
     result = {"counts": {lab: outcomes.count(lab) for lab in sorted(set(outcomes))},
               "notes": {str(k): v for k, v in grid.notes.items()}}
     print(f"reaction-region: {result['counts']}")
-    resolved = {"rs": rs, "kappas": kappas, "b": b, "T": T, "L": L}
-    if any(o == "error" for o in outcomes):
-        return 1, resolved, result
-    if any(o == "indeterminate" for o in outcomes):
-        return 2, resolved, result
-    return 0, resolved, result
+    if "error" in outcomes:
+        return 1, {}, result
+    return 2 if "indeterminate" in outcomes else 0, {}, result
 
 
 SUBCOMMANDS = {
@@ -590,17 +541,24 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         model = build_model(cfg)
         num = build_numerics(cfg)
-        code, resolved_exp, result = SUBCOMMANDS[args.subcommand](
-            cfg, out, model, num)
+        runner = SUBCOMMANDS[args.subcommand]
+        fields = {name: field for name, field in
+                  inspect.signature(runner, eval_str=True).parameters.items()
+                  if field.kind is field.KEYWORD_ONLY}
+        given = _read_fields(cfg.get("experiment") or {}, fields,
+                             f"{args.subcommand} experiment")
+        code, resolved, result = runner(cfg, out, model, num, **given)
+        experiment = {name: given.get(name, field.default)
+                      for name, field in fields.items()} | resolved
         manifest = {
             "tool": "tiplab",
             "version": __version__,
             "subcommand": args.subcommand,
             "config": {
                 "model": model.describe(),
-                "mechanism": _resolved_mechanism(cfg, resolved_exp.get("parameter")),
+                "mechanism": _resolved_mechanism(cfg, experiment.get("parameter")),
                 "numerics": resolved_numerics(num),
-                "experiment": resolved_exp,
+                "experiment": experiment,
             },
             "result": result,
             "exit_code": code,

@@ -13,6 +13,7 @@ from tiplab.classify import (
     classify,
     critical_value,
     gamma_interval,
+    pullback_of,
     resolve_horizon,
     switching_classify,
 )
@@ -67,6 +68,17 @@ def test_concave_critical_rate_orientation(cquad, deep_pulse):
     assert res.label_lower == "A" and res.label_upper == "C"
     assert res.boundary_label == "B"
     assert res.width <= 1.0e-3
+
+
+@pytest.mark.parametrize("concave", [False, True], ids=["d-concave", "concave"])
+def test_pullback_keeps_its_anchors_role(concave, cubic, pulse, cquad, deep_pulse):
+    model, mech = ((cquad, ConstantRate(deep_pulse, 0.2)) if concave
+                   else (cubic, ConstantRate(pulse, 5.0)))
+    roles = (("attractive", "repulsive") if concave
+             else ("upper-attractive", "lower-attractive", "middle-repulsive"))
+    for role in roles:
+        sol = pullback_of(model, mech, role)
+        assert sol.role == sol.anchor.role == role
 
 
 def test_case_label_to_dict(cubic, pulse):

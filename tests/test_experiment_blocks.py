@@ -82,3 +82,32 @@ def test_manifest_records_every_experiment_default(subcommand, tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["experiment"] == MINIMAL[subcommand][2]
+
+
+def test_null_field_takes_its_default(tmp_path):
+    cfg = minimal_config("critical-rate")
+    cfg["experiment"] = {**cfg["experiment"], "tol": None}
+    rc, out = run_cli(tmp_path, "critical-rate", cfg)
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["experiment"]["tol"] == 1.0e-6
+
+
+@pytest.mark.parametrize("subcommand, change, message", [
+    ("critical-rate", ("--set", "experiment.tol=abc"),
+     "critical-rate experiment field 'tol': could not convert string to float: 'abc'"),
+    ("classify", ("--set", "mechanism.c=abc"),
+     "mechanism kind 'constant-rate' field 'c': could not convert string to float: 'abc'"),
+    ("ews-region", ("--set", "experiment.search=[1.0]"),
+     "ews-region experiment field 'search': needs two numbers, got [1.0]"),
+    ("ews-region", ("--set", "experiment.cs=[]"),
+     "ews-region experiment field 'cs': grid is empty"),
+    ("ftle", ("--set", "experiment.kappa=0.5"),
+     "ftle experiment needs field 'L' with field 'kappa'"),
+    ("ftle", ("--set", "experiment.L=-2.0"),
+     "ftle experiment needs field 'kappa' with field 'L'"),
+], ids=["tol-not-a-number", "mechanism-c-not-a-number", "search-one-number",
+        "empty-grid", "kappa-without-L", "L-without-kappa"])
+def test_bad_field_is_refused_by_name(subcommand, change, message, tmp_path, capsys):
+    rc, _ = run_cli(tmp_path, subcommand, minimal_config(subcommand), *change)
+    assert rc == 1
+    assert f"ConfigError: {message}" in capsys.readouterr().err
