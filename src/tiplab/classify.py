@@ -70,23 +70,13 @@ def resolve_horizon(mechanism, num: Numerics = DEFAULT_NUMERICS) -> float:
 
 class LimitCache:
     """Limit sets keyed by (gamma, horizon); translation-invariant models are
-    served by shifting a single base computation.
-
-    ``LimitCache.of(model, num)`` reads and fills the sets the model keeps
-    for num, so every caller on that model shares them; this is what the
-    entry points use unless given a cache. ``LimitCache(model, num)``
-    starts empty and is private to its holder."""
+    served by shifting a single base computation. The sets are the ones the
+    model keeps for num, so every caller on that model shares them."""
 
     def __init__(self, model, num: Numerics):
         self.model = model
         self.num = num
-        self._sets: dict[tuple[float, float], LimitSet] = {}
-
-    @classmethod
-    def of(cls, model, num: Numerics) -> "LimitCache":
-        cache = cls(model, num)
-        cache._sets = model.limit_sets(num)
-        return cache
+        self._sets: dict[tuple[float, float], LimitSet] = model.limit_sets(num)
 
     def get(self, gamma: float, horizon: float) -> LimitSet:
         """The complete limit set over (-horizon, horizon). An incomplete
@@ -96,20 +86,17 @@ class LimitCache:
     def _limit_set(self, gamma: float, horizon: float) -> LimitSet:
         key = (gamma, horizon)
         if key not in self._sets:
-            window = (-horizon, horizon)
-            if not self.model.translation_invariant:
-                ls = limit_hyperbolic_solutions(self.model, gamma, window, self.num)
-            elif gamma == 0.0:
-                ls = limit_hyperbolic_solutions(self.model, 0.0, window, self.num)
-            else:
+            if self.model.translation_invariant and gamma != 0.0:
                 ls = self._limit_set(0.0, horizon).require_complete().shifted(gamma, gamma)
+            else:
+                ls = limit_hyperbolic_solutions(self.model, gamma, (-horizon, horizon),
+                                                self.num)
             self._sets[key] = ls
         return self._sets[key]
 
 
 def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
              horizon: float | None = None,
-             cache: LimitCache | None = None,
              _allow_doubling: bool = True) -> CaseLabel:
     """Classify the transition equation x' = f(t, x, gamma(t)).
 
@@ -118,7 +105,7 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
     with a doubled horizon.
     """
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
-    cache = cache if cache is not None else LimitCache.of(model, num)
+    cache = LimitCache(model, num)
     past = cache.get(mechanism.gamma_minus, H)
     future = cache.get(mechanism.gamma_plus, H)
 
@@ -130,19 +117,17 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
         raise ClassifyError(f"unknown concavity class {model.concavity!r}")
 
     if out.indeterminate and _allow_doubling:
-        return classify(model, mechanism, num, horizon=2.0 * H,
-                        cache=cache, _allow_doubling=False)
+        return classify(model, mechanism, num, horizon=2.0 * H, _allow_doubling=False)
     return out
 
 
 def pullback_of(model, mechanism, role: str, num: Numerics = DEFAULT_NUMERICS,
-                cache: LimitCache | None = None,
                 horizon: float | None = None) -> PullbackSolution:
     """Pullback solution of the transition equation for a (d-concave) role:
     an attractive role is anchored at the past limit set, a repulsive one at
     the future limit set. The horizon defaults to resolve_horizon."""
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
-    cache = cache if cache is not None else LimitCache.of(model, num)
+    cache = LimitCache(model, num)
     role = _role_for(model, role)
     if role.endswith("attractive"):
         past = cache.get(mechanism.gamma_minus, H)

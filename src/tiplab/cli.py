@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .attractors import (
-    DEFAULT_NUMERICS,
     Numerics,
     _role_for,
     estimate_lyapunov,
@@ -104,15 +103,7 @@ def build_model(cfg: dict):
     block = cfg.get("model")
     if not isinstance(block, dict):
         raise ConfigError("config needs a model block")
-    if "family" not in block:
-        raise ConfigError("model block needs a family")
-    box = block.get("state_box")
-    return make_model(
-        block["family"],
-        block.get("coefficients", {}),
-        constants=block.get("constants"),
-        state_box=tuple(box) if box is not None else None,
-    )
+    return make_model(**_read_fields(block, _fields(make_model), "model"))
 
 
 def build_profile(block: dict):
@@ -131,21 +122,37 @@ def _mechanism_class(block) -> type[Mechanism]:
     return cls
 
 
-def _read_fields(block: dict, fields, what: str) -> dict:
+def _fields(build) -> dict:
+    """The config fields that build declares: its parameters, by name."""
+    return dict(inspect.signature(build, eval_str=True).parameters)
+
+
+def _whole(value) -> int:
+    """An int field's value: a whole number, never truncated."""
+    if not float(value).is_integer():
+        raise ValueError(f"needs a whole number, got {value!r}")
+    return int(float(value))
+
+
+def _read_fields(block: dict, fields: dict, what: str, strict: bool = True) -> dict:
     """The fields of a config block, keyed by the parameters that declare
-    them. Each value is converted by its parameter's annotation: a curve
-    field is read as a profile block, a mechanism field as a mechanism block.
-    A null field counts as missing: a required one raises, an optional one
-    is left out so that its default holds. A value its converter refuses
-    raises a ConfigError that names the field, and through nested blocks
-    the path to it."""
+    them. Each value is converted by its parameter's annotation; a curve,
+    mechanism or integrator field is read as a block of its own and an int
+    field as a whole number. A null field counts as missing: a required one
+    raises, an optional one is left out so that its default holds. A value
+    its converter refuses, or in a strict block a key no parameter declares,
+    raises a ConfigError that names it, and through nested blocks the path."""
+    stray = sorted(set(block) - set(fields)) if strict else []
+    if stray:
+        raise ConfigError(f"{what} takes no field {', '.join(map(repr, stray))}")
     args = {}
     for name, field in fields.items():
         if block.get(name) is None:
             if field.default is field.empty:
                 raise ConfigError(f"{what} needs field {name!r}")
             continue
-        convert = {Curve: build_profile, Mechanism: build_mechanism}.get(
+        convert = {Curve: build_profile, Mechanism: build_mechanism, int: _whole,
+                   IntegratorConfig: _read_integrator}.get(
             field.annotation, field.annotation)
         try:
             args[name] = convert(block[name])
@@ -156,15 +163,10 @@ def _read_fields(block: dict, fields, what: str) -> dict:
 
 def build_mechanism(block: dict):
     """The mechanism a block describes. Its fields are the parameters of the
-    kind's constructor, read by _read_fields. A field the kind does not take
-    raises."""
+    kind's constructor."""
     cls = _mechanism_class(block)
-    fields = inspect.signature(cls, eval_str=True).parameters
-    stray = sorted(set(block) - {"kind", *fields})
-    if stray:
-        raise ConfigError(f"mechanism kind {cls.kind!r} takes no field "
-                          f"{', '.join(map(repr, stray))}")
-    return cls(**_read_fields(block, fields, f"mechanism kind {cls.kind!r}"))
+    fields = {k: v for k, v in block.items() if k != "kind"}
+    return cls(**_read_fields(fields, _fields(cls), f"mechanism kind {cls.kind!r}"))
 
 
 def mechanism_family(block: dict, parameter: str):
@@ -186,14 +188,10 @@ def _swept(cfg: dict, parameter: str | None) -> tuple[dict, str]:
     return block, parameter
 
 
-_NUMERICS_FIELDS = {f.name for f in dataclasses.fields(Numerics)} - {"integ"}
-_INTEG_FIELDS = {f.name for f in dataclasses.fields(IntegratorConfig)}
-
-
-def _drop_removed_integrator_keys(block: dict) -> dict:
-    """Older manifests list ``method``, ``first_step`` and ``fixed_step``.
-    They are dropped where they hold what the adaptive DP54 integrator does
-    anyway, and refused otherwise."""
+def _read_integrator(block: dict) -> IntegratorConfig:
+    """The integrator block. Older manifests also list ``method``,
+    ``first_step`` and ``fixed_step``: dropped where they hold what the
+    adaptive DP54 integrator does anyway, and refused otherwise."""
     block = dict(block)
     method = block.pop("method", "dopri54")
     if method != "dopri54":
@@ -203,24 +201,16 @@ def _drop_removed_integrator_keys(block: dict) -> dict:
     if block.pop("first_step", None) is not None:
         raise ConfigError("integrator.first_step was removed; "
                           "the first step always follows from the span")
-    return block
+    return IntegratorConfig(**_read_fields(block, _fields(IntegratorConfig), "integrator"))
 
 
 def build_numerics(cfg: dict) -> Numerics:
-    block = dict(cfg.get("numerics") or {})
-    integ_block = block.pop("integrator", None)
-    unknown = set(block) - _NUMERICS_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown numerics keys {sorted(unknown)}")
-    if integ_block is not None:
-        integ_block = _drop_removed_integrator_keys(integ_block)
-        bad = set(integ_block) - _INTEG_FIELDS
-        if bad:
-            raise ConfigError(f"unknown integrator keys {sorted(bad)}")
-        integ = IntegratorConfig(**integ_block)
-    else:
-        integ = DEFAULT_NUMERICS.integ
-    return Numerics(**block, integ=integ)
+    """The numerics block: the fields of Numerics, integ under the key integrator."""
+    fields = _fields(Numerics)
+    fields["integrator"] = fields.pop("integ")
+    args = _read_fields(cfg.get("numerics") or {}, fields, "numerics")
+    args["integ"] = args.pop("integrator", fields["integrator"].default)
+    return Numerics(**args)
 
 
 def resolved_numerics(num: Numerics) -> dict:
@@ -382,7 +372,8 @@ def run_lyapunov(cfg, out, model, num, /, *, gamma: float = None,
               "gamma": gamma, "role": role}
     write_json(out / "lyapunov.json", result)
     print(f"lyapunov={est.value:.17g} (role={role}, gamma={gamma})")
-    return 0, {"gamma": gamma, "role": role, "window": window}, result
+    # a gamma read from the mechanism stays out, so that the manifest re-runs
+    return 0, {"role": role, "window": window}, result
 
 
 def run_ftle(cfg, out, model, num, /, *, T: float, role: str = None,
@@ -542,11 +533,11 @@ def main(argv=None) -> int:
         model = build_model(cfg)
         num = build_numerics(cfg)
         runner = SUBCOMMANDS[args.subcommand]
-        fields = {name: field for name, field in
-                  inspect.signature(runner, eval_str=True).parameters.items()
+        fields = {name: field for name, field in _fields(runner).items()
                   if field.kind is field.KEYWORD_ONLY}
+        # one config may serve several subcommands: no stray-key check
         given = _read_fields(cfg.get("experiment") or {}, fields,
-                             f"{args.subcommand} experiment")
+                             f"{args.subcommand} experiment", strict=False)
         code, resolved, result = runner(cfg, out, model, num, **given)
         experiment = {name: given.get(name, field.default)
                       for name, field in fields.items()} | resolved

@@ -199,9 +199,11 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
     """Detection grid over (kappa, c): a cell is True when the FTLE series of
     the pullback attractive solution reaches kappa*L inside the search window.
 
-    One solution and one series per c serve the whole kappa column.
+    One solution and one series per c serve the whole kappa column. Each
+    (kappa, L) pair is checked as an EwsConfig before any integration.
     """
     kappas = [float(k) for k in kappas]
+    thresholds = [EwsConfig(k, L).threshold for k in kappas]
     cs = [float(c) for c in cs]
     outcomes = [[None] * len(cs) for _ in kappas]
     notes = {}
@@ -216,8 +218,8 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
             for i in range(len(kappas)):
                 outcomes[i][j] = False
             continue
-        for i, k in enumerate(kappas):
-            outcomes[i][j] = bool((series.values >= k * L).any())
+        for i, thr in enumerate(thresholds):
+            outcomes[i][j] = bool((series.values >= thr).any())
     return RegionGrid(kappas, cs, outcomes, "kappa", "c", notes)
 
 
@@ -410,10 +412,9 @@ class _UnreactedRun:
         self.num = num
         self.mechanism = TimeDependentRate(profile, delta, 1.0)
         self.H = resolve_horizon(self.mechanism, num)
-        self.cache = LimitCache.of(model, num)
         self.u = pullback_of(model, self.mechanism, "upper-attractive", num,
-                             self.cache, self.H)
-        self.future = self.cache.get(self.mechanism.gamma_plus, self.H)
+                             horizon=self.H)
+        self.future = LimitCache(model, num).get(self.mechanism.gamma_plus, self.H)
         self.series = ftle_series(model, self.mechanism, self.u, T, num)
         self._label: CaseLabel | None = None
 
@@ -424,7 +425,7 @@ class _UnreactedRun:
             from .classify import classify
 
             self._label = classify(self.model, self.mechanism, self.num,
-                                   horizon=self.H, cache=self.cache)
+                                   horizon=self.H)
         return self._label
 
 

@@ -218,17 +218,14 @@ def _curve_numbers(kind, p):
 
 
 def make_coefficient(spec) -> Curve:
-    """Build a Curve from a number, a Curve, or a {kind, params} dict."""
+    """Build a Curve from a number, a Curve, or a {kind, ...params} dict."""
     if isinstance(spec, Curve):
         return spec
     if isinstance(spec, (int, float)):
         return Curve("constant", value=float(spec))
     if isinstance(spec, dict):
         kind = spec.get("kind")
-        if "params" in spec:
-            params = dict(spec["params"])
-        else:
-            params = {k: v for k, v in spec.items() if k != "kind"}
+        params = {k: v for k, v in spec.items() if k != "kind"}
         if kind == "sum":
             params["terms"] = [make_coefficient(s) for s in params.get("terms", [])]
         return Curve(kind, **params)
@@ -356,7 +353,7 @@ class VectorFieldModel:
         return model
 
     def limit_sets(self, num) -> dict:
-        """The limit sets kept for the numerics num (classify.LimitCache.of
+        """The limit sets kept for the numerics num (classify.LimitCache
         fills it); they live as long as the model."""
         return self._limit_sets.setdefault(num, {})
 
@@ -534,14 +531,15 @@ FAMILY_NAMES = tuple(_FAMILIES)
 def make_model(
     family: str,
     coefficients: dict,
-    constants: dict | None = None,
-    state_box: tuple[float, float] | None = None,
+    constants: dict = None,
+    state_box: tuple = None,
 ) -> VectorFieldModel:
     """Build a catalog model.
 
     Coefficient values may be numbers, Curve objects, or spec dicts.
     The coefficients the family requires positive must have a positive
-    lower bound over all t (see ``Curve.check_positive``).
+    lower bound over all t (see ``Curve.check_positive``). The annotations
+    convert the fields of a config's model block (``tiplab.cli``).
     """
     if family not in _FAMILIES:
         raise ModelError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
@@ -565,7 +563,12 @@ def make_model(
         coeffs[name].check_positive()
 
     domain, default_box = spec["layout"](coeffs, consts)
-    box = tuple(float(v) for v in (state_box if state_box is not None else default_box))
+    try:
+        box = tuple(float(v) for v in (state_box if state_box is not None else default_box))
+    except (TypeError, ValueError):
+        box = ()
+    if len(box) != 2 or not box[0] < box[1]:
+        raise ModelError(f"state_box must be two increasing numbers, got {state_box!r}")
     if not (domain[0] < box[0] < box[1] < domain[1]):
         raise ModelError(f"state box {box} must sit strictly inside the domain {domain}")
     return VectorFieldModel(

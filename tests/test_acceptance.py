@@ -124,7 +124,7 @@ def test_criterion_3_case_table_and_warnings(dmodel, dprof):
         mech = ConstantRate(dprof, c)
         H = resolve_horizon(mech, NUM)
         past = cache.get(mech.gamma_minus, H)
-        lab = classify(dmodel, mech, NUM, horizon=H, cache=cache)
+        lab = classify(dmodel, mech, NUM, horizon=H)
         checks.append(mark(lab.label == want, f"c={c}: {lab.label}"))
         u = pullback_attractive(dmodel, mech, past["upper-attractive"], H, NUM)
         series = ftle_series(dmodel, mech, u, 50.0, NUM)

@@ -214,6 +214,15 @@ def test_ews_region_grid(cubic):
     assert len(list(grid.rows())) == 4
 
 
+@pytest.mark.parametrize("kappas, L", [([0.5, 1.5], -2.0), ([-0.5], -2.0), ([0.5], 2.0)])
+def test_ews_region_refuses_what_ews_config_refuses(cubic, kappas, L):
+    def unreachable(c):
+        raise AssertionError("a cell ran before the thresholds were checked")
+
+    with pytest.raises(EwsError):
+        ews_region(cubic, unreachable, kappas=kappas, cs=[1.0], T=10.0, L=L, num=NUM)
+
+
 # ---------------------------------------------------------------------------
 # safe and no-return certificates for a growing rate
 # ---------------------------------------------------------------------------

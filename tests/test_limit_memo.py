@@ -94,9 +94,6 @@ def test_numerics_do_not_share_limit_sets(limit_calls):
     # past and future share gamma = 0, so one set per numerics
     assert limit_calls == [0.0, 0.0]
     assert len({lab.label for lab in labels}) == 1
-    # a cache given by the caller starts empty and stays private
-    classify(model, mech, SHORT, cache=LimitCache(model, SHORT))
-    assert len(limit_calls) == 3
 
 
 def test_dropping_a_model_frees_its_limit_sets():
@@ -105,7 +102,7 @@ def test_dropping_a_model_frees_its_limit_sets():
         model = make_model(*CUBIC)
         classify(model, ConstantRate(PULSE, 5.0), SHORT)
         tilted = model.tilted(0.1)
-        LimitCache.of(tilted, SHORT).get(0.0, 30.0)
+        LimitCache(tilted, SHORT).get(0.0, 30.0)
         refs = [weakref.ref(obj) for obj in (
             model, tilted, *model.limit_sets(SHORT).values(),
             *tilted.limit_sets(SHORT).values())]

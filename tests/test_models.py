@@ -45,6 +45,13 @@ def test_state_box_must_sit_in_domain():
                    state_box=(-1.0, 2.0))
 
 
+@pytest.mark.parametrize("box", [(1.0,), (0.0, 1.0, 2.0), (2.0, 1.0), ("a", "b"), ()])
+def test_state_box_must_be_two_increasing_numbers(box):
+    with pytest.raises(ModelError, match="state_box must be two increasing numbers"):
+        make_model("allee-multiplicative-cubic",
+                   {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0}, state_box=box)
+
+
 @pytest.mark.parametrize("spec,expected", [
     ({"kind": "constant", "value": 3.5}, lambda t: 3.5),
     ({"kind": "sin", "offset": 2.0, "amplitude": 1.0, "omega": 1.0},
@@ -257,3 +264,10 @@ def test_unknown_curve_parameters_raise():
         make_model("gompertz", {"r": {"kind": "sin", "offset": 2.0, "amplitude": 1.0,
                                       "omega": 1.0, "phase": 0.5}, "K": 1.0})
     assert make_profile("arctan", amplitude=1.0, scale=1.0, center=5.0)(5.0) == 0.0
+
+
+def test_curve_parameters_are_not_nested_under_params():
+    # a curve spec has one spelling: its parameters beside its kind
+    with pytest.raises(ModelError, match=r"\['params'\]"):
+        make_coefficient({"kind": "sin", "params": {"offset": 2.0, "amplitude": 1.0,
+                                                    "omega": 1.0}})
