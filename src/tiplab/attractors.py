@@ -33,6 +33,11 @@ class NonConvergentError(AttractorError):
     """Burn-in doubling failed to stabilize the estimate."""
 
 
+# the least value of a Numerics field; every other number field must be positive
+_NUMERICS_LEAST = {"max_horizon_doublings": 0, "max_burn_doublings": 0, "tail_track_factor": 0,
+                   "band_margin": 0, "warn_refine_tol": 0, "window_samples": 2}
+
+
 @dataclass(frozen=True)
 class Numerics:
     """Shared numerical knobs for attractor, classification and warning runs."""
@@ -54,6 +59,13 @@ class Numerics:
     quad_tol: float = 1.0e-6
     warn_refine_tol: float = 1.0e-3
     integ: IntegratorConfig = DEFAULT_CONFIG
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            least = _NUMERICS_LEAST.get(name)
+            if name != "integ" and not (value > 0 if least is None else value >= least):
+                rule = "positive" if least is None else f"at least {least}"
+                raise ValueError(f"numerics field {name!r} must be {rule}, got {value!r}")
 
 
 DEFAULT_NUMERICS = Numerics()
@@ -318,7 +330,7 @@ def _band_exit(traj: Trajectory, band: tuple[float, float], backward: bool) -> f
 
 
 def pullback_attractive(model, mechanism, anchor: HyperbolicEstimate,
-                        horizon: float | None = None,
+                        horizon: float,
                         num: Numerics = DEFAULT_NUMERICS) -> PullbackSolution:
     """Forward solution of the transition equation anchored at the past
     attractive estimate: starts from (-horizon, anchor(-horizon))."""
@@ -326,7 +338,7 @@ def pullback_attractive(model, mechanism, anchor: HyperbolicEstimate,
 
 
 def pullback_repulsive(model, mechanism, anchor: HyperbolicEstimate,
-                       horizon: float | None = None,
+                       horizon: float,
                        num: Numerics = DEFAULT_NUMERICS) -> PullbackSolution:
     """Backward solution of the transition equation anchored at the future
     repulsive estimate: starts from (+horizon, anchor(+horizon))."""
@@ -337,7 +349,7 @@ def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> Pullbac
     kind = "repulsive" if backward else "attractive"
     if anchor.attractive == backward:
         raise AttractorError(f"pullback_{kind}: the anchor is not {kind}")
-    H = float(horizon if horizon is not None else num.horizon)
+    H = float(horizon)
     t_from = H if backward else -H
     if not anchor.trajectory.covers(t_from):
         raise AttractorError(f"anchor window does not cover {t_from}")

@@ -137,11 +137,12 @@ def _whole(value) -> int:
 def _read_fields(block: dict, fields: dict, what: str, strict: bool = True) -> dict:
     """The fields of a config block, keyed by the parameters that declare
     them. Each value is converted by its parameter's annotation; a curve,
-    mechanism or integrator field is read as a block of its own and an int
-    field as a whole number. A null field counts as missing: a required one
-    raises, an optional one is left out so that its default holds. A value
-    its converter refuses, or in a strict block a key no parameter declares,
-    raises a ConfigError that names it, and through nested blocks the path."""
+    mechanism or integrator field is read as a block of its own, a float
+    field as a number (never a boolean) and an int field as a whole number.
+    A null field counts as missing: a required one raises, an optional one
+    is left out so that its default holds. A value its converter refuses,
+    or in a strict block a key no parameter declares, raises a ConfigError
+    that names it, and through nested blocks the path."""
     stray = sorted(set(block) - set(fields)) if strict else []
     if stray:
         raise ConfigError(f"{what} takes no field {', '.join(map(repr, stray))}")
@@ -151,6 +152,9 @@ def _read_fields(block: dict, fields: dict, what: str, strict: bool = True) -> d
             if field.default is field.empty:
                 raise ConfigError(f"{what} needs field {name!r}")
             continue
+        if isinstance(block[name], bool) and field.annotation in (float, int):
+            raise ConfigError(f"{what} field {name!r}: needs a number, got "
+                              f"{json.dumps(block[name])}")
         convert = {Curve: build_profile, Mechanism: build_mechanism, int: _whole,
                    IntegratorConfig: _read_integrator}.get(
             field.annotation, field.annotation)

@@ -42,7 +42,6 @@ class EwsError(RuntimeError):
 
 
 _FTLE_MAX_HALVINGS = 4     # step halvings of the FTLE quadrature
-_REPELLER_C_TOL = 1.0e-4   # frozen rates closer than this share one repeller
 _CROSSOVER_STEP = 0.25     # scan step of crossover_time before it bisects
 
 
@@ -224,30 +223,8 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
 
 
 # ---------------------------------------------------------------------------
-# frozen-rate repeller curve and safe / no-return certificates
+# frozen-rate repellers and safe / no-return certificates
 # ---------------------------------------------------------------------------
-
-class _RepellerCurve:
-    """Pullback repulsive solutions of the frozen-rate problems, cached by
-    rounded rate; repeated queries at nearby rates reuse one solution."""
-
-    def __init__(self, model, rate_family, num: Numerics):
-        self.model = model
-        self.rate_family = rate_family
-        self.num = num
-        self._cache: dict[int, PullbackSolution] = {}
-
-    def solution(self, c: float) -> PullbackSolution:
-        key = round(c / _REPELLER_C_TOL)
-        if key not in self._cache:
-            self._cache[key] = pullback_of(self.model, self.rate_family(c),
-                                           "middle-repulsive", self.num)
-        return self._cache[key]
-
-    def value(self, c: float, t: float) -> float:
-        sol = self.solution(c)
-        return sol(t) if sol.trajectory.covers(t) else math.nan
-
 
 @dataclass
 class SafePointReport:
@@ -262,10 +239,7 @@ class SafePointReport:
     t0: float
 
     def first(self, flag: str) -> float | None:
-        for t, fl in zip(self.grid, self.flags):
-            if fl == flag:
-                return float(t)
-        return None
+        return next((float(t) for t, fl in zip(self.grid, self.flags) if fl == flag), None)
 
 
 def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
@@ -280,9 +254,7 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
     """
     from .transitions import ConstantRate, TimeDependentRate
 
-    def dval(t: float) -> float:
-        return float(delta(d * t))
-
+    dval = lambda t: float(delta(d * t))
     c_star = float(c_star) if c_star is not None else float(delta.limit_plus)
 
     mech = TimeDependentRate(profile, delta, d)
@@ -299,63 +271,61 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
 
     u = pullback_of(model, mech, "upper-attractive", num, horizon=H)
 
-    rate_family = lambda c: ConstantRate(profile, c)
-    curve = _RepellerCurve(model, rate_family, num)
-    fut_sol = curve.solution(c_star)
+    repellers: dict[float, PullbackSolution] = {}   # by exact frozen rate
 
-    u_vals = np.empty(len(grid))
-    mf_vals = np.empty(len(grid))
-    mc_vals = np.empty(len(grid))
+    def repeller(c: float, t: float) -> float:
+        if c not in repellers:
+            repellers[c] = pullback_of(model, ConstantRate(profile, c), "middle-repulsive", num)
+        sol = repellers[c]
+        return sol(t) if sol.trajectory.covers(t) else math.nan
+
+    u_vals, mf_vals, mc_vals = (np.empty(len(grid)) for _ in range(3))
     flags = []
     for i, t in enumerate(grid):
         u_vals[i] = u(t) if (u.bounded and u.trajectory.covers(t)) else math.nan
-        mf_vals[i] = curve.value(dval(t), t)
-        mc_vals[i] = fut_sol(t) if fut_sol.trajectory.covers(t) else math.nan
-        if t < t0 or math.isnan(u_vals[i]):
-            flags.append("neither")
-        elif not math.isnan(mf_vals[i]) and u_vals[i] > mf_vals[i]:
-            flags.append("safe")
-        elif not math.isnan(mc_vals[i]) and u_vals[i] < mc_vals[i]:
-            flags.append("no-return")
-        else:
-            flags.append("neither")
+        mf_vals[i] = repeller(dval(t), t)
+        mc_vals[i] = repeller(c_star, t)
+        # a nan (no solution at t) compares false
+        after = not t < t0
+        flags.append("safe" if after and u_vals[i] > mf_vals[i] else
+                     "no-return" if after and u_vals[i] < mc_vals[i] else "neither")
 
-    has_safe = "safe" in flags
-    has_nr = "no-return" in flags
-    if has_safe and not has_nr:
-        conclusion = "tracking"
-    elif has_nr and not has_safe:
-        conclusion = "tipping"
-    elif has_safe and has_nr:
-        conclusion = "mixed"
-    else:
-        conclusion = "inconclusive"
+    seen = ("safe" in flags, "no-return" in flags)
+    conclusion = {(True, False): "tracking", (False, True): "tipping",
+                  (True, True): "mixed"}.get(seen, "inconclusive")
     return SafePointReport(s1, False, grid, u_vals, mf_vals, mc_vals,
                            flags, conclusion, t0)
 
 
+def _first_hit(pred, grid, tol: float) -> tuple[float, float] | None:
+    """Bracket the first grid point where pred holds: (t, t) when it is the
+    first one, else _bisect's (a, b) against the point before it; None when
+    pred holds nowhere on the grid."""
+    prev = None
+    for t in grid:
+        if pred(t):
+            return (t, t) if prev is None else _bisect(pred, prev, t, tol)[:2]
+        prev = t
+    return None
+
+
 def _first_root(fn, level: float, lo: float, hi: float) -> float | None:
-    ts = np.linspace(lo, hi, 8001)
-    prev_t, prev_v = ts[0], fn(ts[0]) - level
-    if prev_v == 0.0:
-        return float(prev_t)
-    for t in ts[1:]:
+    """First root of fn - level on [lo, hi]: a sign change or zero on an
+    8001-point scan, bisected; a point where fn reaches the level exactly
+    is returned as it is, not as a midpoint."""
+    exact = []
+    below = fn(lo) - level < 0.0
+
+    def crossed(t: float) -> bool:
         v = fn(t) - level
         if v == 0.0:
-            return float(t)
-        if (prev_v < 0.0) != (v < 0.0):
-            exact = []
+            exact.append(float(t))
+        return v == 0.0 or (v < 0.0) != below
 
-            def crossed(m: float) -> bool:
-                fm = fn(m) - level
-                if fm == 0.0:
-                    exact.append(float(m))
-                return (prev_v < 0.0) != (fm < 0.0)
-
-            a, b, _ = _bisect(crossed, prev_t, t, 1.0e-9)
-            return exact[0] if exact else 0.5 * (a + b)
-        prev_t, prev_v = t, v
-    return None
+    hit = _first_hit(crossed, np.linspace(lo, hi, 8001), 1.0e-9)
+    if exact:
+        return exact[0]
+    return None if hit is None else 0.5 * (hit[0] + hit[1])
 
 
 def crossover_time(solution: PullbackSolution, future_limits,
@@ -363,7 +333,7 @@ def crossover_time(solution: PullbackSolution, future_limits,
     """First time the solution lands on the future extinction branch, i.e.
     comes within the tracking tolerance of the lower attractor; None if it
     never does (tracking runs). Scanned on a _CROSSOVER_STEP grid, then
-    bisected."""
+    bisected by _first_hit."""
     upper = future_limits["upper-attractive"]
     lower = future_limits["lower-attractive"]
     traj = solution.trajectory
@@ -375,16 +345,8 @@ def crossover_time(solution: PullbackSolution, future_limits,
         return abs(traj(t) - lower(t)) < tol
 
     n = int((hi - lo) / _CROSSOVER_STEP)
-    prev = lo
-    if landed(prev):
-        return float(prev)
-    for k in range(1, n + 1):
-        t = lo + k * _CROSSOVER_STEP
-        if landed(t):
-            a, b, _ = _bisect(landed, prev, t, 1.0e-6)
-            return 0.5 * (a + b)
-        prev = t
-    return None
+    hit = _first_hit(landed, (lo + k * _CROSSOVER_STEP for k in range(n + 1)), 1.0e-6)
+    return None if hit is None else 0.5 * (hit[0] + hit[1])
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,18 @@ class DomainError(ModelError):
 # curve catalog: coefficients, transition profiles and rate curves
 # ---------------------------------------------------------------------------
 
-# the parameter names each curve kind reads
+# each curve kind's parameters and their defaults: ... marks a required one,
+# None an optional one whose absence changes the formula (without a center,
+# arctan and sigmoid-blend read t for t - center)
 _CURVE_PARAMS = {
-    "constant": {"value"},
-    "sin": {"offset", "amplitude", "omega"},
-    "sin2": {"offset", "amplitude", "omega"},
-    "rational-dip": {"offset", "amplitude", "width"},
-    "arctan": {"offset", "amplitude", "scale", "center"},
-    "sigmoid-blend": {"left", "right", "rate", "center"},
-    "cauchy-pulse": {"gamma_plus", "gamma_star", "b"},
-    "sum": {"offset", "terms"},
+    "constant": {"value": ...},
+    "sin": {"offset": 0.0, "amplitude": ..., "omega": ...},
+    "sin2": {"offset": 0.0, "amplitude": ..., "omega": ...},
+    "rational-dip": {"offset": 0.0, "amplitude": ..., "width": ...},
+    "arctan": {"offset": 0.0, "amplitude": ..., "scale": ..., "center": None},
+    "sigmoid-blend": {"left": ..., "right": ..., "rate": 1.0, "center": None},
+    "cauchy-pulse": {"gamma_plus": ..., "gamma_star": ..., "b": ...},
+    "sum": {"offset": 0.0, "terms": ...},
 }
 # "arctan-ramp" is read as "arctan"
 CURVE_KINDS = (*_CURVE_PARAMS, "arctan-ramp")
@@ -63,8 +65,10 @@ class Curve:
     - ``cauchy-pulse``:  gamma_plus + (gamma_star - gamma_plus)/(1 + b*t**2), b > 0
     - ``sum``:           offset + sum of nested curve terms
 
-    ``center`` is optional (arctan and sigmoid-blend only); without it the
-    formula reads t for t - center. Any other parameter name raises.
+    ``offset`` defaults to 0 and ``rate`` to 1; ``center`` is optional
+    (arctan and sigmoid-blend only), and without it the formula reads t for
+    t - center. A missing parameter without a default, a value that is not a
+    number (a boolean included) or any other parameter name raises.
     ``bounds()`` holds closed-form range bounds. Every kind but sin, sin2 and
     sum has finite limits at -inf and +inf (``limit_minus``, ``limit_plus``,
     else None), so it can serve as a transition profile or a rate curve.
@@ -78,14 +82,21 @@ class Curve:
         if kind not in CURVE_KINDS:
             raise ModelError(f"unknown curve kind {kind!r}")
         self.kind = "arctan" if kind == "arctan-ramp" else kind
-        stray = sorted(set(params) - _CURVE_PARAMS[self.kind])
+        declared = _CURVE_PARAMS[self.kind]
+        stray = sorted(set(params) - set(declared))
         if stray:
             raise ModelError(f"unknown {self.kind!r} curve parameters {stray}")
         self.params = dict(params)
-        (self._p, (self._lo, self._hi),
-         (self.limit_minus, self.limit_plus)) = _curve_numbers(self.kind, params)
-        if "center" in params:      # read by arctan and sigmoid-blend
-            self._p["center"] = float(params["center"])
+        self._p = {}
+        for name, default in declared.items():
+            value = default if params.get(name) is None else params[name]
+            if value is ...:
+                raise ModelError(f"{self.kind!r} curve needs parameter {name!r}")
+            if value is not None:
+                self._p[name] = (tuple(value) if name == "terms" else
+                                 _number(f"{self.kind!r} curve parameter {name!r}", value))
+        ((self._lo, self._hi),
+         (self.limit_minus, self.limit_plus)) = _curve_range(self.kind, self._p)
         e = Emitter()
         self._fn = e.compile("curve", "t", self.emit(e, "t"))
 
@@ -106,7 +117,7 @@ class Curve:
             return f"{e.num(p['offset'])} + (0 + {terms})"
         if kind == "cauchy-pulse":
             first, again = e.once(arg)
-            return (f"{e.num(p['gamma_plus'])} + {e.num(p['amp'])} / "
+            return (f"{e.num(p['gamma_plus'])} + {e.num(p['gamma_star'] - p['gamma_plus'])} / "
                     f"(1.0 + {e.num(p['b'])} * {first} * {again})")
         if kind == "sigmoid-blend":
             u = f"{e.num(p['rate'])} * {self._centered(e, arg)}"
@@ -165,63 +176,62 @@ class Curve:
         return f"Curve({self.kind}, {self.params})"
 
 
-def _curve_numbers(kind, p):
-    """Validated float parameters of a curve, its range bounds (lo, hi) and
-    its limits at -inf and +inf ((None, None) when it has none)."""
+def _number(what: str, value) -> float:
+    """value as a float; a boolean, or a value float() refuses, raises a
+    ModelError that names what."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ModelError(f"{what} must be a number, got {value!r}")
+
+
+def _curve_range(kind, p):
+    """Range bounds (lo, hi) of a curve with the numbers p, and its limits at
+    -inf and +inf ((None, None) when it has none)."""
     none = (None, None)
     if kind == "constant":
-        v = float(p["value"])
-        return {"value": v}, (v, v), (v, v)
+        v = p["value"]
+        return (v, v), (v, v)
     if kind == "sum":
-        off = float(p.get("offset", 0.0))
-        terms = p["terms"]
+        off, terms = p["offset"], p["terms"]
         if not terms or not all(isinstance(c, Curve) for c in terms):
             raise ModelError("sum terms must be Curve instances")
         lo = off + sum(c.bounds()[0] for c in terms)
         hi = off + sum(c.bounds()[1] for c in terms)
-        return {"offset": off, "terms": tuple(terms)}, (lo, hi), none
+        return (lo, hi), none
     if kind == "cauchy-pulse":
-        gp = float(p["gamma_plus"])
-        gs = float(p["gamma_star"])
-        b = float(p["b"])
-        if b <= 0.0:
+        gp = p["gamma_plus"]
+        if p["b"] <= 0.0:
             raise ModelError("cauchy-pulse needs b > 0")
-        return {"gamma_plus": gp, "amp": gs - gp, "b": b}, sorted((gp, gs)), (gp, gp)
+        return sorted((gp, p["gamma_star"])), (gp, gp)
     if kind == "sigmoid-blend":
-        left = float(p["left"])
-        right = float(p["right"])
-        rate = float(p.get("rate", 1.0))
-        if rate <= 0.0:
+        left, right = p["left"], p["right"]
+        if p["rate"] <= 0.0:
             raise ModelError("sigmoid-blend needs rate > 0")
-        return {"left": left, "right": right, "rate": rate}, sorted((left, right)), (left, right)
-    off = float(p.get("offset", 0.0))
-    a = float(p["amplitude"])
+        return sorted((left, right)), (left, right)
+    off, a = p["offset"], p["amplitude"]
     if kind in ("sin", "sin2"):
-        w = float(p["omega"])
-        bounds = (off - abs(a), off + abs(a)) if kind == "sin" else sorted((off, off + a))
-        return {"offset": off, "amplitude": a, "omega": w}, bounds, none
+        return ((off - abs(a), off + abs(a)) if kind == "sin" else sorted((off, off + a))), none
     if kind == "rational-dip":
-        wd = float(p["width"])
-        if wd <= 0.0:
+        if p["width"] <= 0.0:
             raise ModelError("rational-dip needs width > 0")
-        return ({"offset": off, "amplitude": a, "width": wd},
-                sorted((off, off + a / wd)), (off, off))
+        return sorted((off, off + a / p["width"])), (off, off)
     # arctan: off -+ |a|*pi/2 equals off -+ a*pi/2 bit for bit when a >= 0,
     # and off +- a*pi/2 when a < 0
-    sc = float(p["scale"])
-    if sc <= 0.0:
+    if p["scale"] <= 0.0:
         raise ModelError("arctan needs scale > 0")
     half = abs(a) * math.pi / 2.0
     lo, hi = off - half, off + half
-    return ({"offset": off, "amplitude": a, "scale": sc},
-            (lo, hi), (lo, hi) if a >= 0.0 else (hi, lo))
+    return (lo, hi), ((lo, hi) if a >= 0.0 else (hi, lo))
 
 
 def make_coefficient(spec) -> Curve:
     """Build a Curve from a number, a Curve, or a {kind, ...params} dict."""
     if isinstance(spec, Curve):
         return spec
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return Curve("constant", value=float(spec))
     if isinstance(spec, dict):
         kind = spec.get("kind")
@@ -558,7 +568,7 @@ def make_model(
     for k, v in (constants or {}).items():
         if k not in consts:
             raise ModelError(f"family {family!r} does not take constant {k!r}")
-        consts[k] = float(v)
+        consts[k] = _number(f"family {family!r} constant {k!r}", v)
     for name in spec["positive"]:
         coeffs[name].check_positive()
 

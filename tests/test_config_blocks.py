@@ -51,6 +51,50 @@ def test_bad_model_or_numerics_field_is_refused_by_name(change, message, tmp_pat
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, message", [
+    ("numerics.window_samples=true",
+     "ConfigError: numerics field 'window_samples': needs a number, got true"),
+    ("numerics.sep_tol=true", "ConfigError: numerics field 'sep_tol': needs a number, got true"),
+    ("mechanism.c=true",
+     "ConfigError: mechanism kind 'constant-rate' field 'c': needs a number, got true"),
+    ("mechanism.profile.b=true",
+     "ConfigError: mechanism kind 'constant-rate' field 'profile': invalid 'cauchy-pulse' "
+     "profile: 'cauchy-pulse' curve parameter 'b' must be a number, got True"),
+    ("model.coefficients.r=true", "ModelError: cannot interpret coefficient spec True"),
+    ("numerics.window_samples=1", "numerics field 'window_samples' must be at least 2, got 1"),
+    ("numerics.conv_tol=-1", "numerics field 'conv_tol' must be positive, got -1.0"),
+    ("numerics.horizon=0", "numerics field 'horizon' must be positive, got 0.0"),
+    ("numerics.quad_h=0", "numerics field 'quad_h' must be positive, got 0.0"),
+    ("numerics.max_burn_doublings=-1",
+     "numerics field 'max_burn_doublings' must be at least 0, got -1"),
+    ("numerics.tail_track_factor=-0.5",
+     "numerics field 'tail_track_factor' must be at least 0, got -0.5"),
+], ids=["window-samples-boolean", "sep-tol-boolean", "rate-boolean", "profile-boolean",
+        "coefficient-boolean", "one-window-sample", "negative-conv-tol", "zero-horizon",
+        "zero-quad-step", "negative-doublings", "negative-tail-factor"])
+def test_booleans_and_out_of_range_numerics_are_refused_by_name(change, message, tmp_path,
+                                                                 capsys):
+    assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, curve, message", [
+    ("model", {"kind": "arctan", "amplitude": 1.0},
+     "ModelError: 'arctan' curve needs parameter 'scale'"),
+    ("mechanism", {"kind": "cauchy-pulse", "gamma_plus": 0.0, "gamma_star": -0.6},
+     "ConfigError: mechanism kind 'constant-rate' field 'profile': invalid 'cauchy-pulse' "
+     "profile: 'cauchy-pulse' curve needs parameter 'b'"),
+], ids=["model-coefficient", "mechanism-profile"])
+def test_missing_curve_parameter_is_refused_by_name(block, curve, message, tmp_path, capsys):
+    config = json.loads(json.dumps(CLASSIFY))
+    if block == "model":
+        config["model"]["coefficients"]["r"] = curve
+    else:
+        config["mechanism"]["profile"] = curve
+    assert run_cli(tmp_path, "classify", config) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_numerics_values_are_converted(tmp_path):
     rc = run_cli(tmp_path, "classify", CLASSIFY, "--set", "numerics.horizon=30",
                  "--set", "numerics.window_samples=257.0")

@@ -22,6 +22,7 @@ from tiplab.ews import (
     EwsConfig,
     EwsError,
     FtleSeries,
+    _first_root,
     crossover_time,
     ews_region,
     ftle_series,
@@ -282,6 +283,36 @@ def test_rate_whose_infimum_lies_beyond_any_sample(cubic):
     assert not rep.no_tipping
     assert rep.s1 is None
     assert rep.conclusion != "no tipping possible"
+
+
+def test_close_frozen_rates_each_get_their_own_repeller(cubic):
+    # the two rates differ by about 4e-5, closer than a repeller cache keyed
+    # to 1e-4 could tell apart
+    delta = make_profile("sigmoid-blend", left=0.5, right=4.0, rate=0.05)
+    grid = [0.0, 1.0e-3]
+    rep = safe_no_return(cubic, PULSE, delta, C0, 0.0, grid, num=NUM)
+    rates = [float(delta(t)) for t in grid]
+    assert 0.0 < rates[1] - rates[0] < 1.0e-4
+    for t, c, m in zip(grid, rates, rep.m_frozen):
+        assert m == pullback_of(cubic, ConstantRate(PULSE, c), "middle-repulsive", NUM)(t)
+    future = pullback_of(cubic, ConstantRate(PULSE, delta.limit_plus), "middle-repulsive", NUM)
+    assert list(rep.m_future) == [future(t) for t in grid]
+
+
+def test_first_root_returns_a_level_reached_exactly():
+    ts = np.linspace(-4.0, 4.0, 8001)
+
+    def ident(t):
+        return float(t)
+
+    # at a scan point past the first, at the first one, and at the first
+    # bisection midpoint: the point itself, not the midpoint of a bracket
+    assert _first_root(ident, float(ts[4321]), -4.0, 4.0) == ts[4321]
+    assert _first_root(ident, -4.0, -4.0, 4.0) == -4.0
+    mid = 0.5 * (ts[10] + ts[11])
+    assert ts[10] < mid < ts[11]
+    assert _first_root(ident, float(mid), -4.0, 4.0) == mid
+    assert _first_root(ident, 5.0, -4.0, 4.0) is None
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,33 @@ def test_unknown_curve_parameters_raise():
     assert make_profile("arctan", amplitude=1.0, scale=1.0, center=5.0)(5.0) == 0.0
 
 
+def test_missing_curve_parameter_names_kind_and_parameter():
+    with pytest.raises(ModelError, match="'arctan' curve needs parameter 'scale'"):
+        make_coefficient({"kind": "arctan", "amplitude": 1.0})
+    with pytest.raises(TransitionError, match="'cauchy-pulse' curve needs parameter 'b'"):
+        make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.6)
+    # a null counts as missing
+    with pytest.raises(ModelError, match="'constant' curve needs parameter 'value'"):
+        Curve("constant", value=None)
+    # offset and rate have defaults; describe() keeps the parameters as given
+    blend = Curve("sigmoid-blend", left=1.0, right=2.0)
+    assert blend.describe() == {"kind": "sigmoid-blend", "left": 1.0, "right": 2.0}
+    assert blend(0.0) == Curve("sigmoid-blend", left=1.0, right=2.0, rate=1.0)(0.0)
+    assert Curve("sin", amplitude=1.0, omega=1.0).bounds() == (-1.0, 1.0)
+
+
+def test_booleans_are_not_numbers_in_curves_coefficients_or_constants():
+    with pytest.raises(ModelError, match="'cauchy-pulse' curve parameter 'b' must be a number"):
+        Curve("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.6, b=True)
+    with pytest.raises(ModelError, match="'sin' curve parameter 'omega' must be a number"):
+        Curve("sin", amplitude=1.0, omega="fast")
+    with pytest.raises(ModelError, match="cannot interpret coefficient spec True"):
+        make_coefficient(True)
+    with pytest.raises(ModelError, match="constant 'p0' must be a number, got False"):
+        make_model("holling-predation-linear-gamma",
+                   {"r": 2.0, "K": 90.0, "b": 10.0}, constants={"p0": False})
+
+
 def test_curve_parameters_are_not_nested_under_params():
     # a curve spec has one spelling: its parameters beside its kind
     with pytest.raises(ModelError, match=r"\['params'\]"):
