@@ -20,6 +20,7 @@ from .integrator import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    _check_ranges,
     integrate,
 )
 from .models import CONCAVE, DCONCAVE, DomainError
@@ -61,11 +62,7 @@ class Numerics:
     integ: IntegratorConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            least = _NUMERICS_LEAST.get(name)
-            if name != "integ" and not (value > 0 if least is None else value >= least):
-                rule = "positive" if least is None else f"at least {least}"
-                raise ValueError(f"numerics field {name!r} must be {rule}, got {value!r}")
+        _check_ranges(self, "numerics", _NUMERICS_LEAST, ValueError)
 
 
 DEFAULT_NUMERICS = Numerics()

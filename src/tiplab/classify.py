@@ -11,7 +11,7 @@ brackets, never to a single run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from .attractors import (
@@ -26,7 +26,7 @@ from .attractors import (
     pullback_attractive,
     pullback_repulsive,
 )
-from .integrator import IntegrationError, Trajectory
+from .integrator import IntegrationError, Trajectory, _bisect, _first_hit
 from .models import CONCAVE, DCONCAVE
 
 
@@ -50,8 +50,7 @@ class CaseLabel:
         return self.label == "indeterminate"
 
     def to_dict(self) -> dict:
-        return {"label": self.label, "concavity": self.concavity,
-                "horizon": self.horizon, "evidence": self.evidence}
+        return asdict(self)
 
 
 def resolve_horizon(mechanism, num: Numerics = DEFAULT_NUMERICS) -> float:
@@ -207,26 +206,6 @@ def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
 # critical values by bisection
 # ---------------------------------------------------------------------------
 
-def _bisect(pred: Callable[[float], bool], a: float, b: float,
-            tol: float) -> tuple[float, float, int]:
-    """Bisect between a, where pred is false, and b, where it holds (a may
-    lie on either side of b): the midpoint m replaces b when pred(m) holds
-    and a otherwise. Stops once |b - a| <= tol, or when m no longer falls
-    strictly between a and b (adjacent floats), so tol = 0 terminates.
-    Returns (a, b, steps)."""
-    steps = 0
-    while abs(b - a) > tol:
-        m = 0.5 * (a + b)
-        if not (a < m < b or b < m < a):
-            break
-        if pred(m):
-            b = m
-        else:
-            a = m
-        steps += 1
-    return a, b, steps
-
-
 _BOUNDARY = {
     frozenset(("C", "A")): "B",
     frozenset(("C1", "A")): "B1",
@@ -253,10 +232,7 @@ class CriticalValueResult:
         return 0.5 * (self.lower + self.upper)
 
     def to_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper,
-                "label_lower": self.label_lower, "label_upper": self.label_upper,
-                "boundary_label": self.boundary_label,
-                "iterations": self.iterations, "horizon": self.horizon}
+        return asdict(self)
 
 
 def critical_value(model, mechanism_family: Callable[[float], object],
@@ -320,8 +296,7 @@ class LambdaStarResult:
     horizon: float
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "lower": self.lower, "upper": self.upper,
-                "iterations": self.iterations, "horizon": self.horizon}
+        return asdict(self)
 
 
 def lambda_star(model, profile, c: float, s: float,
@@ -389,10 +364,6 @@ class GammaIntervalResult:
     evaluations: int
     window: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {"lower": list(self.lower), "upper": list(self.upper),
-                "evaluations": self.evaluations, "window": list(self.window)}
-
 
 def gamma_interval(model, gamma_range: tuple[float, float], tol: float,
                    num: Numerics = DEFAULT_NUMERICS,
@@ -415,23 +386,15 @@ def gamma_interval(model, gamma_range: tuple[float, float], tol: float,
     g_lo, g_hi = float(gamma_range[0]), float(gamma_range[1])
     n = _GAMMA_SCAN_POINTS
     grid = [g_lo + (g_hi - g_lo) * i / (n - 1) for i in range(n)]
-    flags = [bistable(g) for g in grid]
-    if not any(flags):
-        raise ClassifyError(f"no bistable parameter found in {gamma_range}")
-    first = flags.index(True)
-    last = len(flags) - 1 - flags[::-1].index(True)
-    if first == 0:
-        raise ClassifyError("bistable set touches the lower end of the scan range")
-    if last == len(flags) - 1:
-        raise ClassifyError("bistable set touches the upper end of the scan range")
-
-    def edge(outside: float, inside: float) -> tuple[float, float]:
-        a, b, _ = _bisect(bistable, outside, inside, tol)
-        return tuple(sorted((a, b)))
-
-    lower = edge(grid[first - 1], grid[first])
-    upper = edge(grid[last + 1], grid[last])
-    return GammaIntervalResult(lower=lower, upper=upper, evaluations=evals, window=w)
+    edges = []
+    for end, scan in (("lower", grid), ("upper", grid[::-1])):   # each edge from its own end
+        hit = _first_hit(bistable, scan, tol)
+        if hit is None:
+            raise ClassifyError(f"no bistable parameter found in {gamma_range}")
+        if hit[0] == hit[1]:
+            raise ClassifyError(f"bistable set touches the {end} end of the scan range")
+        edges.append(tuple(sorted(hit)))
+    return GammaIntervalResult(*edges, evaluations=evals, window=w)
 
 
 # ---------------------------------------------------------------------------

@@ -127,23 +127,30 @@ def _fields(build) -> dict:
     return dict(inspect.signature(build, eval_str=True).parameters)
 
 
+def _number(value) -> float:
+    """A float field's value: a number, never a boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"needs a number, got {json.dumps(value)}")
+    return float(value)
+
+
 def _whole(value) -> int:
     """An int field's value: a whole number, never truncated."""
-    if not float(value).is_integer():
+    if not _number(value).is_integer():
         raise ValueError(f"needs a whole number, got {value!r}")
     return int(float(value))
 
 
-def _read_fields(block: dict, fields: dict, what: str, strict: bool = True) -> dict:
+def _read_fields(block: dict, fields: dict, what: str, keys=None) -> dict:
     """The fields of a config block, keyed by the parameters that declare
     them. Each value is converted by its parameter's annotation; a curve,
     mechanism or integrator field is read as a block of its own, a float
-    field as a number (never a boolean) and an int field as a whole number.
-    A null field counts as missing: a required one raises, an optional one
-    is left out so that its default holds. A value its converter refuses,
-    or in a strict block a key no parameter declares, raises a ConfigError
-    that names it, and through nested blocks the path."""
-    stray = sorted(set(block) - set(fields)) if strict else []
+    field by _number and an int field by _whole. A null field counts as
+    missing: a required one raises, an optional one is left out so that its
+    default holds. A value its converter refuses, or a key outside keys
+    (by default the declared fields), raises a ConfigError that names it,
+    and through nested blocks the path."""
+    stray = sorted(set(block) - set(fields if keys is None else keys))
     if stray:
         raise ConfigError(f"{what} takes no field {', '.join(map(repr, stray))}")
     args = {}
@@ -152,11 +159,8 @@ def _read_fields(block: dict, fields: dict, what: str, strict: bool = True) -> d
             if field.default is field.empty:
                 raise ConfigError(f"{what} needs field {name!r}")
             continue
-        if isinstance(block[name], bool) and field.annotation in (float, int):
-            raise ConfigError(f"{what} field {name!r}: needs a number, got "
-                              f"{json.dumps(block[name])}")
-        convert = {Curve: build_profile, Mechanism: build_mechanism, int: _whole,
-                   IntegratorConfig: _read_integrator}.get(
+        convert = {Curve: build_profile, Mechanism: build_mechanism, float: _number,
+                   int: _whole, IntegratorConfig: _read_integrator}.get(
             field.annotation, field.annotation)
         try:
             args[name] = convert(block[name])
@@ -264,21 +268,21 @@ def _grid(spec) -> list[float]:
     """A non-empty grid given either as an explicit list or as start/stop/num."""
     if isinstance(spec, dict):
         try:
-            spec = np.linspace(float(spec["start"]), float(spec["stop"]), int(spec["num"]))
+            spec = np.linspace(_number(spec["start"]), _number(spec["stop"]), _whole(spec["num"]))
         except KeyError as exc:
             raise ValueError(f"grid block needs field {exc}") from None
     elif not isinstance(spec, (list, tuple)):
         raise ValueError("must be a list or a start/stop/num block")
     if len(spec) == 0:
         raise ValueError("grid is empty")
-    return [float(v) for v in spec]
+    return [_number(v) for v in spec]
 
 
 def _pair(spec) -> tuple[float, float]:
     """Two numbers: the ends of a window, a search span or a bracket."""
     if not isinstance(spec, (list, tuple)) or len(spec) != 2:
         raise ValueError(f"needs two numbers, got {spec!r}")
-    return float(spec[0]), float(spec[1])
+    return _number(spec[0]), _number(spec[1])
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +502,11 @@ SUBCOMMANDS = {
 }
 
 
+# the experiment fields of each subcommand: its runner's keyword-only parameters
+_EXPERIMENTS = {sub: {name: p for name, p in _fields(run).items() if p.kind is p.KEYWORD_ONLY}
+                for sub, run in SUBCOMMANDS.items()}
+
+
 def _resolved_mechanism(cfg: dict, swept: str | None):
     """Mechanism block with every default materialized, via the round-trip
     build -> describe. A sweep's block may leave out its swept field, which
@@ -537,11 +546,10 @@ def main(argv=None) -> int:
         model = build_model(cfg)
         num = build_numerics(cfg)
         runner = SUBCOMMANDS[args.subcommand]
-        fields = {name: field for name, field in _fields(runner).items()
-                  if field.kind is field.KEYWORD_ONLY}
-        # one config may serve several subcommands: no stray-key check
-        given = _read_fields(cfg.get("experiment") or {}, fields,
-                             f"{args.subcommand} experiment", strict=False)
+        fields = _EXPERIMENTS[args.subcommand]
+        # one config may serve several subcommands: refuse only a key none declares
+        given = _read_fields(cfg.get("experiment") or {}, fields, f"{args.subcommand} experiment",
+                             set().union(*_EXPERIMENTS.values()))
         code, resolved, result = runner(cfg, out, model, num, **given)
         experiment = {name: given.get(name, field.default)
                       for name, field in fields.items()} | resolved

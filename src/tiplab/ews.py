@@ -27,13 +27,12 @@ from .attractors import (
 from .classify import (
     CaseLabel,
     LimitCache,
-    _bisect,
     _terminal_distance,
     _tracking_targets,
     pullback_of,
     resolve_horizon,
 )
-from .integrator import IntegrationError, integrate
+from .integrator import IntegrationError, _bisect, _first_hit, integrate
 from .models import CONCAVE, DCONCAVE
 
 
@@ -295,18 +294,6 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
                   (True, True): "mixed"}.get(seen, "inconclusive")
     return SafePointReport(s1, False, grid, u_vals, mf_vals, mc_vals,
                            flags, conclusion, t0)
-
-
-def _first_hit(pred, grid, tol: float) -> tuple[float, float] | None:
-    """Bracket the first grid point where pred holds: (t, t) when it is the
-    first one, else _bisect's (a, b) against the point before it; None when
-    pred holds nowhere on the grid."""
-    prev = None
-    for t in grid:
-        if pred(t):
-            return (t, t) if prev is None else _bisect(pred, prev, t, tol)[:2]
-        prev = t
-    return None
 
 
 def _first_root(fn, level: float, lo: float, hi: float) -> float | None:

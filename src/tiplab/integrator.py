@@ -1,4 +1,4 @@
-"""Scalar ODE integration with dense output and blow-up detection.
+"""Scalar ODE integration, dense output, blow-up detection and bisection.
 
 The method is the Dormand-Prince embedded Runge-Kutta 5(4) pair with FSAL
 and standard step-size control. Between accepted nodes the solution is
@@ -13,13 +13,24 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
 
 class IntegrationError(RuntimeError):
     """Step-size underflow, step budget exhausted, or invalid setup."""
+
+
+def _check_ranges(config, what: str, least: dict, error: type) -> None:
+    """Raise error, naming the field, on the first number field of a config
+    dataclass that is below its value in least, or not positive where least
+    has none. A nested config block is left to its own check."""
+    for name, value in vars(config).items():
+        low = least.get(name)
+        if not is_dataclass(value) and not (value > 0 if low is None else value >= low):
+            rule = "positive" if low is None else f"at least {low}"
+            raise error(f"{what} field {name!r} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +42,7 @@ class IntegratorConfig:
     max_steps: int = 20_000_000
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0 or self.max_step <= 0 or self.x_max <= 0:
-            raise IntegrationError("tolerances, max_step and x_max must be positive")
+        _check_ranges(self, "integrator", {"max_steps": 1}, IntegrationError)
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -141,20 +151,43 @@ def _hermite(t0, x0, f0, t1, x1, f1, time):
             + s * s * (3.0 - 2.0 * s) * x1 - s * s * m * h * f1)
 
 
-def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
-    """First time in (t0, t1] where |Hermite interpolant| reaches x_max."""
-    target = x_max if x1 >= 0 else -x_max
-    lo, hi = t0, t1
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        v = _hermite(t0, x0, f0, t1, x1, f1, mid)
-        if (v >= target) if x1 >= 0 else (v <= target):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+def _bisect(pred, a: float, b: float, tol: float) -> tuple[float, float, int]:
+    """Bisect between a, where pred is false, and b, where it holds (a may
+    lie on either side of b): the midpoint m replaces b when pred(m) holds
+    and a otherwise. Stops once |b - a| <= tol, or when m no longer falls
+    strictly between a and b (adjacent floats), so tol = 0 terminates.
+    Returns (a, b, steps)."""
+    steps = 0
+    while abs(b - a) > tol:
+        m = 0.5 * (a + b)
+        if not (a < m < b or b < m < a):
             break
-    return hi
+        if pred(m):
+            b = m
+        else:
+            a = m
+        steps += 1
+    return a, b, steps
+
+
+def _first_hit(pred, grid, tol: float) -> tuple[float, float] | None:
+    """Bracket the first grid point where pred holds: (t, t) when it is the
+    first one, else _bisect's (a, b) against the point before it; None when
+    pred holds nowhere on the grid."""
+    prev = None
+    for t in grid:
+        if pred(t):
+            return (t, t) if prev is None else _bisect(pred, prev, t, tol)[:2]
+        prev = t
+    return None
+
+
+def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
+    """First float in (t0, t1] at which the Hermite interpolant of the step
+    reaches x_max on the side of x1."""
+    side = 1.0 if x1 >= 0 else -1.0
+    beyond = lambda t: side * _hermite(t0, x0, f0, t1, x1, f1, t) >= x_max
+    return _bisect(beyond, t0, t1, 0.0)[1]
 
 
 def _step_dopri(rhs, t, x, h, k1):

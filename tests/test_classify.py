@@ -139,6 +139,12 @@ def test_gamma_interval_needs_bistability_inside_range(cubic):
         gamma_interval(cubic, (0.0, 0.2), 1.0e-3)
 
 
+def test_gamma_interval_refuses_a_bistable_upper_end(cubic):
+    # the upper end has its own scan, run after the lower edge is bracketed
+    with pytest.raises(ClassifyError, match="touches the upper end"):
+        gamma_interval(cubic, (-1.0, 0.2), 1.0e-3, window=(-30.0, 30.0))
+
+
 def test_switching_classify_tracks(cubic):
     prof = make_profile("arctan", amplitude=0.2, scale=1.0)
     left = ConstantRate(prof, 1.0)

@@ -3,7 +3,9 @@
 These blocks are read like mechanism blocks: their fields are the
 parameters of make_model, Numerics and IntegratorConfig, a key that none
 of them declares is refused, and a value that does not convert is refused
-with a ConfigError that names its field. A manifest written by any
+with a ConfigError that names its field. Out-of-range integrator values,
+boolean or fractional grid and pair entries and experiment keys that no
+subcommand declares are refused by name too. A manifest written by any
 subcommand re-runs to the same result files.
 """
 
@@ -69,9 +71,14 @@ def test_bad_model_or_numerics_field_is_refused_by_name(change, message, tmp_pat
      "numerics field 'max_burn_doublings' must be at least 0, got -1"),
     ("numerics.tail_track_factor=-0.5",
      "numerics field 'tail_track_factor' must be at least 0, got -0.5"),
+    ("numerics.integrator.rtol=-1",
+     "IntegrationError: integrator field 'rtol' must be positive, got -1.0"),
+    ("numerics.integrator.max_steps=0",
+     "IntegrationError: integrator field 'max_steps' must be at least 1, got 0"),
 ], ids=["window-samples-boolean", "sep-tol-boolean", "rate-boolean", "profile-boolean",
         "coefficient-boolean", "one-window-sample", "negative-conv-tol", "zero-horizon",
-        "zero-quad-step", "negative-doublings", "negative-tail-factor"])
+        "zero-quad-step", "negative-doublings", "negative-tail-factor", "negative-rtol",
+        "zero-max-steps"])
 def test_booleans_and_out_of_range_numerics_are_refused_by_name(change, message, tmp_path,
                                                                  capsys):
     assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change) == 1
@@ -108,6 +115,30 @@ def test_numerics_values_are_converted(tmp_path):
 def test_ews_region_refuses_kappa_and_L_as_ftle_does(change, tmp_path, capsys):
     assert run_cli(tmp_path, "ews-region", minimal_config("ews-region"), "--set", change) == 1
     assert "EwsError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, change, message", [
+    ("ews-region", "experiment.cs=[true]",
+     "ConfigError: ews-region experiment field 'cs': needs a number, got true"),
+    ("ews-region", "experiment.search=[true, false]",
+     "ConfigError: ews-region experiment field 'search': needs a number, got true"),
+    ("ews-region", 'experiment.cs={"start": 1, "stop": 2, "num": 2.5}',
+     "ConfigError: ews-region experiment field 'cs': needs a whole number, got 2.5"),
+    ("critical-rate", "experiment.tols=0.5",
+     "ConfigError: critical-rate experiment takes no field 'tols'"),
+], ids=["boolean-grid-entry", "boolean-pair-ends", "fractional-grid-num", "experiment-typo"])
+def test_bad_experiment_entry_or_key_is_refused_by_name(subcommand, change, message,
+                                                        tmp_path, capsys):
+    assert run_cli(tmp_path, subcommand, minimal_config(subcommand), "--set", change) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_experiment_key_of_another_subcommand_is_accepted(tmp_path):
+    # one config may serve several subcommands: kappas belongs to ews-region
+    assert run_cli(tmp_path, "simulate", minimal_config("simulate"),
+                   "--set", "experiment.kappas=[0.5]") == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "kappas" not in manifest["config"]["experiment"]
 
 
 RERUNS = {name: (name, minimal_config(name)) for name in MINIMAL}

@@ -9,6 +9,8 @@ from tiplab.integrator import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     IntegrationError,
+    _hermite,
+    _locate_blow,
     integrate,
 )
 
@@ -84,6 +86,16 @@ def test_domain_error_steps_are_retried():
     traj = integrate(rhs, 0.0, 0.0, 30.0)
     assert traj.status == "completed"
     assert traj(30.0) == pytest.approx(2.0 - math.exp(-30.0) * 2.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("x0, f0, x1, f1", [(0.0, 1.0, 2.0e6, 3.0e6), (0.0, -1.0, -2.0e6, -3.0e6)],
+                         ids=["rising", "falling"])
+def test_blow_up_is_located_at_the_first_float_beyond_the_bound(x0, f0, x1, f1):
+    t0, t1, x_max = 0.25, 1.5, 1.0e6
+    t_blow = _locate_blow(t0, x0, f0, t1, x1, f1, x_max)
+    assert t0 < t_blow <= t1
+    assert abs(_hermite(t0, x0, f0, t1, x1, f1, t_blow)) >= x_max
+    assert abs(_hermite(t0, x0, f0, t1, x1, f1, math.nextafter(t_blow, t0))) < x_max
 
 
 def test_invalid_tolerances_rejected():
