@@ -164,7 +164,7 @@ def test_gamma_interval_edges_are_pinned(cubic):
     res = gamma_interval(cubic, (-1.0, 1.0), 1.0e-3, NUM, window=(-30.0, 30.0))
     assert [v.hex() for v in res.lower] == ["-0x1.8aaaaaaaaaaabp-2", "-0x1.8a00000000000p-2"]
     assert [v.hex() for v in res.upper] == ["0x1.89fffffffffffp-2", "0x1.8aaaaaaaaaaaap-2"]
-    assert res.evaluations == 29
+    assert res.evaluations == 26
 
 
 def test_crossover_time_is_pinned(slow_run):
