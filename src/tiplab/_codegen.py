@@ -1,4 +1,4 @@
-"""Generated right-hand sides: one compiled Python function per structure.
+"""Generated code: one compiled Python function per structure.
 
 Curves (coefficients and profiles), mechanism paths and model families each
 emit an expression fragment into an ``Emitter``. Every number is bound by
@@ -13,6 +13,16 @@ by hand. A fragment that uses a subexpression twice binds it once, either as
 a statement (``Emitter.let``, ``Emitter.sin``) or inside the expression with
 an assignment expression (``Emitter.once``), which keeps the fragment a
 single expression that can sit in one branch of a conditional.
+
+A compiled function keeps its emitter, signature and result expression as
+``fn.emitted``. The integrator pastes the statements of a right-hand side
+(signature ``t, x``) into every stage of its DP54 loop in place of a call,
+so the loop, too, is one generated function per structure (and direction).
+The results depend on the statement order. The statements run in the order
+they were emitted. The first ``t_only`` of them read t alone: the path and
+coefficient values, emitted before the family formula. The later ones read
+x, and some raise at a pole. A stage taken at the same t as the stage before
+it reruns only the later ones.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ class Emitter:
         self.lines: list[str] = []
         self._sines: dict = {}
         self._temps = 0
+        self.t_only = 0     # how many leading statements read t alone
 
     def bind(self, name: str, value) -> str:
         """Bind value under the given name (for names the fragments spell out)."""
@@ -101,8 +112,11 @@ class Emitter:
 
     def compile(self, name: str, signature: str, result: str):
         """The function ``name(signature)`` returning result, closed over the
-        bound values."""
-        return _factory(self.source(name, signature, result))(*self.values)
+        bound values; it carries (this emitter, signature, result) as
+        ``emitted``."""
+        fn = _factory(self.source(name, signature, result))(*self.values)
+        fn.emitted = (self, signature, result)
+        return fn
 
 
 @functools.lru_cache(maxsize=512)

@@ -1,11 +1,19 @@
 """Scalar ODE integration, dense output, blow-up detection and bisection.
 
 The method is the Dormand-Prince embedded Runge-Kutta 5(4) pair with FSAL
-and standard step-size control. Between accepted nodes the solution is
-evaluated by cubic Hermite interpolation on the stored values and slopes.
-Backward integration is realized by the substitution s = -t, so one forward
-stepper serves both directions. Nodes are collected in flat ``array('d')``
-buffers, which the trajectory reads as numpy arrays without a copy.
+(Hairer, Norsett & Wanner, Solving ODEs I, II.5) and standard step-size
+control. Between accepted nodes the solution is evaluated by cubic Hermite
+interpolation on the stored values and slopes. Backward integration is
+realized by the substitution s = -t. Nodes are collected in flat
+``array('d')`` buffers, which the trajectory reads as numpy arrays without
+a copy.
+
+The step loop exists once, as source (``_DP54``), and is generated per
+right-hand side and direction through ``_codegen`` (``_dp54``). The
+statements of a generated right-hand side are pasted into the stages of a
+trial step, in their own order; any other callable is called from the same
+stages. Each operation keeps its operands and its order, and negation is
+exact, so the nodes are bitwise those of calling the right-hand side.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from array import array
 from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
+
+from ._codegen import Emitter
 
 
 class IntegrationError(RuntimeError):
@@ -47,21 +57,22 @@ class IntegratorConfig:
 
 DEFAULT_CONFIG = IntegratorConfig()
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-# difference between 5th and 4th order weights
-_E1 = 35 / 384 - 5179 / 57600
-_E3 = 500 / 1113 - 7571 / 16695
-_E4 = 125 / 192 - 393 / 640
-_E5 = -2187 / 6784 + 92097 / 339200
-_E6 = 11 / 84 - 187 / 2100
-_E7 = -1 / 40
+# Dormand-Prince 5(4) tableau. Stage i = 2..6 takes the slope at
+# t + C[i]*h (t + h for stage 6) and x + h*(sum of A[i][j]*k_j); stage 7
+# takes it at t + h and the 5th-order solution. B (5th order) and E (5th
+# minus 4th order) have no k2 term and are kept as (j, weight) pairs.
+_C = {2: 1 / 5, 3: 3 / 10, 4: 4 / 5, 5: 8 / 9}
+_A = {
+    2: (1 / 5,),
+    3: (3 / 40, 9 / 40),
+    4: (44 / 45, -56 / 15, 32 / 9),
+    5: (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    6: (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+}
+_B = ((1, 35 / 384), (3, 500 / 1113), (4, 125 / 192), (5, -2187 / 6784), (6, 11 / 84))
+_E = ((1, 35 / 384 - 5179 / 57600), (3, 500 / 1113 - 7571 / 16695),
+      (4, 125 / 192 - 393 / 640), (5, -2187 / 6784 + 92097 / 339200),
+      (6, 11 / 84 - 187 / 2100), (7, -1 / 40))
 
 
 @dataclass
@@ -190,82 +201,128 @@ def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
     return _bisect(beyond, t0, t1, 0.0)[1]
 
 
-def _step_dopri(rhs, t, x, h, k1):
-    k2 = rhs(t + _C2 * h, x + h * (_A21 * k1))
-    k3 = rhs(t + _C3 * h, x + h * (_A31 * k1 + _A32 * k2))
-    k4 = rhs(t + _C4 * h, x + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = rhs(t + _C5 * h, x + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = rhs(t + h, x + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-    x_new = x + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = rhs(t + h, x_new)
-    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-    return x_new, k7, err
+# The DP54 loop in the integration clock (s = -t for a backward run, where
+# {sign} is "-"); _dp54 fills {trial} with the stages of a trial step. The
+# names the loop owns start with "_" but not with "_v", so they stay apart
+# from the statements of a right-hand side, whose names are t, x, g, the
+# family's locals, k<n> and _v<n>.
+_DP54 = """\
+_ts = _array("d", (_t0,))
+_xs = _array("d", (_x0,))
+_k1 = {sign}_rhs({sign}_t0, _x0)
+if not _isfinite(_k1):
+    raise _IntegrationError(f"right-hand side not finite at start ({{_t0}}, {{_x0}})")
+_fs = _array("d", (_k1,))
+_status, _t_blow = "completed", None
+_span = _t1 - _t0
+_max_step = _cfg.max_step
+_h = min(_max_step, max(1e-6, 1e-3 * _span), _span)
+_t, _x = _t0, _x0
+_rtol, _atol, _x_max = _cfg.rtol, _cfg.atol, _cfg.x_max
+_steps = 0
+while _t < _t1:
+    if _steps >= _cfg.max_steps:
+        raise _IntegrationError(f"step budget exhausted at t={{_t}}")
+    _steps += 1
+    _h = min(_h, _max_step, _t1 - _t)
+    if _h < 1e-14 * max(1.0, abs(_t)):
+        if abs(_x) >= 1e-3 * _x_max:
+            # the controller stalls on a solution that is already huge
+            # and still growing: an escape whose asymptote sits just
+            # short of x_max; record the blow-up at the stall point
+            _status = "blow-up"
+            _t_blow = _t
+            break
+        raise _IntegrationError(f"step size underflow at t={{_t}}")
+    try:
+{trial}
+    except (ValueError, ArithmeticError):
+        # a trial stage left the rhs domain; treat as a failed step
+        _h *= 0.25
+        continue
+    if not (_isfinite(_xn) and _isfinite(_k7) and _isfinite(_err)):
+        _h *= 0.25
+        continue
+    _sc = _atol + _rtol * max(abs(_x), abs(_xn))
+    _aerr = abs(_err)
+    if _aerr <= _sc:
+        # t + (t1 - t) can miss t1 by an ulp; the clipped step ends on t1
+        _t_next = _t1 if _h == _t1 - _t else _t + _h
+        if abs(_xn) >= _x_max:
+            _tb = _locate_blow(_t, _x, _k1, _t_next, _xn, _k7, _x_max)
+            _xb = _hermite(_t, _x, _k1, _t_next, _xn, _k7, _tb)
+            _ts.append(_tb)
+            _xs.append(_xb)
+            try:
+                _fb = {sign}_rhs({sign}_tb, _xb)
+            except (ValueError, ArithmeticError):
+                _fb = _nan
+            _fs.append(_fb if _isfinite(_fb) else 0.0)
+            _status = "blow-up"
+            _t_blow = _tb
+            break
+        _t, _x, _k1 = _t_next, _xn, _k7
+        _ts.append(_t)
+        _xs.append(_x)
+        _fs.append(_k1)
+        _factor = 10.0 if _aerr == 0.0 else min(10.0, max(0.2, 0.9 * (_sc / _aerr) ** 0.2))
+        _h *= _factor
+    else:
+        _h *= max(0.2, 0.9 * (_sc / _aerr) ** 0.2)"""
 
 
-def _integrate_forward(rhs, t0, x0, t1, cfg):
-    ts = array("d", (t0,))
-    xs = array("d", (x0,))
-    k1 = rhs(t0, x0)
-    if not math.isfinite(k1):
-        raise IntegrationError(f"right-hand side not finite at start ({t0}, {x0})")
-    fs = array("d", (k1,))
-    status, t_blow = "completed", None
-    span = t1 - t0
-    h = min(cfg.max_step, max(1e-6, 1e-3 * span), span)
-    t, x = t0, x0
-    isfinite = math.isfinite
-    rtol, atol, x_max = cfg.rtol, cfg.atol, cfg.x_max
-    steps = 0
-    while t < t1:
-        if steps >= cfg.max_steps:
-            raise IntegrationError(f"step budget exhausted at t={t}")
-        steps += 1
-        h = min(h, cfg.max_step, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            if abs(x) >= 1e-3 * x_max:
-                # the controller stalls on a solution that is already huge
-                # and still growing: an escape whose asymptote sits just
-                # short of x_max; record the blow-up at the stall point
-                status = "blow-up"
-                t_blow = t
-                break
-            raise IntegrationError(f"step size underflow at t={t}")
-        try:
-            x_new, k7, err = _step_dopri(rhs, t, x, h, k1)
-        except (ValueError, ArithmeticError):
-            # a trial stage left the rhs domain; treat as a failed step
-            h *= 0.25
-            continue
-        if not (isfinite(x_new) and isfinite(k7) and isfinite(err)):
-            h *= 0.25
-            continue
-        sc = atol + rtol * max(abs(x), abs(x_new))
-        aerr = abs(err)
-        if aerr <= sc:
-            # t + (t1 - t) can miss t1 by an ulp; the clipped step ends on t1
-            t_next = t1 if h == t1 - t else t + h
-            if abs(x_new) >= x_max:
-                tb = _locate_blow(t, x, k1, t_next, x_new, k7, x_max)
-                xb = _hermite(t, x, k1, t_next, x_new, k7, tb)
-                ts.append(tb)
-                xs.append(xb)
-                try:
-                    fb = rhs(tb, xb)
-                except (ValueError, ArithmeticError):
-                    fb = math.nan
-                fs.append(fb if isfinite(fb) else 0.0)
-                status = "blow-up"
-                t_blow = tb
-                break
-            t, x, k1 = t_next, x_new, k7
-            ts.append(t)
-            xs.append(x)
-            fs.append(k1)
-            factor = 10.0 if aerr == 0.0 else min(10.0, max(0.2, 0.9 * (sc / aerr) ** 0.2))
-            h *= factor
-        else:
-            h *= max(0.2, 0.9 * (sc / aerr) ** 0.2)
-    return ts, xs, fs, status, t_blow
+def _weighted(pairs) -> str:
+    """sum of weight*k_j, left to right, with the weights as literals."""
+    return " + ".join(f"{w!r} * _k{j}" for j, w in pairs)
+
+
+def _stage(body, t: str, x: str, k: str, backward: bool, same_t: bool = False) -> str:
+    """Statements of a trial step that set k to the slope at (t, x). body is
+    (time statements, state statements, result) of the right-hand side.
+    Backward, t is the clock s and the slope is -rhs(-s, x), the
+    substitution s = -t. With same_t the time statements of the stage
+    before, taken at the same t, are reused."""
+    t_lines, x_lines, result = body
+    lines = [] if same_t else [f"t = -({t})" if backward else f"t = {t}", *t_lines]
+    lines += [f"x = {x}", *x_lines, f"{k} = -({result})" if backward else f"{k} = {result}"]
+    return "\n".join("        " + ln for stmt in lines for ln in stmt.split("\n"))
+
+
+def _dp54(rhs, backward: bool):
+    """The DP54 loop for rhs in one direction, as one generated function
+    (t0, x0, t1, cfg) -> (ts, xs, fs, status, t_blow).
+
+    The slopes at the start and at a blow-up point come from calling rhs.
+    A right-hand side compiled by an Emitter with the signature (t, x) has
+    its statements pasted into the stages of a trial step, and stage 7
+    reuses the time statements of stage 6, since both are taken at t + h.
+    Any other callable is called from the same stages, so 6 times per trial
+    step. Every operation keeps its operands and order, so the nodes are
+    bitwise those of calling rhs at every stage."""
+    e = Emitter()
+    e.bind("_rhs", rhs)
+    emitted = getattr(rhs, "emitted", None)
+    if emitted is None or emitted[1] != "t, x":
+        body = ((), (), "_rhs(t, x)")
+    else:
+        src, _, result = emitted
+        for name, value in zip(src.names, src.values):
+            e.bind(name, value)
+        body = (src.lines[:src.t_only], src.lines[src.t_only:], result)
+    for name, value in (("_array", array), ("_isfinite", math.isfinite),
+                        ("_IntegrationError", IntegrationError), ("_nan", math.nan),
+                        ("_locate_blow", _locate_blow), ("_hermite", _hermite)):
+        e.bind(name, value)
+    trial = []
+    for i, a in _A.items():
+        t = f"_t + {_C[i]!r} * _h" if i in _C else "_t + _h"
+        x = f"_x + _h * ({_weighted(enumerate(a, 1))})"
+        trial.append(_stage(body, t, x, f"_k{i}", backward))
+    trial.append(f"        _xn = _x + _h * ({_weighted(_B)})")
+    trial.append(_stage(body, "_t + _h", "_xn", "_k7", backward, same_t=True))
+    trial.append(f"        _err = _h * ({_weighted(_E)})")
+    e.lines.append(_DP54.format(sign="-" if backward else "", trial="\n".join(trial)))
+    return e.compile("dp54", "_t0, _x0, _t1, _cfg", "_ts, _xs, _fs, _status, _t_blow")
 
 
 def integrate(rhs, t_start: float, x0: float, t_end: float,
@@ -273,21 +330,22 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     """Integrate x' = rhs(t, x) from (t_start, x0) to t_end.
 
     t_end < t_start integrates backward via the substitution s = -t; the
-    returned samples are always stored with ascending t.
+    returned samples are always stored with ascending t. A t_start, x0 or
+    t_end that is not finite raises IntegrationError.
     """
     t_start, x0, t_end = float(t_start), float(x0), float(t_end)
+    for name, value in (("t_start", t_start), ("x0", x0), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise IntegrationError(f"{name} must be finite, got {value!r}")
     if t_end == t_start:
         raise IntegrationError("empty integration span")
     if abs(x0) >= config.x_max:
         raise IntegrationError(f"initial value {x0} already beyond the blow-up bound")
     if t_end > t_start:
-        ts, xs, fs, status, t_blow = _integrate_forward(
-            rhs, t_start, x0, t_end, config)
+        ts, xs, fs, status, t_blow = _dp54(rhs, False)(t_start, x0, t_end, config)
         return Trajectory("forward", _view(ts), _view(xs), _view(fs),
                           status, t_blow, _tl=ts)
-    rev = lambda s, y: -rhs(-s, y)
-    ts, xs, fs, status, t_blow = _integrate_forward(
-        rev, -t_start, x0, -t_end, config)
+    ts, xs, fs, status, t_blow = _dp54(rhs, True)(-t_start, x0, -t_end, config)
     # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
     for buf in (ts, xs, fs):
         buf.reverse()

@@ -311,6 +311,7 @@ class VectorFieldModel:
         if "DomainError" in src:
             e.bind("DomainError", DomainError)
         *stmts, last = Template(src).substitute(names).split("\n")
+        e.t_only = len(e.lines)     # the coefficient and path statements
         e.lines.extend(stmts)
         result = last.removeprefix("return ")
         if which == "f" and self.tilt is not None:

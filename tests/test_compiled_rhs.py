@@ -2,20 +2,23 @@
 
 The compiled functions must return bitwise what the closures return and raise
 the same errors at the same points, for every family, coefficient kind and
-mechanism kind, tilted or not; and whole integrations of the study models
-must produce identical arrays.
+mechanism kind, tilted or not. Whole integrations, where the integrator
+pastes the compiled statements into its stages and calls the closures from
+the same stages, must give bitwise identical trajectories or the same error:
+for the study models, for every family and mechanism kind in both
+directions, for a step retried at a pole and for both blow-up branches.
 """
 
 import importlib
 import math
 import random
+import re
 import sys
 
-import numpy as np
 import pytest
 
 import closure_reference as ref
-from tiplab.integrator import integrate
+from tiplab.integrator import IntegrationError, IntegratorConfig, integrate
 from tiplab.models import FAMILY_NAMES, _FAMILIES, make_coefficient, make_model
 from tiplab.transitions import (
     ConstantRate,
@@ -87,7 +90,7 @@ def outcome(fn, *args):
     """The value, or the error's type and message."""
     try:
         return fn(*args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, IntegrationError) as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -189,6 +192,26 @@ def test_shared_frequencies_are_computed_once(dmodel):
     assert sum(line.count("sin(") for line in e.lines) == 3
 
 
+def test_stage_7_reuses_the_time_terms_of_stage_6(dmodel, dprof):
+    # criterion 2's transition rhs has three sin terms (the test above). A
+    # trial step takes stages 2 to 7, and stage 7 is at the same t + h as
+    # stage 6, so each sin runs 5 times per trial step, not 6. The slopes at
+    # the start and at a blow-up point call the rhs.
+    from tiplab.integrator import _dp54
+
+    rhs = dmodel.transition_rhs(ConstantRate(dprof, 1.0))
+    assert sum(line.count("sin(") for line in rhs.emitted[0].lines) == 3
+    for backward in (False, True):
+        src = "\n".join(_dp54(rhs, backward).emitted[0].lines)
+        trial = src[src.index("\n    try:\n"):src.index("\n    except (ValueError")]
+        # backward, each stage writes t = -s and negates its slope in place;
+        # stage 7 sets no t of its own
+        negated = re.findall(r"(\w+) = -\(", trial)
+        assert negated == (["t", "_k2", "t", "_k3", "t", "_k4", "t", "_k5", "t", "_k6", "_k7"]
+                           if backward else [])
+        assert trial.count("sin(") == src.count("sin(") == 5 * 3
+
+
 def test_source_is_shared_across_values():
     from tiplab._codegen import Emitter
 
@@ -206,9 +229,22 @@ def test_source_is_shared_across_values():
 # ---------------------------------------------------------------------------
 
 def assert_same_trajectory(a, b):
-    assert a.status == b.status and a.t_blow == b.t_blow
+    assert (a.direction, a.status) == (b.direction, b.status)
+    assert same(a.t_blow, b.t_blow) if a.t_blow is not None else b.t_blow is None
     for name in ("t", "x", "f"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def assert_same_run(rhs, twin_rhs, *args):
+    """integrate gives bitwise the same trajectory, or the same error, with
+    the compiled rhs (its statements pasted into the stages) and with the
+    closure reference (called from the stages)."""
+    got, want = (outcome(integrate, f, *args) for f in (rhs, twin_rhs))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_trajectory(got, want)
+    return want
 
 
 def study_cases(dmodel, dprof, cmodel, gam, hmodel, hprof):
@@ -227,12 +263,64 @@ def test_study_pullbacks_are_bitwise_identical(dmodel, dprof, cmodel, gam, hmode
     for model, mech, x_fwd, x_bwd in study_cases(dmodel, dprof, cmodel, gam, hmodel, hprof):
         twin = ref.Model(model)
         for t0, x0, t1 in ((-H, x_fwd, H), (H, x_bwd, -H)):
-            got = integrate(model.transition_rhs(mech), t0, x0, t1, num.integ)
-            want = integrate(twin.transition_rhs(mech), t0, x0, t1, num.integ)
-            assert_same_trajectory(got, want)
-        got = integrate(model.frozen_rhs(mech.gamma_minus), -H, x_fwd, H, num.integ)
-        want = integrate(twin.frozen_rhs(mech.gamma_minus), -H, x_fwd, H, num.integ)
-        assert_same_trajectory(got, want)
+            assert_same_run(model.transition_rhs(mech), twin.transition_rhs(mech),
+                            t0, x0, t1, num.integ)
+        assert_same_run(model.frozen_rhs(mech.gamma_minus), twin.frozen_rhs(mech.gamma_minus),
+                        -H, x_fwd, H, num.integ)
+
+
+@pytest.mark.parametrize("tilt", [None, -0.35])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_every_mechanism_integrates_bitwise_as_the_closures(family, tilt):
+    # the coefficient kind varies with the family, so the pasted statements
+    # include sin terms (shared or not), walrus temporaries and blends
+    kind = ("sin", "sin2", "rational-dip", "arctan", "sigmoid-blend")[
+        FAMILY_NAMES.index(family) % 5]
+    model = family_model(family, kind, tilt)
+    twin = ref.Model(model)
+    lo, hi = model.state_box
+    x0 = lo + 0.75 * (hi - lo)
+    rhss = [(model.transition_rhs(mech), twin.transition_rhs(mech))
+            for mech in MECHANISMS.values()]
+    rhss.append((model.frozen_rhs(0.5), twin.frozen_rhs(0.5)))
+    for rhs, twin_rhs in rhss:
+        for t0, t1 in ((-30.0, 30.0), (30.0, -30.0)):
+            assert_same_run(rhs, twin_rhs, t0, x0, t1)
+
+
+def test_pole_retries_and_blow_ups_integrate_bitwise_as_the_closures():
+    # the rational family's pole: forward from far above the box a trial
+    # stage lands below the pole and the step is retried; backward toward the
+    # pole the step size underflows after many retries
+    model = family_model("allee-multiplicative-rational", "sin2", None)
+    twin = ref.Model(model)
+    raises = 0
+
+    def counted(t, x):
+        nonlocal raises
+        try:
+            return twin.frozen_rhs(0.5)(t, x)
+        except ValueError:
+            raises += 1
+            raise
+
+    traj = assert_same_run(model.frozen_rhs(0.5), counted, 0.0, 1.0e3, 10.0)
+    assert traj.status == "completed" and raises > 0
+    raises = 0
+    error = assert_same_run(model.frozen_rhs(0.5), counted, 0.0, -1.4, -10.0)
+    assert error[0] == "IntegrationError" and "underflow" in error[1] and raises > 0
+    # x' = -r*(x - g)**2 + I escapes to -inf forward and to +inf backward;
+    # with x_max = 1e14 the step size underflows at about 1e12, past
+    # 1e-3*x_max, and the blow-up is recorded at the stall point
+    model = family_model("concave-logistic-migration", "sin", None)
+    twin = ref.Model(model)
+    for config in (IntegratorConfig(), IntegratorConfig(x_max=1.0e14)):
+        for x0, t1 in ((-5.0, 10.0), (5.0, -10.0)):
+            traj = assert_same_run(model.frozen_rhs(0.5), twin.frozen_rhs(0.5),
+                                   0.0, x0, t1, config)
+            tip = traj.x[-1] if traj.direction == "forward" else traj.x[0]
+            assert traj.status == "blow-up"
+            assert (abs(tip) >= config.x_max) == (config.x_max == 1.0e6)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,21 @@ def test_empty_span_rejected():
         integrate(lambda t, x: x, 1.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((0.0, 1.0, math.nan), "t_end"),
+    ((0.0, 1.0, math.inf), "t_end"),
+    ((math.nan, 1.0, 1.0), "t_start"),
+    ((-math.inf, 1.0, 1.0), "t_start"),
+    ((0.0, math.nan, 1.0), "x0"),
+    ((0.0, -math.inf, 1.0), "x0"),
+])
+def test_non_finite_arguments_are_refused_by_name(args, name):
+    # a NaN end used to give a one-node "completed" run, an infinite one ran
+    # until the step budget was exhausted
+    with pytest.raises(IntegrationError, match=f"{name} must be finite"):
+        integrate(lambda t, x: -x, *args)
+
+
 def test_initial_value_beyond_blow_up_bound():
     with pytest.raises(IntegrationError, match="blow-up"):
         integrate(lambda t, x: x, 0.0, 2e6, 1.0)
@@ -74,6 +89,27 @@ def test_blow_up_detection():
     assert traj.t_blow == pytest.approx(1.0, abs=5e-3)
     assert not traj.covers(0.0, 2.0)
     assert traj.covers(0.0, 0.9)
+
+
+@pytest.mark.parametrize("t_end", [50.0, -50.0])
+def test_a_callable_rhs_is_called_six_times_per_trial_step(t_end):
+    # once for the start slope, then stages 2 to 7 of every trial step, with
+    # stages 6 and 7 at the same time; the error estimate of x' = 1 is 0, so
+    # every trial step is accepted
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return 1.0
+
+    traj = integrate(rhs, 0.0, 0.0, t_end)
+    assert len(calls) == 6 * (len(traj.t) - 1) + 1
+    # a rejected trial step takes its 6 calls too
+    calls.clear()
+    traj = integrate(lambda t, x: rhs(t, x) * math.cos(40.0 * t), 0.0, 0.0, t_end)
+    trials, rest = divmod(len(calls) - 1, 6)
+    assert rest == 0 and trials > len(traj.t) - 1
+    assert all(calls[i + 4] == calls[i + 5] for i in range(1, len(calls), 6))
 
 
 def test_domain_error_steps_are_retried():
