@@ -21,9 +21,11 @@ from .integrator import (
     IntegratorConfig,
     Trajectory,
     _check_ranges,
+    _hermite,
+    _span_error,
     integrate,
 )
-from .models import CONCAVE, DCONCAVE, DomainError
+from .models import CONCAVE, DCONCAVE, DomainError, _fx_along
 
 
 class AttractorError(RuntimeError):
@@ -383,18 +385,66 @@ def check_anchor_insensitivity(model, mechanism, solution: PullbackSolution,
 
 _G3_OFF = math.sqrt(3.0 / 5.0)   # Gauss-Legendre 3-point nodes at +-off, 0
 _G3_W = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
+_QUAD_MAX_HALVINGS = 4           # step halvings before a quadrature counts as stalled
 
 
-def gauss3_interval_integrals(g, a: float, h: float, n: int) -> np.ndarray:
-    """Integrals of g over the n intervals [a + i*h, a + (i+1)*h]."""
+def gauss3_interval_integrals(fn, traj: Trajectory, a: float, h: float, n: int) -> np.ndarray:
+    """Integrals of fn(t, traj(t)) over the n intervals [a + i*h, a + (i+1)*h].
+
+    The Gauss nodes ascend, so one walk over the trajectory's nodes reads
+    the solution at all of them: each value is bitwise traj(t) (the same
+    Hermite formula on the same operands, the node value at a node, the
+    last value at the last node and the same IntegrationError outside the
+    span), and fn is called once per Gauss node, in ascending order. a and
+    h are taken as Python floats: a numpy scalar would carry numpy's scalar
+    arithmetic, bitwise the same but slower, into every node.
+    """
+    if not h > 0.0:
+        raise AttractorError(f"quadrature step must be positive, got {h!r}")
+    a, h = float(a), float(h)
     w1, w2, w3 = _G3_W
     off = _G3_OFF * 0.5 * h
     half = 0.5 * h
+    tl, xl, fl = traj._tl, traj._xl, traj._fl
+    last = len(tl) - 1
+    lo, hi = tl[0], tl[last]
+    j = 0
     out = np.empty(n)
     for i in range(n):
         m = a + (i + 0.5) * h
-        out[i] = half * (w1 * g(m - off) + w2 * g(m) + w3 * g(m + off))
+        g = []
+        for t in (m - off, m, m + off):
+            if not lo <= t <= hi:
+                raise _span_error(tl, t)
+            while j < last and tl[j + 1] <= t:
+                j += 1
+            if j == last:
+                x = xl[last]
+            elif t == tl[j]:
+                x = xl[j]
+            else:
+                x = _hermite(tl[j], xl[j], fl[j], tl[j + 1], xl[j + 1], fl[j + 1], t)
+            g.append(fn(t, x))
+        out[i] = half * (w1 * g[0] + w2 * g[1] + w3 * g[2])
     return out
+
+
+def _refined(quadrature, gap, tol: float, error: type):
+    """Halve the quadrature step until two passes in a row agree.
+
+    quadrature(k) is the pass at the step halved k times. Returns (coarse,
+    fine, gap) of the first passes k and k + 1 with gap(coarse, fine) <= tol;
+    when _QUAD_MAX_HALVINGS halvings do not get there, raises error naming
+    the last gap.
+    """
+    coarse = quadrature(0)
+    for k in range(1, _QUAD_MAX_HALVINGS + 1):
+        fine = quadrature(k)
+        d = gap(coarse, fine)
+        if d <= tol:
+            return coarse, fine, d
+        coarse = fine
+    raise error(f"quadrature refinement stalled at gap {d:.3e}")
 
 
 @dataclass
@@ -410,9 +460,12 @@ def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
                       num: Numerics = DEFAULT_NUMERICS) -> LyapunovEstimate:
     """Average of f_x along a hyperbolic estimate over a centered window.
 
-    The average over half the window is reported as a sensitivity measure;
-    the quadrature is refined once and the change recorded as quad_gap, a
-    refinement gap and not an error bound of the exponent.
+    The quadrature step num.quad_h is halved until two passes agree within
+    num.quad_tol, at most _QUAD_MAX_HALVINGS times, else NonConvergentError
+    names the last gap. The finer pass of the agreeing pair is the value,
+    and their gap is quad_gap, a refinement gap and not an error bound of
+    the exponent. The average over half the window, at num.quad_h, is
+    reported as a sensitivity measure.
     """
     w0, w1 = solution.window
     c = 0.5 * (w0 + w1)
@@ -422,25 +475,18 @@ def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
             f"averaging window {window_length} exceeds the estimate window {solution.window}"
         )
     traj = solution.trajectory
-    fx = model.fx
-
-    def g(s):
-        return fx(s, traj(s), gamma)
+    fn = _fx_along(model, gamma=gamma)
 
     def average(lo, hi, h_target):
         n = max(1, int(math.ceil((hi - lo) / h_target)))
         h = (hi - lo) / n
-        return float(np.sum(gauss3_interval_integrals(g, lo, h, n))) / (hi - lo)
+        return float(np.sum(gauss3_interval_integrals(fn, traj, lo, h, n))) / (hi - lo)
 
-    val = average(a, b, num.quad_h)
-    val_fine = average(a, b, 0.5 * num.quad_h)
-    quad_gap = abs(val - val_fine)
-    if quad_gap > num.quad_tol:
-        val_fine2 = average(a, b, 0.25 * num.quad_h)
-        quad_gap = abs(val_fine - val_fine2)
-        val_fine = val_fine2
+    _, value, quad_gap = _refined(lambda k: average(a, b, num.quad_h * 0.5 ** k),
+                                  lambda coarse, fine: abs(coarse - fine),
+                                  num.quad_tol, NonConvergentError)
     half = average(c - 0.25 * window_length, c + 0.25 * window_length, num.quad_h)
     return LyapunovEstimate(
-        value=val_fine, window=window_length,
-        sensitivity=abs(val_fine - half), quad_gap=quad_gap,
+        value=value, window=window_length,
+        sensitivity=abs(value - half), quad_gap=quad_gap,
     )

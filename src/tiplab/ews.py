@@ -22,6 +22,7 @@ from .attractors import (
     NonConvergentError,
     Numerics,
     PullbackSolution,
+    _refined,
     gauss3_interval_integrals,
 )
 from .classify import (
@@ -33,14 +34,13 @@ from .classify import (
     resolve_horizon,
 )
 from .integrator import IntegrationError, _bisect, _first_hit, integrate
-from .models import CONCAVE, DCONCAVE
+from .models import CONCAVE, DCONCAVE, _fx_along
 
 
 class EwsError(RuntimeError):
     pass
 
 
-_FTLE_MAX_HALVINGS = 4     # step halvings of the FTLE quadrature
 _CROSSOVER_STEP = 0.25     # scan step of crossover_time before it bisects
 
 
@@ -54,7 +54,7 @@ class FtleSeries:
     window_length: float
     t: np.ndarray
     values: np.ndarray
-    quad_gap: float    # last refinement gap, not an error bound (see ftle_series)
+    quad_gap: float    # refinement gap of the agreeing passes, not an error bound
 
     @property
     def max_value(self) -> float:
@@ -68,12 +68,6 @@ class FtleSeries:
                           self.t[keep], self.values[keep], self.quad_gap)
 
 
-def _series_on_step(g, a0: float, h: float, n: int, m: int) -> np.ndarray:
-    parts = gauss3_interval_integrals(g, a0, h, n)
-    cum = np.concatenate(([0.0], np.cumsum(parts)))
-    return (cum[m:] - cum[:-m]) / (m * h)
-
-
 def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
                 num: Numerics = DEFAULT_NUMERICS,
                 t_min: float | None = None,
@@ -81,11 +75,13 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     """Sliding-window average of f_x along the solution, for window length T.
 
     One pass of composite 3-point Gauss quadrature on a uniform step that
-    divides T yields every window by differencing the cumulative sums; the
-    step is halved until two passes agree below num.quad_tol, at most
-    _FTLE_MAX_HALVINGS times. The last gap is returned as quad_gap: it is a
-    refinement gap, not an error bound, since the solution is read through
-    cubic Hermite interpolation whose error does not shrink with the step.
+    divides T yields every window by differencing the cumulative sums. The
+    step is halved until two passes agree within num.quad_tol at every
+    window of the coarser one, at most _QUAD_MAX_HALVINGS times, else
+    EwsError names the last gap. The coarser pass of the agreeing pair is
+    the series, and their gap is quad_gap: a refinement gap, not an error
+    bound, since the solution is read through cubic Hermite interpolation
+    whose error does not shrink with the step.
     """
     if T <= 0.0:
         raise EwsError("window length must be positive")
@@ -99,12 +95,6 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     if t0 > t1:
         raise EwsError("empty time range after clipping to the solution span")
 
-    path = mechanism.path
-    fx = model.fx
-
-    def g(s: float) -> float:
-        return fx(s, traj(s), path(s))
-
     m = max(1, round(T / num.quad_h))
     h = T / m
     a0 = t0 - T
@@ -114,18 +104,17 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     if n < m:
         raise EwsError("no full window fits in the solution span")
 
-    vals = _series_on_step(g, a0, h, n, m)
-    gap = math.inf
-    for _ in range(_FTLE_MAX_HALVINGS):
-        h2, n2, m2 = h / 2.0, 2 * n, 2 * m
-        vals2 = _series_on_step(g, a0, h2, n2, m2)
-        gap = float(np.abs(vals2[::2] - vals).max())
-        if gap <= num.quad_tol:
-            break
-        h, n, m, vals = h2, n2, m2, vals2
-    else:
-        raise EwsError(f"quadrature refinement stalled at gap {gap:.3e}")
-    times = a0 + h * np.arange(m, n + 1)
+    fn = _fx_along(model, mechanism=mechanism)
+
+    def series(k):
+        """(window ends, window averages) at the step halved k times."""
+        hk, nk, mk = h / 2.0 ** k, n << k, m << k
+        cum = np.concatenate(([0.0], np.cumsum(gauss3_interval_integrals(fn, traj, a0, hk, nk))))
+        return a0 + hk * np.arange(mk, nk + 1), (cum[mk:] - cum[:-mk]) / (mk * hk)
+
+    (times, vals), _, gap = _refined(
+        series, lambda coarse, fine: float(np.abs(fine[1][::2] - coarse[1]).max()),
+        num.quad_tol, EwsError)
     return FtleSeries(solution.role, T, times, vals, gap)
 
 

@@ -5,8 +5,8 @@ The method is the Dormand-Prince embedded Runge-Kutta 5(4) pair with FSAL
 control. Between accepted nodes the solution is evaluated by cubic Hermite
 interpolation on the stored values and slopes. Backward integration is
 realized by the substitution s = -t. Nodes are collected in flat
-``array('d')`` buffers, which the trajectory reads as numpy arrays without
-a copy.
+``array('d')`` buffers, which the trajectory keeps and also reads as numpy
+arrays without a copy.
 
 The step loop exists once, as source (``_DP54``), and is generated per
 right-hand side and direction through ``_codegen`` (``_dp54``). The
@@ -83,6 +83,8 @@ class Trajectory:
     |x| reached the blow-up bound and no samples exist beyond it in the
     direction of integration. t, x and f are read-only: limit sets are
     shared between callers, so an in-place write would change later answers.
+    They view the buffers _tl, _xl and _fl, whose items read as Python
+    floats; scalar reads go to the buffers.
     """
 
     direction: str                 # "forward" | "backward"
@@ -91,7 +93,9 @@ class Trajectory:
     f: np.ndarray
     status: str
     t_blow: float | None
-    _tl: array = field(repr=False)  # the buffer t views, for bisect in __call__
+    _tl: array = field(repr=False)  # the buffers t, x and f view
+    _xl: array = field(repr=False)
+    _fl: array = field(repr=False)
 
     @property
     def t_start(self) -> float:
@@ -113,18 +117,16 @@ class Trajectory:
 
     def __call__(self, time: float) -> float:
         """Cubic Hermite evaluation; exact at nodes."""
-        tl = self._tl
+        tl, xl = self._tl, self._xl
         if not tl[0] <= time <= tl[-1]:
-            raise IntegrationError(
-                f"evaluation time {time} outside trajectory span [{tl[0]}, {tl[-1]}]"
-            )
+            raise _span_error(tl, time)
         i = bisect.bisect_right(tl, time) - 1
         if i >= len(tl) - 1:
-            return float(self.x[-1])
+            return xl[-1]
         if time == tl[i]:
-            return float(self.x[i])
-        return float(_hermite(tl[i], self.x[i], self.f[i],
-                              tl[i + 1], self.x[i + 1], self.f[i + 1], time))
+            return xl[i]
+        fl = self._fl
+        return float(_hermite(tl[i], xl[i], fl[i], tl[i + 1], xl[i + 1], fl[i + 1], time))
 
     def eval_array(self, times: np.ndarray) -> np.ndarray:
         """Vectorized Hermite evaluation; every time must lie in the span."""
@@ -140,8 +142,17 @@ class Trajectory:
     def shifted(self, dx: float) -> "Trajectory":
         """Trajectory of x + dx; valid when the shifted curve solves the
         correspondingly translated equation (slopes are unchanged)."""
-        return Trajectory(self.direction, self.t, _read_only(self.x + dx), self.f,
-                          self.status, self.t_blow, _tl=self._tl)
+        xl = array("d", self._xl)
+        x = np.frombuffer(xl, dtype=float)
+        np.add(x, dx, out=x)
+        return Trajectory(self.direction, self.t, _read_only(x), self.f,
+                          self.status, self.t_blow, _tl=self._tl, _xl=xl, _fl=self._fl)
+
+
+def _span_error(tl: array, time) -> IntegrationError:
+    """The error of evaluating a trajectory with nodes tl outside its span."""
+    return IntegrationError(
+        f"evaluation time {time} outside trajectory span [{tl[0]}, {tl[-1]}]")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -344,7 +355,7 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     if t_end > t_start:
         ts, xs, fs, status, t_blow = _dp54(rhs, False)(t_start, x0, t_end, config)
         return Trajectory("forward", _view(ts), _view(xs), _view(fs),
-                          status, t_blow, _tl=ts)
+                          status, t_blow, _tl=ts, _xl=xs, _fl=fs)
     ts, xs, fs, status, t_blow = _dp54(rhs, True)(-t_start, x0, -t_end, config)
     # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
     for buf in (ts, xs, fs):
@@ -353,4 +364,5 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
         v = np.frombuffer(buf, dtype=float)
         np.negative(v, out=v)
     return Trajectory("backward", _view(ts), _view(xs), _view(fs),
-                      status, (-t_blow if t_blow is not None else None), _tl=ts)
+                      status, (-t_blow if t_blow is not None else None),
+                      _tl=ts, _xl=xs, _fl=fs)

@@ -337,15 +337,22 @@ class VectorFieldModel:
 
     def frozen_rhs(self, gamma: float) -> Callable[[float, float], float]:
         """Right-hand side t, x -> f(t, x, gamma) with gamma frozen."""
-        e = Emitter()
-        e.bind("g", gamma)
-        return e.compile("frozen_rhs", "t, x", self._emit(e, "f"))
+        return self._along("f", gamma=gamma)
 
     def transition_rhs(self, mechanism) -> Callable[[float, float], float]:
         """Right-hand side t, x -> f(t, x, path(t)) along a parameter path."""
+        return self._along("f", mechanism=mechanism)
+
+    def _along(self, which: str, gamma: float | None = None, mechanism=None):
+        """t, x -> the family formula ``which`` (f or fx) with g = gamma
+        frozen, or with g = the mechanism's path at t, emitted first."""
         e = Emitter()
-        e.lines.append(f"g = {mechanism.emit_path(e)}")
-        return e.compile("transition_rhs", "t, x", self._emit(e, "f"))
+        if mechanism is None:
+            e.bind("g", gamma)
+        else:
+            e.lines.append(f"g = {mechanism.emit_path(e)}")
+        kind = "frozen" if mechanism is None else "transition"
+        return e.compile(f"{kind}_{which}", "t, x", self._emit(e, which))
 
     def tilted(self, lam: float) -> "VectorFieldModel":
         """The same model with field f(t, x, gamma) + lam.
@@ -391,6 +398,18 @@ class VectorFieldModel:
         if self.tilt is not None:
             d["tilt"] = self.tilt
         return d
+
+
+def _fx_along(model, gamma: float | None = None, mechanism=None):
+    """t, x -> model.fx(t, x, g) with g = gamma frozen, or g = the
+    mechanism's path at t: generated like the right-hand sides for a
+    VectorFieldModel, a closure over model.fx for any other model."""
+    if isinstance(model, VectorFieldModel):
+        return model._along("fx", gamma, mechanism)
+    if mechanism is None:
+        return lambda t, x: model.fx(t, x, gamma)
+    path = mechanism.path
+    return lambda t, x: model.fx(t, x, path(t))
 
 
 # Family formulas. ``$name`` stands for a coefficient's value at t or for a

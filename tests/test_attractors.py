@@ -13,6 +13,7 @@ import pytest
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
     AttractorError,
+    NonConvergentError,
     _role_for,
     check_anchor_insensitivity,
     estimate_lyapunov,
@@ -22,6 +23,7 @@ from tiplab.attractors import (
     pullback_repulsive,
 )
 from tiplab.classify import resolve_horizon
+from tiplab.integrator import integrate
 from tiplab.models import make_model
 from tiplab.transitions import ConstantRate, make_profile
 
@@ -183,9 +185,23 @@ def test_lyapunov_exact_on_cubic(cubic):
     assert est_m.value == pytest.approx(1.0, abs=1e-7)
 
 
+def test_lyapunov_refines_until_two_passes_agree(hmodel):
+    # the Holling model's upper attractor: from quad_h = 25 four halvings do
+    # not bring two passes within quad_tol, from quad_h = 5 they do, after
+    # more than the one extra halving the exponent used to stop at
+    upper = limit_hyperbolic_solutions(hmodel, 0.0, (-600.0, 600.0))["upper-attractive"]
+    with pytest.raises(NonConvergentError, match="quadrature refinement stalled at gap"):
+        estimate_lyapunov(hmodel, 0.0, upper, 1000.0, replace(DEFAULT_NUMERICS, quad_h=25.0))
+    est = estimate_lyapunov(hmodel, 0.0, upper, 1000.0, replace(DEFAULT_NUMERICS, quad_h=5.0))
+    assert est.quad_gap <= DEFAULT_NUMERICS.quad_tol
+    assert est.value == pytest.approx(-0.45540, abs=1e-5)
+
+
 def test_gauss3_interval_integrals():
     n, h = 64, math.pi / 64.0
-    parts = gauss3_interval_integrals(math.sin, 0.0, h, n)
+    # any trajectory covering [0, pi] carries an integrand of t alone
+    traj = integrate(lambda t, x: 0.0, 0.0, 0.0, 4.0)
+    parts = gauss3_interval_integrals(lambda t, x: math.sin(t), traj, 0.0, h, n)
     assert float(parts.sum()) == pytest.approx(2.0, abs=1e-12)
     want = [math.cos(i * h) - math.cos((i + 1) * h) for i in range(n)]
     assert parts == pytest.approx(want, abs=1e-13)

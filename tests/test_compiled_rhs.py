@@ -1,7 +1,8 @@
 """Generated right-hand sides against the composed-closure reference.
 
-The compiled functions must return bitwise what the closures return and raise
-the same errors at the same points, for every family, coefficient kind and
+The compiled functions, the quadratures' f_x with gamma frozen or along a
+path included, must return bitwise what the closures return and raise the
+same errors at the same points, for every family, coefficient kind and
 mechanism kind, tilted or not. Whole integrations, where the integrator
 pastes the compiled statements into its stages and calls the closures from
 the same stages, must give bitwise identical trajectories or the same error:
@@ -19,7 +20,7 @@ import pytest
 
 import closure_reference as ref
 from tiplab.integrator import IntegrationError, IntegratorConfig, integrate
-from tiplab.models import FAMILY_NAMES, _FAMILIES, make_coefficient, make_model
+from tiplab.models import FAMILY_NAMES, _FAMILIES, _fx_along, make_coefficient, make_model
 from tiplab.transitions import (
     ConstantRate,
     Phase,
@@ -131,6 +132,8 @@ def test_compiled_field_matches_closures(family, kind, tilt):
     seed = 10 * FAMILY_NAMES.index(family) + COEFF_KINDS.index(kind)
     rhss = [(name, model.transition_rhs(mech), twin.transition_rhs(mech))
             for name, mech in MECHANISMS.items()]
+    fxs = [(name, _fx_along(model, mechanism=mech), ref.path_closure(mech))
+           for name, mech in MECHANISMS.items()]
     errors = 0
     for t, x, g in sample_points(model, 60, seed):
         for name in ("f", "fx", "fxx"):
@@ -145,6 +148,12 @@ def test_compiled_field_matches_closures(family, kind, tilt):
         for name, rhs, want in rhss:
             assert_same(outcome(rhs, t, x), outcome(want, t, x),
                         f"{name} transition_rhs({t!r}, {x!r})")
+        # the generated f_x of the quadratures, frozen and along each path
+        assert_same(outcome(_fx_along(model, gamma=g), t, x), outcome(twin.fx, t, x, g),
+                    f"frozen fx({g!r})({t!r}, {x!r})")
+        for name, fx, path in fxs:
+            assert_same(outcome(fx, t, x), outcome(twin.fx, t, x, path(t)),
+                        f"{name} fx along the path({t!r}, {x!r})")
     if model.domain[0] > -math.inf:
         assert errors > 0, "no sample reached the domain guard"
 
