@@ -12,17 +12,22 @@ the compiled functions return bitwise the values of the formulas written out
 by hand. A fragment that uses a subexpression twice binds it once, either as
 a statement (``Emitter.let``, ``Emitter.sin``) or inside the expression with
 an assignment expression (``Emitter.once``), which keeps the fragment a
-single expression that can sit in one branch of a conditional.
+single expression that can sit in one branch of a conditional. Squared sines
+are shared like sines: ``Emitter.sin(omega, arg, squared=True)`` binds
+sin(omega*arg)**2 once per (omega, arg), so coefficients of one frequency
+square it once; a square of a float in [-1, 1] cannot raise, and it is the
+same float wherever it is computed.
 
 A compiled function keeps its emitter, signature and result expression as
 ``fn.emitted``. The integrator pastes the statements of a right-hand side
 (signature ``t, x``) into every stage of its DP54 loop in place of a call,
-so the loop, too, is one generated function per structure (and direction).
-The results depend on the statement order. The statements run in the order
-they were emitted. The first ``t_only`` of them read t alone: the path and
-coefficient values, emitted before the family formula. The later ones read
-x, and some raise at a pole. A stage taken at the same t as the stage before
-it reruns only the later ones.
+so the loop, too, is one generated function per structure (and direction),
+assembled and compiled once per structure. The results depend on the
+statement order. The statements run in the order they were emitted. The
+first ``t_only`` of them read t alone: the path and coefficient values,
+emitted before the family formula. The later ones read x, and some raise at
+a pole. A stage taken at the same t as the stage before it reruns only the
+later ones.
 """
 
 from __future__ import annotations
@@ -77,13 +82,16 @@ class Emitter:
         self.lines.append(f"{name} = {expr}")
         return name
 
-    def sin(self, omega: float, arg: str) -> str:
-        """A name holding sin(omega * arg), assigned once per (omega, arg)
-        in the function, so coefficients with a common frequency share it."""
-        key = (omega.hex(), arg)    # the exact bits: 0.0 and -0.0 stay apart
+    def sin(self, omega: float, arg: str, squared: bool = False) -> str:
+        """A name holding sin(omega * arg), or its square when squared,
+        assigned once per (omega, arg) in the function, so coefficients with
+        a common frequency share it."""
+        key = (omega.hex(), arg, squared)   # the exact bits: 0.0 and -0.0 stay apart
         name = self._sines.get(key)
         if name is None:
-            name = self._sines[key] = self.let(f"sin({self.num(omega)} * {paren(arg)})")
+            expr = (f"{self.sin(omega, arg)} ** 2" if squared else
+                    f"sin({self.num(omega)} * {paren(arg)})")
+            name = self._sines[key] = self.let(expr)
         return name
 
     def sigmoid_blend(self, left: str, right: str, u: str) -> str:

@@ -13,7 +13,21 @@ right-hand side and direction through ``_codegen`` (``_dp54``). The
 statements of a generated right-hand side are pasted into the stages of a
 trial step, in their own order; any other callable is called from the same
 stages. Each operation keeps its operands and its order, and negation is
-exact, so the nodes are bitwise those of calling the right-hand side.
+exact, so the nodes are bitwise those of calling the right-hand side. The
+loop is assembled and compiled once per structure and direction; each
+integration only binds the numbers.
+
+The step-size rule is the standard one (Hairer, Norsett & Wanner, II.4),
+written so that a step calls no builtin and picks the same floats as the
+builtin calls would (the comment on _DP54 has the argument for each):
+min(h, max_step, t1 - t) is two compares, since min keeps the first of
+equal arguments and h > 0; max(abs(x), abs(xn)), abs(err) and the clamp
+min(10, max(0.2, q)) are conditionals, which may give -0.0 where abs gives
+0.0, but -0.0 only scales rtol next to atol > 0 or meets "== 0.0" and
+"<=", which read both zeros alike; isfinite(v) is v - v == 0.0, true for
+every finite float and false for inf and nan; and the step-size underflow
+test only runs below a per-run floor that bounds it, since t stays between
+the ends of the run.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
-from ._codegen import Emitter
+from ._codegen import Emitter, _factory
 
 
 class IntegrationError(RuntimeError):
@@ -217,6 +231,23 @@ def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
 # names the loop owns start with "_" but not with "_v", so they stay apart
 # from the statements of a right-hand side, whose names are t, x, g, the
 # family's locals, k<n> and _v<n>.
+#
+# A step calls no builtin. Each call of the standard controller (Hairer,
+# Norsett & Wanner, II.4) is written out so that it picks the same float:
+# - min(h, max_step, t1 - t) is the two compares below: min keeps the
+#   first of equal arguments, and h > 0 stays apart from -0.0. t1 - t is
+#   kept as _left, which the clipped-end test compares with h as before.
+# - max(abs(x), abs(xn)), abs(err) and min(10, max(0.2, q)) are
+#   conditionals that keep the first of equal arguments. They give -0.0
+#   where abs gives 0.0, but -0.0 only ever scales _rtol, and
+#   atol + rtol*(-0.0) == atol + rtol*0.0 bit for bit since atol > 0, or
+#   meets "== 0.0" and "<= _sc", which read both zeros alike.
+# - isfinite(v) is v - v == 0.0: inf - inf and nan - nan are nan, and
+#   v - v is 0.0 for every finite float.
+# - The underflow test h < 1e-14*max(1, |t|) runs only below the per-run
+#   floor 1e-14*max(1, |t0|, |t1|). Inside the loop t0 <= t < t1, so the
+#   floor is at least the per-step bound (rounding is monotone), and a step
+#   at or above the floor passes both tests.
 _DP54 = """\
 _ts = _array("d", (_t0,))
 _xs = _array("d", (_x0,))
@@ -224,19 +255,26 @@ _k1 = {sign}_rhs({sign}_t0, _x0)
 if not _isfinite(_k1):
     raise _IntegrationError(f"right-hand side not finite at start ({{_t0}}, {{_x0}})")
 _fs = _array("d", (_k1,))
+_ts_append, _xs_append, _fs_append = _ts.append, _xs.append, _fs.append
 _status, _t_blow = "completed", None
 _span = _t1 - _t0
 _max_step = _cfg.max_step
 _h = min(_max_step, max(1e-6, 1e-3 * _span), _span)
 _t, _x = _t0, _x0
 _rtol, _atol, _x_max = _cfg.rtol, _cfg.atol, _cfg.x_max
+_max_steps = _cfg.max_steps
+_floor = 1e-14 * max(1.0, abs(_t0), abs(_t1))
 _steps = 0
 while _t < _t1:
-    if _steps >= _cfg.max_steps:
+    if _steps >= _max_steps:
         raise _IntegrationError(f"step budget exhausted at t={{_t}}")
     _steps += 1
-    _h = min(_h, _max_step, _t1 - _t)
-    if _h < 1e-14 * max(1.0, abs(_t)):
+    if _max_step < _h:
+        _h = _max_step
+    _left = _t1 - _t
+    if _left < _h:
+        _h = _left
+    if _h < _floor and _h < 1e-14 * max(1.0, abs(_t)):
         if abs(_x) >= 1e-3 * _x_max:
             # the controller stalls on a solution that is already huge
             # and still growing: an escape whose asymptote sits just
@@ -251,35 +289,41 @@ while _t < _t1:
         # a trial stage left the rhs domain; treat as a failed step
         _h *= 0.25
         continue
-    if not (_isfinite(_xn) and _isfinite(_k7) and _isfinite(_err)):
+    if not (_xn - _xn == 0.0 and _k7 - _k7 == 0.0 and _err - _err == 0.0):
         _h *= 0.25
         continue
-    _sc = _atol + _rtol * max(abs(_x), abs(_xn))
-    _aerr = abs(_err)
+    _ax = _x if _x >= 0.0 else -_x
+    _axn = _xn if _xn >= 0.0 else -_xn
+    _sc = _atol + _rtol * (_axn if _axn > _ax else _ax)
+    _aerr = _err if _err >= 0.0 else -_err
     if _aerr <= _sc:
         # t + (t1 - t) can miss t1 by an ulp; the clipped step ends on t1
-        _t_next = _t1 if _h == _t1 - _t else _t + _h
-        if abs(_xn) >= _x_max:
+        _t_next = _t1 if _h == _left else _t + _h
+        if _axn >= _x_max:
             _tb = _locate_blow(_t, _x, _k1, _t_next, _xn, _k7, _x_max)
             _xb = _hermite(_t, _x, _k1, _t_next, _xn, _k7, _tb)
-            _ts.append(_tb)
-            _xs.append(_xb)
+            _ts_append(_tb)
+            _xs_append(_xb)
             try:
                 _fb = {sign}_rhs({sign}_tb, _xb)
             except (ValueError, ArithmeticError):
                 _fb = _nan
-            _fs.append(_fb if _isfinite(_fb) else 0.0)
+            _fs_append(_fb if _isfinite(_fb) else 0.0)
             _status = "blow-up"
             _t_blow = _tb
             break
         _t, _x, _k1 = _t_next, _xn, _k7
-        _ts.append(_t)
-        _xs.append(_x)
-        _fs.append(_k1)
-        _factor = 10.0 if _aerr == 0.0 else min(10.0, max(0.2, 0.9 * (_sc / _aerr) ** 0.2))
-        _h *= _factor
+        _ts_append(_t)
+        _xs_append(_x)
+        _fs_append(_k1)
+        if _aerr == 0.0:
+            _h *= 10.0
+        else:
+            _q = 0.9 * (_sc / _aerr) ** 0.2
+            _h *= 10.0 if _q >= 10.0 else _q if _q > 0.2 else 0.2
     else:
-        _h *= max(0.2, 0.9 * (_sc / _aerr) ** 0.2)"""
+        _q = 0.9 * (_sc / _aerr) ** 0.2
+        _h *= _q if _q > 0.2 else 0.2"""
 
 
 def _weighted(pairs) -> str:
@@ -299,6 +343,46 @@ def _stage(body, t: str, x: str, k: str, backward: bool, same_t: bool = False) -
     return "\n".join("        " + ln for stmt in lines for ln in stmt.split("\n"))
 
 
+# The values every loop is bound to, ahead of the right-hand side's
+_LOOP_VALUES = {"_array": array, "_isfinite": math.isfinite,
+                "_IntegrationError": IntegrationError, "_nan": math.nan,
+                "_locate_blow": _locate_blow, "_hermite": _hermite}
+_LOOP_SIGNATURE = "_t0, _x0, _t1, _cfg"
+_LOOP_RESULT = "_ts, _xs, _fs, _status, _t_blow"
+# Assembled loops, (emitter without values, factory), by right-hand-side
+# structure and direction; the oldest goes once _LOOPS_HELD are kept.
+_LOOPS: dict = {}
+_LOOPS_HELD = 512
+
+
+def _assemble(emitted, backward: bool):
+    """(emitter, factory) of the DP54 loop for a right-hand side whose
+    ``emitted`` statements are pasted in, or that is called when emitted is
+    None. The emitter holds the names and statements; the factory takes
+    the values of _LOOP_VALUES, then rhs, then the right-hand side's."""
+    e = Emitter()
+    for name in _LOOP_VALUES:
+        e.bind(name, None)
+    e.bind("_rhs", None)
+    if emitted is None:
+        body = ((), (), "_rhs(t, x)")
+    else:
+        src, _, result = emitted
+        for name in src.names:
+            e.bind(name, None)
+        body = (src.lines[:src.t_only], src.lines[src.t_only:], result)
+    trial = []
+    for i, a in _A.items():
+        t = f"_t + {_C[i]!r} * _h" if i in _C else "_t + _h"
+        x = f"_x + _h * ({_weighted(enumerate(a, 1))})"
+        trial.append(_stage(body, t, x, f"_k{i}", backward))
+    trial.append(f"        _xn = _x + _h * ({_weighted(_B)})")
+    trial.append(_stage(body, "_t + _h", "_xn", "_k7", backward, same_t=True))
+    trial.append(f"        _err = _h * ({_weighted(_E)})")
+    e.lines.append(_DP54.format(sign="-" if backward else "", trial="\n".join(trial)))
+    return e, _factory(e.source("dp54", _LOOP_SIGNATURE, _LOOP_RESULT))
+
+
 def _dp54(rhs, backward: bool):
     """The DP54 loop for rhs in one direction, as one generated function
     (t0, x0, t1, cfg) -> (ts, xs, fs, status, t_blow).
@@ -309,31 +393,29 @@ def _dp54(rhs, backward: bool):
     reuses the time statements of stage 6, since both are taken at t + h.
     Any other callable is called from the same stages, so 6 times per trial
     step. Every operation keeps its operands and order, so the nodes are
-    bitwise those of calling rhs at every stage."""
-    e = Emitter()
-    e.bind("_rhs", rhs)
+    bitwise those of calling rhs at every stage.
+
+    The loop is assembled and compiled once per structure and direction:
+    per code object, bound names and t_only of a pasted right-hand side,
+    and once for every called one. A call only binds the values, so the
+    emitter in the loop's ``emitted`` holds its names and statements but
+    not its values."""
     emitted = getattr(rhs, "emitted", None)
     if emitted is None or emitted[1] != "t, x":
-        body = ((), (), "_rhs(t, x)")
+        emitted, key, values = None, backward, (rhs,)
     else:
-        src, _, result = emitted
-        for name, value in zip(src.names, src.values):
-            e.bind(name, value)
-        body = (src.lines[:src.t_only], src.lines[src.t_only:], result)
-    for name, value in (("_array", array), ("_isfinite", math.isfinite),
-                        ("_IntegrationError", IntegrationError), ("_nan", math.nan),
-                        ("_locate_blow", _locate_blow), ("_hermite", _hermite)):
-        e.bind(name, value)
-    trial = []
-    for i, a in _A.items():
-        t = f"_t + {_C[i]!r} * _h" if i in _C else "_t + _h"
-        x = f"_x + _h * ({_weighted(enumerate(a, 1))})"
-        trial.append(_stage(body, t, x, f"_k{i}", backward))
-    trial.append(f"        _xn = _x + _h * ({_weighted(_B)})")
-    trial.append(_stage(body, "_t + _h", "_xn", "_k7", backward, same_t=True))
-    trial.append(f"        _err = _h * ({_weighted(_E)})")
-    e.lines.append(_DP54.format(sign="-" if backward else "", trial="\n".join(trial)))
-    return e.compile("dp54", "_t0, _x0, _t1, _cfg", "_ts, _xs, _fs, _status, _t_blow")
+        src = emitted[0]
+        key = (rhs.__code__, tuple(src.names), src.t_only, backward)
+        values = (rhs, *src.values)
+    loop = _LOOPS.get(key)
+    if loop is None:
+        if len(_LOOPS) >= _LOOPS_HELD:
+            del _LOOPS[next(iter(_LOOPS))]
+        loop = _LOOPS[key] = _assemble(emitted, backward)
+    e, factory = loop
+    fn = factory(*_LOOP_VALUES.values(), *values)
+    fn.emitted = (e, _LOOP_SIGNATURE, _LOOP_RESULT)
+    return fn
 
 
 def integrate(rhs, t_start: float, x0: float, t_end: float,

@@ -126,7 +126,7 @@ class Curve:
         if kind == "sin":
             return f"{off} + {a} * {e.sin(p['omega'], arg)}"
         if kind == "sin2":
-            return f"{off} + {a} * {e.sin(p['omega'], arg)} ** 2"
+            return f"{off} + {a} * {e.sin(p['omega'], arg, squared=True)}"
         if kind == "rational-dip":
             first, again = e.once(arg)
             return f"{off} + {a} / ({e.num(p['width'])} + {first} * {again})"

@@ -201,6 +201,13 @@ def test_shared_frequencies_are_computed_once(dmodel):
     assert sum(line.count("sin(") for line in e.lines) == 3
 
 
+def test_shared_squared_sines_are_computed_once(dmodel, dprof):
+    # all five coefficients of criterion 2 are sin2 kinds: their three
+    # frequencies give three squares, not five
+    src, _, result = dmodel.transition_rhs(ConstantRate(dprof, 1.0)).emitted
+    assert sum(line.count("** 2") for line in (*src.lines, result)) == 3
+
+
 def test_stage_7_reuses_the_time_terms_of_stage_6(dmodel, dprof):
     # criterion 2's transition rhs has three sin terms (the test above). A
     # trial step takes stages 2 to 7, and stage 7 is at the same t + h as
