@@ -29,19 +29,12 @@ def _bits(v):
     return None if v is None else float(v).hex()
 
 
-def _outcome(rhs, t0, x0, t1, config):
+def _outcome(run, rhs, t0, x0, t1, config=integrator.DEFAULT_CONFIG):
+    """What run (integrate or the reference) gives: the trajectory's bits,
+    or the error's type and message."""
     try:
-        traj = integrate(rhs, t0, x0, t1, config)
+        traj = run(rhs, t0, x0, t1, config)
     except Exception as exc:  # noqa: BLE001 - the error is the outcome
-        return type(exc), str(exc)
-    return (traj.direction, traj.status, _bits(traj.t_blow),
-            traj.t.tobytes(), traj.x.tobytes(), traj.f.tobytes())
-
-
-def _reference(rhs, t0, x0, t1, config):
-    try:
-        traj = ref.integrate(rhs, t0, x0, t1, config)
-    except Exception as exc:  # noqa: BLE001
         return type(exc), str(exc)
     return (traj.direction, traj.status, _bits(traj.t_blow),
             traj.t.tobytes(), traj.x.tobytes(), traj.f.tobytes())
@@ -71,9 +64,8 @@ def same_run(rhs, t0, x0, t1, config=integrator.DEFAULT_CONFIG, pasted=None):
     (pasted, when given, is a generated twin of rhs that integrate pastes
     into its stages). Returns (outcome, the counted reference rhs)."""
     counted = Counted(rhs)
-    want = _reference(counted, t0, x0, t1, config)
-    got = _outcome(pasted if pasted is not None else rhs, t0, x0, t1, config)
-    assert got == want
+    want = _outcome(ref.integrate, counted, t0, x0, t1, config)
+    assert _outcome(integrate, pasted or rhs, t0, x0, t1, config) == want
     return want, counted
 
 
@@ -256,8 +248,8 @@ def test_the_loop_is_assembled_once_per_structure(monkeypatch):
         for t1 in (20.0, -20.0):
             traj = integrate(rhs, 0.0, 1.0, t1)
             runs.append(traj.x.tobytes())
-            assert _outcome(rhs, 0.0, 1.0, t1, integrator.DEFAULT_CONFIG) == \
-                _reference(rhs.__call__, 0.0, 1.0, t1, integrator.DEFAULT_CONFIG)
+            assert _outcome(integrate, rhs, 0.0, 1.0, t1) == \
+                _outcome(ref.integrate, rhs.__call__, 0.0, 1.0, t1)
     assert sources.count("dp54") == 2
     assert len(set(runs)) == 4
     # a called right-hand side shares one loop per direction with every other
