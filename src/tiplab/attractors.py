@@ -57,7 +57,6 @@ class Numerics:
     band_margin: float = 1.0
     window_samples: int = 257
     anchor_delta: float = 1.0e-4
-    anchor_tol: float = 1.0e-6
     quad_h: float = 0.1
     quad_tol: float = 1.0e-6
     warn_refine_tol: float = 1.0e-3

@@ -102,6 +102,14 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
     Requires the full hyperbolic structure of the limit equations at the
     path's past and future limits. An indeterminate outcome is retried once
     with a doubled horizon.
+
+    The pullback solution that can decide the label is integrated first,
+    and the others only when it does not, so evidence lists only the runs
+    that decided the label: a C2 label whose u lands on the lower attractor
+    has the keys u_to_upper, u_to_lower, u_status and track_tol; a concave
+    C whose a blows up has a_to_attractive, a_status, a_blow, a_band_exit
+    and track_tol. An error that a run not integrated would have raised is
+    not raised.
     """
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
     cache = LimitCache(model, num)
@@ -154,13 +162,21 @@ def _terminal_distance(traj: Trajectory, target: float, H: float) -> float:
 
 
 def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
+    """u is integrated first: when it misses the upper attractor and lands
+    on the lower one, A is ruled out and C2 holds whatever l and m do, so
+    they are not integrated."""
     u = pullback_attractive(model, mechanism, past["upper-attractive"], H, num)
-    low = pullback_attractive(model, mechanism, past["lower-attractive"], H, num)
-    m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
-
     up_target, low_target, track_tol = _tracking_targets(mechanism, future, H, num)
     d_u_up = _terminal_distance(u.trajectory, up_target, H)
     d_u_low = _terminal_distance(u.trajectory, low_target, H)
+    if not d_u_up < track_tol and d_u_low < track_tol:
+        return CaseLabel("C2", DCONCAVE, H, {
+            "u_to_upper": d_u_up, "u_to_lower": d_u_low,
+            "u_status": u.status, "track_tol": track_tol,
+        })
+
+    low = pullback_attractive(model, mechanism, past["lower-attractive"], H, num)
+    m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
     d_l_up = _terminal_distance(low.trajectory, up_target, H)
     d_l_low = _terminal_distance(low.trajectory, low_target, H)
     evidence = {
@@ -182,18 +198,26 @@ def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
 
 
 def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
+    """a is integrated first: its blow-up decides C, so r is not
+    integrated."""
     a = pullback_attractive(model, mechanism, past["attractive"], H, num)
-    r = pullback_repulsive(model, mechanism, future["repulsive"], H, num)
-
     a_target, _, track_tol = _tracking_targets(mechanism, future, H, num)
     d_a = _terminal_distance(a.trajectory, a_target, H)
+    if a.status == "blow-up":
+        return CaseLabel("C", CONCAVE, H, {
+            "a_to_attractive": d_a, "a_status": a.status,
+            "a_blow": a.trajectory.t_blow, "a_band_exit": a.band_exit_time,
+            "track_tol": track_tol,
+        })
+
+    r = pullback_repulsive(model, mechanism, future["repulsive"], H, num)
     evidence = {
         "a_to_attractive": d_a, "a_status": a.status, "r_status": r.status,
         "a_blow": a.trajectory.t_blow, "r_blow": r.trajectory.t_blow,
         "a_band_exit": a.band_exit_time, "r_band_exit": r.band_exit_time,
         "track_tol": track_tol,
     }
-    if a.status == "blow-up" or r.status == "blow-up":
+    if r.status == "blow-up":
         label = "C"
     elif a.bounded and r.bounded and d_a < track_tol:
         label = "A"

@@ -213,10 +213,14 @@ def _read_integrator(block: dict) -> IntegratorConfig:
 
 
 def build_numerics(cfg: dict) -> Numerics:
-    """The numerics block: the fields of Numerics, integ under the key integrator."""
+    """The numerics block: the fields of Numerics, integ under the key
+    integrator. Older manifests also list ``anchor_tol``, which no run
+    read: it is dropped."""
     fields = _fields(Numerics)
     fields["integrator"] = fields.pop("integ")
-    args = _read_fields(cfg.get("numerics") or {}, fields, "numerics")
+    block = dict(cfg.get("numerics") or {})
+    block.pop("anchor_tol", None)
+    args = _read_fields(block, fields, "numerics")
     args["integ"] = args.pop("integrator", fields["integrator"].default)
     return Numerics(**args)
 

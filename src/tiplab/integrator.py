@@ -227,10 +227,11 @@ def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
 
 
 # The DP54 loop in the integration clock (s = -t for a backward run, where
-# {sign} is "-"); _dp54 fills {trial} with the stages of a trial step. The
-# names the loop owns start with "_" but not with "_v", so they stay apart
-# from the statements of a right-hand side, whose names are t, x, g, the
-# family's locals, k<n> and _v<n>.
+# {sign} is "-"); _dp54 fills {trial} with the stages of a trial step. Its
+# error messages name the original time, {sign}_t. The names the loop owns
+# start with "_" but not with "_v", so they stay apart from the statements
+# of a right-hand side, whose names are t, x, g, the family's locals, k<n>
+# and _v<n>.
 #
 # A step calls no builtin. Each call of the standard controller (Hairer,
 # Norsett & Wanner, II.4) is written out so that it picks the same float:
@@ -253,7 +254,7 @@ _ts = _array("d", (_t0,))
 _xs = _array("d", (_x0,))
 _k1 = {sign}_rhs({sign}_t0, _x0)
 if not _isfinite(_k1):
-    raise _IntegrationError(f"right-hand side not finite at start ({{_t0}}, {{_x0}})")
+    raise _IntegrationError(f"right-hand side not finite at start ({{{sign}_t0}}, {{_x0}})")
 _fs = _array("d", (_k1,))
 _ts_append, _xs_append, _fs_append = _ts.append, _xs.append, _fs.append
 _status, _t_blow = "completed", None
@@ -267,7 +268,7 @@ _floor = 1e-14 * max(1.0, abs(_t0), abs(_t1))
 _steps = 0
 while _t < _t1:
     if _steps >= _max_steps:
-        raise _IntegrationError(f"step budget exhausted at t={{_t}}")
+        raise _IntegrationError(f"step budget exhausted at t={{{sign}_t}}")
     _steps += 1
     if _max_step < _h:
         _h = _max_step
@@ -282,7 +283,7 @@ while _t < _t1:
             _status = "blow-up"
             _t_blow = _t
             break
-        raise _IntegrationError(f"step size underflow at t={{_t}}")
+        raise _IntegrationError(f"step size underflow at t={{{sign}_t}}")
     try:
 {trial}
     except (ValueError, ArithmeticError):

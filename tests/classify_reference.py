@@ -1,0 +1,64 @@
+"""The two case rules of ``classify`` as they were before they stopped early.
+
+Each rule integrated every pullback solution of its concavity class (u, l
+and m for a d-concave field; a and r for a concave one) before it read any
+of them. ``_classify_dconcave`` and ``_classify_concave`` below are kept
+verbatim; they use the package's own pullbacks, tracking targets and
+terminal distances. ``classify`` must give the same label, and every
+evidence key both report must hold the same value.
+"""
+
+from __future__ import annotations
+
+from tiplab.attractors import pullback_attractive, pullback_repulsive
+from tiplab.classify import CaseLabel, _terminal_distance, _tracking_targets
+from tiplab.models import CONCAVE, DCONCAVE
+
+
+def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
+    u = pullback_attractive(model, mechanism, past["upper-attractive"], H, num)
+    low = pullback_attractive(model, mechanism, past["lower-attractive"], H, num)
+    m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
+
+    up_target, low_target, track_tol = _tracking_targets(mechanism, future, H, num)
+    d_u_up = _terminal_distance(u.trajectory, up_target, H)
+    d_u_low = _terminal_distance(u.trajectory, low_target, H)
+    d_l_up = _terminal_distance(low.trajectory, up_target, H)
+    d_l_low = _terminal_distance(low.trajectory, low_target, H)
+    evidence = {
+        "u_to_upper": d_u_up, "u_to_lower": d_u_low,
+        "l_to_upper": d_l_up, "l_to_lower": d_l_low,
+        "m_bounded": m.bounded, "m_band_exit": m.band_exit_time,
+        "u_status": u.status, "l_status": low.status, "m_status": m.status,
+        "track_tol": track_tol,
+    }
+    if d_u_up < track_tol and d_l_low < track_tol and m.bounded:
+        label = "A"
+    elif d_u_low < track_tol:
+        label = "C2"
+    elif d_l_up < track_tol:
+        label = "C1"
+    else:
+        label = "indeterminate"
+    return CaseLabel(label, DCONCAVE, H, evidence)
+
+
+def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
+    a = pullback_attractive(model, mechanism, past["attractive"], H, num)
+    r = pullback_repulsive(model, mechanism, future["repulsive"], H, num)
+
+    a_target, _, track_tol = _tracking_targets(mechanism, future, H, num)
+    d_a = _terminal_distance(a.trajectory, a_target, H)
+    evidence = {
+        "a_to_attractive": d_a, "a_status": a.status, "r_status": r.status,
+        "a_blow": a.trajectory.t_blow, "r_blow": r.trajectory.t_blow,
+        "a_band_exit": a.band_exit_time, "r_band_exit": r.band_exit_time,
+        "track_tol": track_tol,
+    }
+    if a.status == "blow-up" or r.status == "blow-up":
+        label = "C"
+    elif a.bounded and r.bounded and d_a < track_tol:
+        label = "A"
+    else:
+        label = "indeterminate"
+    return CaseLabel(label, CONCAVE, H, evidence)

@@ -171,7 +171,7 @@ def test_anchor_insensitivity(cubic, cubic_pulse, num):
     past = limit_hyperbolic_solutions(cubic, 0.0, (-H, H), num)
     u = pullback_attractive(cubic, mech, past["upper-attractive"], H, num)
     worst = check_anchor_insensitivity(cubic, mech, u, num)
-    assert worst < num.anchor_tol
+    assert worst < 1.0e-6
 
 
 def test_lyapunov_exact_on_cubic(cubic):

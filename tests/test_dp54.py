@@ -8,12 +8,16 @@ message, on runs that drive every branch of the controller: a clipped last
 step, rejected steps, an error estimate of exactly 0, a stage that raises or
 returns inf or nan, both blow-up branches, step-size underflow and an
 exhausted step budget, in both directions, from -0.0 and on spans with |t|
-below and above 1. The structure of a run (which rhs kinds, which
-direction) also fixes how often its loop source is assembled: once.
+below and above 1. The reference names its integration clock s = -t in
+the error messages of a backward run; integrate names t, so the comparison
+reads the reference's clock back as t. The structure of a run (which rhs
+kinds, which direction) also fixes how often its loop source is assembled:
+once.
 """
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -59,12 +63,21 @@ class Counted:
         return v
 
 
+def _original_clock(message):
+    """An error message of the reference's backward run, with each time it
+    names in the clock s = -t read back as t."""
+    return re.sub(r"(at t=|at start \()([^,\s)]+)",
+                  lambda m: f"{m[1]}{-float(m[2])}", message)
+
+
 def same_run(rhs, t0, x0, t1, config=integrator.DEFAULT_CONFIG, pasted=None):
     """The reference's outcome, after checking that integrate gives it too
     (pasted, when given, is a generated twin of rhs that integrate pastes
     into its stages). Returns (outcome, the counted reference rhs)."""
     counted = Counted(rhs)
     want = _outcome(ref.integrate, counted, t0, x0, t1, config)
+    if t1 < t0 and len(want) == 2:
+        want = (want[0], _original_clock(want[1]))
     assert _outcome(integrate, pasted or rhs, t0, x0, t1, config) == want
     return want, counted
 
@@ -124,6 +137,22 @@ def test_a_stage_raising_domain_error_at_the_rational_pole(dmodel, dprof):
     rhs = dmodel.transition_rhs(ConstantRate(dprof, 1.0))
     out, counted = same_run(rhs.__call__, -20.0, 1.0e5, 20.0, pasted=rhs)
     assert out[1] == "completed" and counted.raises > 0
+
+
+def test_a_backward_error_names_the_original_time(dmodel):
+    # the d-concave rational model's pole stalls the backward run from
+    # x0 = -1.4 near t = -1.199, a two-step budget runs out before t = 0,
+    # and a slope that is not finite at the start names t0 = 3
+    with pytest.raises(integrator.IntegrationError,
+                       match=r"^step size underflow at t=-1\.1986\d*$"):
+        integrate(dmodel.frozen_rhs(1.5), 0.0, -1.4, -10.0)
+    with pytest.raises(integrator.IntegrationError, match="budget") as info:
+        integrate(lambda t, x: math.sin(t) - x, 0.0, 1.0, -30.0,
+                  IntegratorConfig(max_steps=2))
+    assert -30.0 < float(str(info.value).rpartition("=")[2]) < 0.0
+    with pytest.raises(integrator.IntegrationError,
+                       match=r"^right-hand side not finite at start \(3\.0, 1\.0\)$"):
+        integrate(lambda t, x: math.inf, 3.0, 1.0, -30.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -13,6 +13,7 @@ import pytest
 
 from test_bitwise_pins import CONFIGS, GOLDEN, result_files
 from tiplab import cli
+from tiplab.attractors import DEFAULT_NUMERICS
 
 MANIFESTS = GOLDEN / "manifests"
 
@@ -41,3 +42,12 @@ def test_removed_integrator_setting_is_refused(key, value, tmp_path, capsys):
     rc = cli.main(["classify", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "was removed" in capsys.readouterr().err
+
+
+def test_numerics_carry_no_anchor_tol():
+    # no run read anchor_tol: a new manifest leaves it out, and an old
+    # manifest that lists it still builds the default numerics
+    assert "anchor_tol" not in cli.resolved_numerics(DEFAULT_NUMERICS)
+    manifest = json.loads((MANIFESTS / "classify.json").read_text())
+    assert "anchor_tol" in manifest["config"]["numerics"]
+    assert cli.build_numerics(manifest["config"]) == DEFAULT_NUMERICS

@@ -214,7 +214,7 @@ def test_pullback_anchor_insensitive(c):
     H = resolve_horizon(mech, NUM)
     past = PAST_CACHE.get(0.0, H)
     sol = pullback_attractive(CUBIC, mech, past["upper-attractive"], H, NUM)
-    assert check_anchor_insensitivity(CUBIC, mech, sol, NUM) < NUM.anchor_tol
+    assert check_anchor_insensitivity(CUBIC, mech, sol, NUM) < 1.0e-6
 
 
 # ---------------------------------------------------------------------------
