@@ -21,13 +21,14 @@ same float wherever it is computed.
 A compiled function keeps its emitter, signature and result expression as
 ``fn.emitted``. The integrator pastes the statements of a right-hand side
 (signature ``t, x``) into every stage of its DP54 loop in place of a call,
-so the loop, too, is one generated function per structure (and direction),
-assembled and compiled once per structure. The results depend on the
-statement order. The statements run in the order they were emitted. The
-first ``t_only`` of them read t alone: the path and coefficient values,
-emitted before the family formula. The later ones read x, and some raise at
-a pole. A stage taken at the same t as the stage before it reruns only the
-later ones.
+so the loop, too, is one generated function per structure (and direction).
+Its source is formatted on each integration and compiled once per source
+text by ``_factory``, the one cache of generated code. The results depend
+on the statement order. The statements run in the order they were emitted.
+The first ``t_only`` of them read t alone: the path and coefficient values,
+emitted before the family formula. The later ones read x, and some raise
+at a pole. A stage taken at the same t as the stage before it reruns only
+the later ones.
 """
 
 from __future__ import annotations

@@ -86,7 +86,7 @@ class LimitCache:
         key = (gamma, horizon)
         if key not in self._sets:
             if self.model.translation_invariant and gamma != 0.0:
-                ls = self._limit_set(0.0, horizon).require_complete().shifted(gamma, gamma)
+                ls = self._limit_set(0.0, horizon).shifted(gamma, gamma)
             else:
                 ls = limit_hyperbolic_solutions(self.model, gamma, (-horizon, horizon),
                                                 self.num)

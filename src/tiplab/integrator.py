@@ -14,20 +14,12 @@ statements of a generated right-hand side are pasted into the stages of a
 trial step, in their own order; any other callable is called from the same
 stages. Each operation keeps its operands and its order, and negation is
 exact, so the nodes are bitwise those of calling the right-hand side. The
-loop is assembled and compiled once per structure and direction; each
-integration only binds the numbers.
+loop source is formatted on each integration and compiled once per source
+text, through the one cache in ``_codegen``.
 
 The step-size rule is the standard one (Hairer, Norsett & Wanner, II.4),
 written so that a step calls no builtin and picks the same floats as the
-builtin calls would (the comment on _DP54 has the argument for each):
-min(h, max_step, t1 - t) is two compares, since min keeps the first of
-equal arguments and h > 0; max(abs(x), abs(xn)), abs(err) and the clamp
-min(10, max(0.2, q)) are conditionals, which may give -0.0 where abs gives
-0.0, but -0.0 only scales rtol next to atol > 0 or meets "== 0.0" and
-"<=", which read both zeros alike; isfinite(v) is v - v == 0.0, true for
-every finite float and false for inf and nan; and the step-size underflow
-test only runs below a per-run floor that bounds it, since t stays between
-the ends of the run.
+builtin calls would; the comment on ``_DP54`` has the argument.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
-from ._codegen import Emitter, _factory
+from ._codegen import Emitter
 
 
 class IntegrationError(RuntimeError):
@@ -146,9 +138,9 @@ class Trajectory:
         """Vectorized Hermite evaluation; every time must lie in the span."""
         times = np.asarray(times, dtype=float)
         t = self.t
-        if times.size and (times.min() < t[0] or times.max() > t[-1]):
-            raise IntegrationError(
-                f"evaluation times outside trajectory span [{t[0]}, {t[-1]}]")
+        outside = ~((times >= t[0]) & (times <= t[-1]))
+        if outside.any():
+            raise _span_error(self._tl, float(times[outside].flat[0]))
         i = np.clip(np.searchsorted(t, times, side="right") - 1, 0, len(t) - 2)
         return _hermite(t[i], self.x[i], self.f[i],
                         t[i + 1], self.x[i + 1], self.f[i + 1], times)
@@ -348,40 +340,6 @@ def _stage(body, t: str, x: str, k: str, backward: bool, same_t: bool = False) -
 _LOOP_VALUES = {"_array": array, "_isfinite": math.isfinite,
                 "_IntegrationError": IntegrationError, "_nan": math.nan,
                 "_locate_blow": _locate_blow, "_hermite": _hermite}
-_LOOP_SIGNATURE = "_t0, _x0, _t1, _cfg"
-_LOOP_RESULT = "_ts, _xs, _fs, _status, _t_blow"
-# Assembled loops, (emitter without values, factory), by right-hand-side
-# structure and direction; the oldest goes once _LOOPS_HELD are kept.
-_LOOPS: dict = {}
-_LOOPS_HELD = 512
-
-
-def _assemble(emitted, backward: bool):
-    """(emitter, factory) of the DP54 loop for a right-hand side whose
-    ``emitted`` statements are pasted in, or that is called when emitted is
-    None. The emitter holds the names and statements; the factory takes
-    the values of _LOOP_VALUES, then rhs, then the right-hand side's."""
-    e = Emitter()
-    for name in _LOOP_VALUES:
-        e.bind(name, None)
-    e.bind("_rhs", None)
-    if emitted is None:
-        body = ((), (), "_rhs(t, x)")
-    else:
-        src, _, result = emitted
-        for name in src.names:
-            e.bind(name, None)
-        body = (src.lines[:src.t_only], src.lines[src.t_only:], result)
-    trial = []
-    for i, a in _A.items():
-        t = f"_t + {_C[i]!r} * _h" if i in _C else "_t + _h"
-        x = f"_x + _h * ({_weighted(enumerate(a, 1))})"
-        trial.append(_stage(body, t, x, f"_k{i}", backward))
-    trial.append(f"        _xn = _x + _h * ({_weighted(_B)})")
-    trial.append(_stage(body, "_t + _h", "_xn", "_k7", backward, same_t=True))
-    trial.append(f"        _err = _h * ({_weighted(_E)})")
-    e.lines.append(_DP54.format(sign="-" if backward else "", trial="\n".join(trial)))
-    return e, _factory(e.source("dp54", _LOOP_SIGNATURE, _LOOP_RESULT))
 
 
 def _dp54(rhs, backward: bool):
@@ -396,27 +354,30 @@ def _dp54(rhs, backward: bool):
     step. Every operation keeps its operands and order, so the nodes are
     bitwise those of calling rhs at every stage.
 
-    The loop is assembled and compiled once per structure and direction:
-    per code object, bound names and t_only of a pasted right-hand side,
-    and once for every called one. A call only binds the values, so the
-    emitter in the loop's ``emitted`` holds its names and statements but
-    not its values."""
+    The loop is formatted on each call and compiled once per source text,
+    like every other generated function (Emitter.compile)."""
+    e = Emitter()
+    for name, value in _LOOP_VALUES.items():
+        e.bind(name, value)
+    e.bind("_rhs", rhs)
     emitted = getattr(rhs, "emitted", None)
     if emitted is None or emitted[1] != "t, x":
-        emitted, key, values = None, backward, (rhs,)
+        body = ((), (), "_rhs(t, x)")
     else:
-        src = emitted[0]
-        key = (rhs.__code__, tuple(src.names), src.t_only, backward)
-        values = (rhs, *src.values)
-    loop = _LOOPS.get(key)
-    if loop is None:
-        if len(_LOOPS) >= _LOOPS_HELD:
-            del _LOOPS[next(iter(_LOOPS))]
-        loop = _LOOPS[key] = _assemble(emitted, backward)
-    e, factory = loop
-    fn = factory(*_LOOP_VALUES.values(), *values)
-    fn.emitted = (e, _LOOP_SIGNATURE, _LOOP_RESULT)
-    return fn
+        src, _, result = emitted
+        for name, value in zip(src.names, src.values):
+            e.bind(name, value)
+        body = (src.lines[:src.t_only], src.lines[src.t_only:], result)
+    trial = []
+    for i, a in _A.items():
+        t = f"_t + {_C[i]!r} * _h" if i in _C else "_t + _h"
+        x = f"_x + _h * ({_weighted(enumerate(a, 1))})"
+        trial.append(_stage(body, t, x, f"_k{i}", backward))
+    trial.append(f"        _xn = _x + _h * ({_weighted(_B)})")
+    trial.append(_stage(body, "_t + _h", "_xn", "_k7", backward, same_t=True))
+    trial.append(f"        _err = _h * ({_weighted(_E)})")
+    e.lines.append(_DP54.format(sign="-" if backward else "", trial="\n".join(trial)))
+    return e.compile("dp54", "_t0, _x0, _t1, _cfg", "_ts, _xs, _fs, _status, _t_blow")
 
 
 def integrate(rhs, t_start: float, x0: float, t_end: float,

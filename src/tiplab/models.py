@@ -355,7 +355,8 @@ class VectorFieldModel:
         return e.compile(f"{kind}_{which}", "t, x", self._emit(e, which))
 
     def tilted(self, lam: float) -> "VectorFieldModel":
-        """The same model with field f(t, x, gamma) + lam.
+        """The same model with field f(t, x, gamma) + lam; on a tilted
+        model the tilts add.
 
         The same lam gives the same copy, so its limit sets are shared; 0.0
         and -0.0 are kept apart, since the tilt is part of the rhs. Only the
@@ -365,7 +366,7 @@ class VectorFieldModel:
         key = lam.hex()
         model = self._tilts.get(key)
         if model is None:
-            model = replace(self, tilt=lam)
+            model = replace(self, tilt=lam if self.tilt is None else self.tilt + lam)
             if len(self._tilts) < _TILTS_HELD:
                 self._tilts[key] = model
         return model

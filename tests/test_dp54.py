@@ -11,7 +11,7 @@ exhausted step budget, in both directions, from -0.0 and on spans with |t|
 below and above 1. The reference names its integration clock s = -t in
 the error messages of a backward run; integrate names t, so the comparison
 reads the reference's clock back as t. The structure of a run (which rhs
-kinds, which direction) also fixes how often its loop source is assembled:
+kinds, which direction) also fixes how often its loop source is compiled:
 once.
 """
 
@@ -256,18 +256,18 @@ def test_generated_models_in_both_directions(dmodel, dprof, hmodel, hprof, cmode
                     same_run(rhs.__call__, t0, x0, t1, pasted=rhs)
 
 
-def test_the_loop_is_assembled_once_per_structure(monkeypatch):
+def test_the_loop_is_compiled_once_per_structure(monkeypatch):
     # two models of one structure with different numbers: their loop source
-    # is formatted once per direction, and each run is still its own
-    monkeypatch.setattr(integrator, "_LOOPS", {})
-    sources = []
-    inner = _codegen.Emitter.source
+    # is compiled once per direction, and each run is still its own
+    _codegen._factory.cache_clear()
+    compiled = []
 
-    def counted(self, name, signature, result):
-        sources.append(name)
-        return inner(self, name, signature, result)
+    def counted(source, *args):
+        if "def dp54(" in source:
+            compiled.append(source)
+        return compile(source, *args)
 
-    monkeypatch.setattr(_codegen.Emitter, "source", counted)
+    monkeypatch.setattr(_codegen, "compile", counted, raising=False)
     runs = []
     for omega, r in ((0.3, 1.0), (0.7, 2.5)):
         model = make_model("concave-logistic-migration", {
@@ -275,14 +275,12 @@ def test_the_loop_is_assembled_once_per_structure(monkeypatch):
         profile = make_profile("arctan", amplitude=2.0 / math.pi, scale=omega)
         rhs = model.transition_rhs(ConstantRate(profile, r))
         for t1 in (20.0, -20.0):
-            traj = integrate(rhs, 0.0, 1.0, t1)
-            runs.append(traj.x.tobytes())
-            assert _outcome(integrate, rhs, 0.0, 1.0, t1) == \
-                _outcome(ref.integrate, rhs.__call__, 0.0, 1.0, t1)
-    assert sources.count("dp54") == 2
+            out, _ = same_run(rhs.__call__, 0.0, 1.0, t1, pasted=rhs)
+            runs.append(out)
+    assert len(compiled) == 2
     assert len(set(runs)) == 4
     # a called right-hand side shares one loop per direction with every other
     for rhs in (lambda t, x: -x, lambda t, x: math.sin(t)):
         for t1 in (1.0, -1.0):
-            integrate(rhs, 0.0, 1.0, t1)
-    assert sources.count("dp54") == 4
+            same_run(rhs, 0.0, 1.0, t1)
+    assert len(compiled) == 4

@@ -154,11 +154,15 @@ def test_trajectory_call_outside_span_raises():
 
 @pytest.mark.parametrize("t_end", [3.0, -3.0])
 def test_eval_array_refuses_times_outside_the_span(t_end):
+    # as traj(time) does, naming the first time refused; nan is refused too
     traj = integrate(lambda t, x: math.sin(t) - x, 0.0, 1.0, t_end)
     t = traj.t
-    for outside in (t[-1] + 1e-13, t[0] - 1e-13):
-        with pytest.raises(IntegrationError, match="outside"):
-            traj.eval_array(np.array([0.5 * (t[0] + t[-1]), outside]))
+    for outside in (t[-1] + 1e-13, t[0] - 1e-13, math.nan):
+        with pytest.raises(IntegrationError) as scalar:
+            traj(outside)
+        with pytest.raises(IntegrationError, match="outside") as vector:
+            traj.eval_array(np.array([0.5 * (t[0] + t[-1]), outside, t[-1] + 1.0]))
+        assert str(vector.value) == str(scalar.value)
     ends = traj.eval_array(np.array([t[0], t[-1]]))
     assert ends[0] == traj.x[0] and ends[-1] == traj.x[-1]
 

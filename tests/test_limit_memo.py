@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 from conftest import SQ5
-from tiplab.attractors import Numerics
+from tiplab.attractors import AttractorError, Numerics
 from tiplab.classify import LimitCache, classify, lambda_star
 from tiplab.models import _TILTS_HELD, make_model
 from tiplab.transitions import ConstantRate, make_profile
@@ -82,6 +82,17 @@ def test_tilts_beyond_the_bound_are_not_kept():
     extra = model.tilted(0.5)
     assert extra.tilt == 0.5 and model.tilted(0.5) is not extra
     assert all(model.tilted(0.01 * i) is m for i, m in enumerate(kept))
+
+
+def test_an_incomplete_set_names_the_gamma_asked_for(limit_calls):
+    # tilted by -1 the concave field has no bounded solution: the shifted
+    # copies of the incomplete base set raise at their own gamma
+    cache = LimitCache(make_model(*CONCAVE).tilted(-1.0), SHORT)
+    for gamma in (1.0, -1.0, 0.0, 1.0):
+        with pytest.raises(AttractorError,
+                           match=rf"^incomplete hyperbolic structure at gamma={gamma}: "):
+            cache.get(gamma, 30.0)
+    assert limit_calls == [0.0]
 
 
 def test_numerics_do_not_share_limit_sets(limit_calls):

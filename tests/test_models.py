@@ -110,6 +110,16 @@ def test_logistic_migration_closed_form(cmodel):
     assert cmodel.translation_invariant
 
 
+def test_tilts_add():
+    # f(0, 1, 0) = -r + I = -0.75: the tilts 0.5 and 0.25 bring it to 0
+    m = make_model("concave-logistic-migration", {"r": 1.0, "I": 0.25})
+    twice, once = m.tilted(0.5).tilted(0.25), m.tilted(0.75)
+    assert m.f(0.0, 1.0, 0.0) == -0.75 and twice.f(0.0, 1.0, 0.0) == 0.0
+    for t, x, g in ((0.0, 1.0, 0.0), (-3.0, 0.4, 1.5), (2.0, -2.0, -0.5)):
+        assert twice.f(t, x, g).hex() == once.f(t, x, g).hex()
+    assert twice.describe() == once.describe() and twice.describe()["tilt"] == 0.75
+
+
 def test_holling_field_and_domain(hmodel):
     # predation term (p0 - p1*gamma) x / (x + b) with p0=52, p1=13
     r = hmodel.coefficients["r"]
