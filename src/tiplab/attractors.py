@@ -11,7 +11,7 @@ transition equation are anchored to those estimates at the horizon edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class HyperbolicEstimate:
                                   self.window, self.burn_in, self.convergence_gap)
 
 
-@dataclass
 class LimitSet:
     """Hyperbolic solutions of one frozen equation over a window.
 
@@ -107,17 +106,55 @@ class LimitSet:
     (lower-attractive < middle-repulsive < upper-attractive); for concave
     fields it is two (repulsive < attractive). ``complete`` says whether the
     full structure was found with the required uniform separation.
+
+    The repulsive estimate may still be pending: ``limit_hyperbolic_solutions``
+    leaves it to the first read that needs it, that is ``set[role]`` for a
+    role the set does not hold yet, ``estimates``, ``roles``, ``complete``,
+    ``separation``, ``notes``, ``require_complete`` or ``shifted``. Reading
+    an attractive estimate the set holds runs nothing.
     """
 
-    gamma: float
-    concavity: str
-    window: tuple[float, float]
-    estimates: dict[str, HyperbolicEstimate] = field(default_factory=dict)
-    separation: float | None = None
-    complete: bool = False
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, gamma: float, concavity: str, window: tuple[float, float],
+                 estimates: dict[str, HyperbolicEstimate] | None = None,
+                 separation: float | None = None, complete: bool = False,
+                 notes: list[str] | None = None):
+        self.gamma = gamma
+        self.concavity = concavity
+        self.window = window
+        self._estimates = dict(estimates or {})
+        self._separation = separation
+        self._complete = complete
+        self._notes = list(notes or [])
+        # the pending phase, called with the set it fills; it refers to
+        # nothing that refers to the set, so an unread set is freed by
+        # reference counting
+        self._rest = None
+
+    def _finished(self) -> "LimitSet":
+        if self._rest is not None:
+            self._rest(self)
+            self._rest = None
+        return self
+
+    @property
+    def estimates(self) -> dict[str, HyperbolicEstimate]:
+        return self._finished()._estimates
+
+    @property
+    def separation(self) -> float | None:
+        return self._finished()._separation
+
+    @property
+    def complete(self) -> bool:
+        return self._finished()._complete
+
+    @property
+    def notes(self) -> list[str]:
+        return self._finished()._notes
 
     def __getitem__(self, role: str) -> HyperbolicEstimate:
+        if role in self._estimates:
+            return self._estimates[role]
         try:
             return self.estimates[role]
         except KeyError:
@@ -132,7 +169,7 @@ class LimitSet:
     def shifted(self, dx: float, gamma: float) -> "LimitSet":
         est = {r: e.shifted(dx, gamma) for r, e in self.estimates.items()}
         return LimitSet(gamma, self.concavity, self.window, est,
-                        self.separation, self.complete, list(self.notes))
+                        self.separation, self.complete, self.notes)
 
     def require_complete(self) -> "LimitSet":
         """The set itself; raises when the structure is incomplete."""
@@ -199,6 +236,12 @@ def limit_hyperbolic_solutions(
     d-concave middle repulsive solution comes from backward burn-in seeded
     between the attractive pair beyond the right edge, and the concave
     repulsive one from backward burn-in seeded at the low seed.
+
+    The attractive runs are made here, and so is the verdict on a d-concave
+    pair that is missing an estimate or collides. The repulsive run, with
+    the separation, ``complete`` and the notes it adds, is left to the
+    first read of the set that needs it (see ``LimitSet``), so a caller that
+    reads only an attractive estimate never pays for it.
     ``LimitSet.require_complete`` raises on an incomplete structure.
     """
     w0, w1 = window if window is not None else (-num.horizon, num.horizon)
@@ -209,14 +252,17 @@ def limit_hyperbolic_solutions(
     grid = np.linspace(w0, w1, num.window_samples)
     seed_lo, seed_hi = model.seeds()
     rhs = model.frozen_rhs(gamma)
+    band_lo, band_hi = _band(model, num)
     out = LimitSet(gamma=gamma, concavity=model.concavity, window=(w0, w1))
+    notes = out._notes
+    # no function below refers to out: the pending phase is handed the set
 
     def estimate(role, t_from_of, x0_of, t_to):
         """The certified estimate of one role, or None and a note."""
         try:
             tr, b, gap = _certified_run(rhs, t_from_of, x0_of, t_to, grid, num)
         except (NonConvergentError, IntegrationError, DomainError) as e:
-            out.notes.append(f"{role}: {e}")
+            notes.append(f"{role}: {e}")
             return None
         return HyperbolicEstimate(role, gamma, tr, (w0, w1), b, gap)
 
@@ -231,47 +277,62 @@ def limit_hyperbolic_solutions(
         return min(float(np.min(hi.eval_array(grid) - lo.eval_array(grid)))
                    for hi, lo in zip(ests, ests[1:]))
 
+    def middle(upper, lower):
+        """The middle repulsive estimate, seeded between the attractive pair;
+        None and a note when it leaves the state band."""
+        pair = [upper.trajectory, lower.trajectory]
+
+        def midpoint(b):
+            # the attractive runs are run again from their start when
+            # the seed point w1 + b moves past their end
+            start = w1 + b
+            if not all(tr.covers(start) for tr in pair):
+                pair[:] = [integrate(rhs, tr.t[0], tr.x[0], start, num.integ) for tr in pair]
+                if any(tr.status != "completed" for tr in pair):
+                    raise NonConvergentError("attractive extension escaped")
+            return 0.5 * (pair[0](start) + pair[1](start))
+
+        est = repulsive("middle-repulsive", midpoint)
+        if est is not None:
+            vals = est.eval_array(grid)
+            if vals.min() < band_lo or vals.max() > band_hi:
+                notes.append("middle-repulsive leaves the state band; not bistable")
+                return None
+        return est
+
+    def finish(ls):
+        """The pending phase: the repulsive run, then the separation of the
+        whole chain, held in chain order."""
+        full = chain()
+        ls._estimates = {e.role: e for e in full if e is not None}
+        if None not in full:
+            ls._separation = separation(*full)
+            ls._complete = ls._separation >= num.sep_tol
+            if not ls._complete:
+                notes.append(f"separation {ls._separation:.3g} below sep_tol; "
+                             "not uniformly separated")
+
+    chain = None
     if model.concavity == CONCAVE:
-        chain = [attractive("attractive", seed_hi), repulsive("repulsive", lambda b: seed_lo)]
+        top = attractive("attractive", seed_hi)
+        held = [top]
+        chain = lambda: [top, repulsive("repulsive", lambda b: seed_lo)]
     else:
         upper = attractive("upper-attractive", seed_hi)
         lower = attractive("lower-attractive", seed_lo)
         if upper is None or lower is None:
-            chain = [replace(e, role="attractive") for e in (upper, lower) if e is not None]
-            if chain:
-                out.notes.append("single attractive estimate")
+            held = [replace(e, role="attractive") for e in (upper, lower) if e is not None]
+            if held:
+                notes.append("single attractive estimate")
         elif (gap := separation(upper, lower)) < num.sep_tol:
-            chain = [replace(upper, role="attractive")]
-            out.notes.append(f"attractive estimates collide (gap {gap:.3g}); not bistable")
+            held = [replace(upper, role="attractive")]
+            notes.append(f"attractive estimates collide (gap {gap:.3g}); not bistable")
         else:
-            pair = [upper.trajectory, lower.trajectory]
-
-            def midpoint(b):
-                # the attractive runs are run again from their start when
-                # the seed point w1 + b moves past their end
-                start = w1 + b
-                if not all(tr.covers(start) for tr in pair):
-                    pair[:] = [integrate(rhs, tr.t[0], tr.x[0], start, num.integ) for tr in pair]
-                    if any(tr.status != "completed" for tr in pair):
-                        raise NonConvergentError("attractive extension escaped")
-                return 0.5 * (pair[0](start) + pair[1](start))
-
-            middle = repulsive("middle-repulsive", midpoint)
-            if middle is not None:
-                band_lo, band_hi = _band(model, num)
-                vals = middle.eval_array(grid)
-                if vals.min() < band_lo or vals.max() > band_hi:
-                    out.notes.append("middle-repulsive leaves the state band; not bistable")
-                    middle = None
-            chain = [upper, middle, lower]
-
-    out.estimates.update((e.role, e) for e in chain if e is not None)
-    if len(chain) > 1 and None not in chain:
-        out.separation = separation(*chain)
-        out.complete = out.separation >= num.sep_tol
-        if not out.complete:
-            out.notes.append(f"separation {out.separation:.3g} below sep_tol; "
-                             "not uniformly separated")
+            held = [upper, lower]
+            chain = lambda: [upper, middle(upper, lower), lower]
+    out._estimates = {e.role: e for e in held if e is not None}
+    if chain is not None:
+        out._rest = finish
     return out
 
 
@@ -466,6 +527,8 @@ def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
     the exponent. The average over half the window, at num.quad_h, is
     reported as a sensitivity measure.
     """
+    if not window_length > 0.0:
+        raise AttractorError(f"window_length must be positive, got {window_length!r}")
     w0, w1 = solution.window
     c = 0.5 * (w0 + w1)
     a, b = c - 0.5 * window_length, c + 0.5 * window_length

@@ -96,7 +96,8 @@ class LimitCache:
 
 def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
              horizon: float | None = None,
-             _allow_doubling: bool = True) -> CaseLabel:
+             _allow_doubling: bool = True,
+             _upper: PullbackSolution | None = None) -> CaseLabel:
     """Classify the transition equation x' = f(t, x, gamma(t)).
 
     Requires the full hyperbolic structure of the limit equations at the
@@ -110,6 +111,10 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
     C whose a blows up has a_to_attractive, a_status, a_blow, a_band_exit
     and track_tol. An error that a run not integrated would have raised is
     not raised.
+
+    _upper is the pullback of the upper (concave: the) attractive solution
+    at this horizon, when the caller already holds it; the retry at the
+    doubled horizon integrates its own.
     """
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
     cache = LimitCache(model, num)
@@ -117,9 +122,9 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
     future = cache.get(mechanism.gamma_plus, H)
 
     if model.concavity == DCONCAVE:
-        out = _classify_dconcave(model, mechanism, past, future, H, num)
+        out = _classify_dconcave(model, mechanism, past, future, H, num, _upper)
     elif model.concavity == CONCAVE:
-        out = _classify_concave(model, mechanism, past, future, H, num)
+        out = _classify_concave(model, mechanism, past, future, H, num, _upper)
     else:  # pragma: no cover
         raise ClassifyError(f"unknown concavity class {model.concavity!r}")
 
@@ -161,11 +166,12 @@ def _terminal_distance(traj: Trajectory, target: float, H: float) -> float:
     return abs(traj(H) - target) if traj.covers(H) else math.inf
 
 
-def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
-    """u is integrated first: when it misses the upper attractor and lands
-    on the lower one, A is ruled out and C2 holds whatever l and m do, so
-    they are not integrated."""
-    u = pullback_attractive(model, mechanism, past["upper-attractive"], H, num)
+def _classify_dconcave(model, mechanism, past, future, H, num, u=None) -> CaseLabel:
+    """u is integrated first, unless given: when it misses the upper
+    attractor and lands on the lower one, A is ruled out and C2 holds
+    whatever l and m do, so they are not integrated."""
+    if u is None:
+        u = pullback_attractive(model, mechanism, past["upper-attractive"], H, num)
     up_target, low_target, track_tol = _tracking_targets(mechanism, future, H, num)
     d_u_up = _terminal_distance(u.trajectory, up_target, H)
     d_u_low = _terminal_distance(u.trajectory, low_target, H)
@@ -197,10 +203,11 @@ def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
     return CaseLabel(label, DCONCAVE, H, evidence)
 
 
-def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
-    """a is integrated first: its blow-up decides C, so r is not
-    integrated."""
-    a = pullback_attractive(model, mechanism, past["attractive"], H, num)
+def _classify_concave(model, mechanism, past, future, H, num, a=None) -> CaseLabel:
+    """a is integrated first, unless given: its blow-up decides C, so r is
+    not integrated."""
+    if a is None:
+        a = pullback_attractive(model, mechanism, past["attractive"], H, num)
     a_target, _, track_tol = _tracking_targets(mechanism, future, H, num)
     d_a = _terminal_distance(a.trajectory, a_target, H)
     if a.status == "blow-up":

@@ -83,8 +83,8 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     bound, since the solution is read through cubic Hermite interpolation
     whose error does not shrink with the step.
     """
-    if T <= 0.0:
-        raise EwsError("window length must be positive")
+    if not T > 0.0:
+        raise EwsError(f"window length T must be positive, got {T!r}")
     traj = solution.trajectory
     lo_feasible = traj.t[0] + T
     hi_feasible = traj.t[-1]
@@ -341,7 +341,8 @@ class ReactionOutcome:
 class _UnreactedRun:
     """Shared state for a reaction sweep: the unreacted solution, its FTLE
     series, the limit sets and the unreacted label, computed once for the
-    whole grid."""
+    whole grid. The unreacted solution u is the pullback that classify runs
+    first, so the label is classified with it rather than a second run."""
 
     def __init__(self, model, profile, delta, T: float, num: Numerics):
         from .transitions import TimeDependentRate
@@ -358,12 +359,12 @@ class _UnreactedRun:
 
     def unreacted_label(self) -> CaseLabel:
         """Classification of the unreacted problem, computed on first use
-        and shared by every cell that does not warn."""
+        from the held u and shared by every cell that does not warn."""
         if self._label is None:
             from .classify import classify
 
             self._label = classify(self.model, self.mechanism, self.num,
-                                   horizon=self.H)
+                                   horizon=self.H, _upper=self.u)
         return self._label
 
 

@@ -4,7 +4,9 @@ The constant-coefficient cubic x' = x - x^3 + gamma and gompertz fields give
 closed-form oracles (polynomial roots) for every estimate.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +187,13 @@ def test_lyapunov_exact_on_cubic(cubic):
     assert est_m.value == pytest.approx(1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("length", [0.0, -10.0, math.nan])
+def test_lyapunov_refuses_a_window_length_that_is_not_positive(cubic, length):
+    upper = limit_hyperbolic_solutions(cubic, 0.0, WINDOW)["upper-attractive"]
+    with pytest.raises(AttractorError, match="window_length must be positive"):
+        estimate_lyapunov(cubic, 0.0, upper, length)
+
+
 def test_lyapunov_refines_until_two_passes_agree(hmodel):
     # the Holling model's upper attractor: from quad_h = 25 four halvings do
     # not bring two passes within quad_tol, from quad_h = 5 they do, after
@@ -229,6 +238,57 @@ def test_burn_in_without_doublings_is_not_certified(cubic, num):
     assert ls.roles == ()
     assert ls.notes == ["upper-attractive: burn-in doubling did not converge (last gap inf)",
                         "lower-attractive: burn-in doubling did not converge (last gap inf)"]
+
+
+# ---------------------------------------------------------------------------
+# the repulsive run is made on the first read that needs it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The direction of every integration attractors makes, in call order."""
+    import tiplab.attractors as attractors
+
+    inner = attractors.integrate
+    made = []
+
+    def counted(rhs, t0, x0, t1, *args):
+        made.append("backward" if t1 < t0 else "forward")
+        return inner(rhs, t0, x0, t1, *args)
+
+    monkeypatch.setattr(attractors, "integrate", counted)
+    return made
+
+
+@pytest.mark.parametrize("family, coefficients, chain", [
+    ("allee-multiplicative-cubic", {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0},
+     ("upper-attractive", "middle-repulsive", "lower-attractive")),
+    ("concave-logistic-migration", {"r": 1.0, "I": 1.0}, ("attractive", "repulsive")),
+])
+def test_attractive_read_makes_no_repulsive_run(runs, family, coefficients, chain):
+    ls = limit_hyperbolic_solutions(make_model(family, coefficients), 0.0, WINDOW)
+    first = ls[chain[0]]
+    forward = len(runs)
+    assert forward >= 2 and runs == ["forward"] * forward
+    assert ls.complete
+    assert "backward" in runs[forward:]
+    made = len(runs)
+    # the chain keeps its order, and the repulsive phase runs once
+    assert ls.roles == chain
+    assert ls[chain[0]] is first and ls.estimates[chain[0]] is first
+    assert ls.notes == [] and len(runs) == made
+
+
+def test_an_unread_limit_set_is_freed_by_reference_counting(cubic):
+    gc.disable()
+    try:
+        ls = limit_hyperbolic_solutions(cubic, 0.0, WINDOW)
+        ls["upper-attractive"]
+        ref = weakref.ref(ls)
+        del ls
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_pullbacks_check_their_anchor(cubic, cubic_pulse, num):

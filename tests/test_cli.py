@@ -84,6 +84,13 @@ def test_simulate_empty_span_fails(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_lyapunov_refuses_a_zero_window_length_by_name(tmp_path, capsys):
+    rc, _ = run_cli(tmp_path, "lyapunov", base_config(),
+                    "--set", "experiment.window_length=0")
+    assert rc == 1
+    assert "AttractorError: window_length must be positive" in capsys.readouterr().err
+
+
 def test_missing_model_block_fails(tmp_path):
     cfg = base_config()
     del cfg["model"]

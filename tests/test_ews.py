@@ -80,8 +80,9 @@ def test_ftle_series_helpers():
 
 def test_ftle_window_errors():
     model, mech, sol = linear_stub()
-    with pytest.raises(EwsError, match="positive"):
-        ftle_series(model, mech, sol, -1.0, NUM)
+    for T in (-1.0, math.nan):
+        with pytest.raises(EwsError, match="window length T must be positive"):
+            ftle_series(model, mech, sol, T, NUM)
     with pytest.raises(EwsError, match="empty time range"):
         ftle_series(model, mech, sol, 10.0, NUM, t_min=30.0, t_max=20.0)
     model2, mech2, short = linear_stub(span=2.0)
@@ -363,6 +364,28 @@ def test_reaction_warns_at_the_configured_refinement(cubic):
     assert out.warned
     assert out.t1 == warning_time(run.series, cfg, refine_tol=0.25)
     assert out.t1 != warning_time(run.series, cfg)
+
+
+def test_unreacted_c2_label_reuses_the_held_pullback(cubic, monkeypatch):
+    # the sweep's upper pullback decides C2, so classifying integrates nothing
+    import tiplab.attractors as attractors
+    from tiplab.ews import _UnreactedRun
+
+    delta = make_profile("constant", value=0.5)
+    run = _UnreactedRun(cubic, PULSE, delta, 10.0, NUM)
+    inner = attractors.integrate
+    calls = []
+
+    def counted(*args):
+        calls.append((args[1], args[3]))
+        return inner(*args)
+
+    monkeypatch.setattr(attractors, "integrate", counted)
+    label = run.unreacted_label()
+    assert calls == []
+    assert label.label == "C2"
+    assert label == classify(cubic, run.mechanism, NUM, horizon=run.H)
+    assert calls == [(-run.H, run.H)]
 
 
 def test_reacted_concave_escape_is_case_c():
