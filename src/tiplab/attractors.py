@@ -21,7 +21,6 @@ from .integrator import (
     IntegratorConfig,
     Trajectory,
     _check_ranges,
-    _hermite,
     _span_error,
     integrate,
 )
@@ -199,14 +198,16 @@ def _certified_run(rhs, t_from_of, x0_of, t_to, grid, num: Numerics):
     """Integrate with doubling burn-in until the window values stabilize.
 
     t_from_of/x0_of map the burn-in B to the start point (t_from_of is called
-    first); every run ends at t_to. Runs at B, 2B, ... up to
+    first); every run ends at t_to, but the first, never returned, stops
+    after the grid's end when it runs forward. Runs at B, 2B, ... up to
     max_burn_doublings doublings and returns (trajectory, burn_in, gap) of
     the first run within conv_tol of the one before.
     """
     B = num.burn_in
     prev, gap = None, math.inf
     for _ in range(num.max_burn_doublings + 1):
-        cur = integrate(rhs, t_from_of(B), x0_of(B), t_to, num.integ)
+        stop = grid[-1] if prev is None and t_to > grid[-1] else None
+        cur = integrate(rhs, t_from_of(B), x0_of(B), t_to, num.integ, stop_after=stop)
         if cur.status != "completed":
             raise NonConvergentError("escape during burn-in (no bounded solution reached)")
         if prev is not None:
@@ -446,46 +447,35 @@ def check_anchor_insensitivity(model, mechanism, solution: PullbackSolution,
 _G3_OFF = math.sqrt(3.0 / 5.0)   # Gauss-Legendre 3-point nodes at +-off, 0
 _G3_W = (5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0)
 _QUAD_MAX_HALVINGS = 4           # step halvings before a quadrature counts as stalled
+_QUAD_BLOCK = 512                # intervals whose Gauss nodes are read at once
 
 
 def gauss3_interval_integrals(fn, traj: Trajectory, a: float, h: float, n: int) -> np.ndarray:
     """Integrals of fn(t, traj(t)) over the n intervals [a + i*h, a + (i+1)*h].
 
-    The Gauss nodes ascend, so one walk over the trajectory's nodes reads
-    the solution at all of them: each value is bitwise traj(t) (the same
-    Hermite formula on the same operands, the node value at a node, the
-    last value at the last node and the same IntegrationError outside the
-    span), and fn is called once per Gauss node, in ascending order. a and
-    h are taken as Python floats: a numpy scalar would carry numpy's scalar
-    arithmetic, bitwise the same but slower, into every node.
+    The Gauss nodes of each block of _QUAD_BLOCK intervals (blocks bound the
+    memory a pass takes) are one array, formed by the float operations of
+    m = a + (i + 0.5)*h and m -+ off, and traj.eval_array reads them, bitwise
+    traj(t). numpy does only +, -, * and /, so every value is the Python
+    float's; fn stays scalar, called once per node in ascending order. A
+    node outside the span raises traj(t)'s IntegrationError after fn has
+    run on the nodes before it.
     """
     if not h > 0.0:
         raise AttractorError(f"quadrature step must be positive, got {h!r}")
-    a, h = float(a), float(h)
     w1, w2, w3 = _G3_W
     off = _G3_OFF * 0.5 * h
     half = 0.5 * h
-    tl, xl, fl = traj._tl, traj._xl, traj._fl
-    last = len(tl) - 1
-    lo, hi = tl[0], tl[last]
-    j = 0
     out = np.empty(n)
-    for i in range(n):
-        m = a + (i + 0.5) * h
-        g = []
-        for t in (m - off, m, m + off):
-            if not lo <= t <= hi:
-                raise _span_error(tl, t)
-            while j < last and tl[j + 1] <= t:
-                j += 1
-            if j == last:
-                x = xl[last]
-            elif t == tl[j]:
-                x = xl[j]
-            else:
-                x = _hermite(tl[j], xl[j], fl[j], tl[j + 1], xl[j + 1], fl[j + 1], t)
-            g.append(fn(t, x))
-        out[i] = half * (w1 * g[0] + w2 * g[1] + w3 * g[2])
+    for i in range(0, n, _QUAD_BLOCK):
+        m = a + (np.arange(i, min(i + _QUAD_BLOCK, n)) + 0.5) * h
+        ts = np.stack((m - off, m, m + off), axis=1).ravel()
+        inside = (ts >= traj.t[0]) & (ts <= traj.t[-1])
+        k = ts.size if inside.all() else int(np.argmin(inside))
+        g = np.fromiter(map(fn, ts[:k].tolist(), traj.eval_array(ts[:k]).tolist()), float, k)
+        if k < ts.size:
+            raise _span_error(traj._tl, float(ts[k]))
+        out[i:i + m.size] = half * (w1 * g[0::3] + w2 * g[1::3] + w3 * g[2::3])
     return out
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .attractors import (
+    AttractorError,
     Numerics,
     _role_for,
     estimate_lyapunov,
@@ -375,6 +376,8 @@ def run_lyapunov(cfg, out, model, num, /, *, gamma: float = None,
     else:
         raise ConfigError("lyapunov needs experiment.gamma or a mechanism block")
     role = role or _role_for(model, "upper-attractive")
+    if not window_length > 0.0:   # before the window it would give
+        raise AttractorError(f"window_length must be positive, got {window_length!r}")
     half = window_length / 2.0 + 100.0
     window = window or (-half, half)
     ls = limit_hyperbolic_solutions(model, gamma, window, num)

@@ -127,23 +127,22 @@ class Trajectory:
         if not tl[0] <= time <= tl[-1]:
             raise _span_error(tl, time)
         i = bisect.bisect_right(tl, time) - 1
-        if i >= len(tl) - 1:
-            return xl[-1]
-        if time == tl[i]:
+        if time == tl[i]:   # a node, the last one included
             return xl[i]
         fl = self._fl
         return float(_hermite(tl[i], xl[i], fl[i], tl[i + 1], xl[i + 1], fl[i + 1], time))
 
     def eval_array(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized Hermite evaluation; every time must lie in the span."""
+        """Bitwise traj(t) at every time; every time must lie in the span."""
         times = np.asarray(times, dtype=float)
-        t = self.t
+        t, x, f = self.t, self.x, self.f
         outside = ~((times >= t[0]) & (times <= t[-1]))
         if outside.any():
             raise _span_error(self._tl, float(times[outside].flat[0]))
-        i = np.clip(np.searchsorted(t, times, side="right") - 1, 0, len(t) - 2)
-        return _hermite(t[i], self.x[i], self.f[i],
-                        t[i + 1], self.x[i + 1], self.f[i + 1], times)
+        k = np.searchsorted(t, times, side="right") - 1   # the node at or before
+        i = np.minimum(k, len(t) - 2)
+        v = _hermite(t[i], x[i], f[i], t[i + 1], x[i + 1], f[i + 1], times)
+        return np.where(times == t[k], x[k], v)   # a node's own value: -0.0 stays
 
     def shifted(self, dx: float) -> "Trajectory":
         """Trajectory of x + dx; valid when the shifted curve solves the
@@ -258,7 +257,7 @@ _rtol, _atol, _x_max = _cfg.rtol, _cfg.atol, _cfg.x_max
 _max_steps = _cfg.max_steps
 _floor = 1e-14 * max(1.0, abs(_t0), abs(_t1))
 _steps = 0
-while _t < _t1:
+while _t < _t1 and _t <= _stop:
     if _steps >= _max_steps:
         raise _IntegrationError(f"step budget exhausted at t={{{sign}_t}}")
     _steps += 1
@@ -344,7 +343,7 @@ _LOOP_VALUES = {"_array": array, "_isfinite": math.isfinite,
 
 def _dp54(rhs, backward: bool):
     """The DP54 loop for rhs in one direction, as one generated function
-    (t0, x0, t1, cfg) -> (ts, xs, fs, status, t_blow).
+    (t0, x0, t1, cfg, stop) -> (ts, xs, fs, status, t_blow), ending after a node past stop.
 
     The slopes at the start and at a blow-up point come from calling rhs.
     A right-hand side compiled by an Emitter with the signature (t, x) has
@@ -377,16 +376,20 @@ def _dp54(rhs, backward: bool):
     trial.append(_stage(body, "_t + _h", "_xn", "_k7", backward, same_t=True))
     trial.append(f"        _err = _h * ({_weighted(_E)})")
     e.lines.append(_DP54.format(sign="-" if backward else "", trial="\n".join(trial)))
-    return e.compile("dp54", "_t0, _x0, _t1, _cfg", "_ts, _xs, _fs, _status, _t_blow")
+    return e.compile("dp54", "_t0, _x0, _t1, _cfg, _stop", "_ts, _xs, _fs, _status, _t_blow")
 
 
 def integrate(rhs, t_start: float, x0: float, t_end: float,
-              config: IntegratorConfig = DEFAULT_CONFIG) -> Trajectory:
+              config: IntegratorConfig = DEFAULT_CONFIG, *,
+              stop_after: float | None = None) -> Trajectory:
     """Integrate x' = rhs(t, x) from (t_start, x0) to t_end.
 
     t_end < t_start integrates backward via the substitution s = -t; the
     returned samples are always stored with ascending t. A t_start, x0 or
     t_end that is not finite raises IntegrationError.
+
+    A run given stop_after steps as the run to t_end and ends after its
+    first node past stop_after: its nodes are a bitwise prefix of that run's.
     """
     t_start, x0, t_end = float(t_start), float(x0), float(t_end)
     for name, value in (("t_start", t_start), ("x0", x0), ("t_end", t_end)):
@@ -396,11 +399,14 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
         raise IntegrationError("empty integration span")
     if abs(x0) >= config.x_max:
         raise IntegrationError(f"initial value {x0} already beyond the blow-up bound")
+    stop = t_end if stop_after is None else float(stop_after)
+    if stop_after is not None and not min(t_start, t_end) < stop < max(t_start, t_end):
+        raise IntegrationError(f"stop_after must lie strictly inside the span, got {stop!r}")
     if t_end > t_start:
-        ts, xs, fs, status, t_blow = _dp54(rhs, False)(t_start, x0, t_end, config)
+        ts, xs, fs, status, t_blow = _dp54(rhs, False)(t_start, x0, t_end, config, stop)
         return Trajectory("forward", _view(ts), _view(xs), _view(fs),
                           status, t_blow, _tl=ts, _xl=xs, _fl=fs)
-    ts, xs, fs, status, t_blow = _dp54(rhs, True)(-t_start, x0, -t_end, config)
+    ts, xs, fs, status, t_blow = _dp54(rhs, True)(-t_start, x0, -t_end, config, -stop)
     # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
     for buf in (ts, xs, fs):
         buf.reverse()

@@ -252,9 +252,9 @@ def runs(monkeypatch):
     inner = attractors.integrate
     made = []
 
-    def counted(rhs, t0, x0, t1, *args):
+    def counted(rhs, t0, x0, t1, *args, **kwargs):
         made.append("backward" if t1 < t0 else "forward")
-        return inner(rhs, t0, x0, t1, *args)
+        return inner(rhs, t0, x0, t1, *args, **kwargs)
 
     monkeypatch.setattr(attractors, "integrate", counted)
     return made
@@ -277,6 +277,31 @@ def test_attractive_read_makes_no_repulsive_run(runs, family, coefficients, chai
     assert ls.roles == chain
     assert ls[chain[0]] is first and ls.estimates[chain[0]] is first
     assert ls.notes == [] and len(runs) == made
+
+
+def test_only_the_first_forward_run_of_a_role_stops_after_the_window(monkeypatch, cubic):
+    # the first run is only compared on the window grid and never returned
+    import tiplab.attractors as attractors
+
+    inner = attractors.integrate
+    made = []
+
+    def recorded(rhs, t0, x0, t1, *args, **kwargs):
+        traj = inner(rhs, t0, x0, t1, *args, **kwargs)
+        made.append((t0 < t1, kwargs.get("stop_after"), traj))
+        return traj
+
+    monkeypatch.setattr(attractors, "integrate", recorded)
+    ls = limit_hyperbolic_solutions(cubic, 0.0, WINDOW)
+    w1, end = WINDOW[1], WINDOW[1] + 2.0 * DEFAULT_NUMERICS.burn_in
+    forward = [(stop, traj) for ahead, stop, traj in made if ahead]
+    stopped = [traj for stop, traj in forward if stop is not None]
+    assert [stop for stop, _ in forward if stop is not None] == [w1, w1]   # upper, lower
+    assert all(traj.t[-2] <= w1 < traj.t[-1] for traj in stopped)
+    assert all(traj.t[-1] == end for stop, traj in forward if stop is None)
+    assert ls.complete
+    assert [ls[role].trajectory.t[-1] for role in ("upper-attractive", "lower-attractive")] == [
+        end, end]
 
 
 def test_an_unread_limit_set_is_freed_by_reference_counting(cubic):

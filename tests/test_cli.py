@@ -91,6 +91,23 @@ def test_lyapunov_refuses_a_zero_window_length_by_name(tmp_path, capsys):
     assert "AttractorError: window_length must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "-300", "0"])
+def test_lyapunov_refuses_a_bad_window_length_before_the_window(tmp_path, capsys,
+                                                                monkeypatch, value):
+    # a NaN or negative length used to fail on the window it gave:
+    # "empty window (nan, nan)" or "empty window (50.0, -50.0)"; 0 was
+    # refused by name only after the limit set had been computed
+    def no_limit_set(*args):
+        raise AssertionError("a limit set was computed")
+
+    monkeypatch.setattr(cli, "limit_hyperbolic_solutions", no_limit_set)
+    rc, _ = run_cli(tmp_path, "lyapunov", base_config(),
+                    "--set", f"experiment.window_length={value}")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"AttractorError: window_length must be positive, got {float(value)!r}" in err
+
+
 def test_missing_model_block_fails(tmp_path):
     cfg = base_config()
     del cfg["model"]

@@ -1,6 +1,7 @@
 """Adaptive DP54 integrator: accuracy, dense output, blow-up, reversals."""
 
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from tiplab.integrator import (
     DEFAULT_CONFIG,
     IntegratorConfig,
     IntegrationError,
+    Trajectory,
     _hermite,
     _locate_blow,
+    _view,
     integrate,
 )
+from tiplab.models import make_model
+from tiplab.transitions import ConstantRate, make_profile
 
 
 def test_exponential_decay_accuracy():
@@ -171,6 +176,68 @@ def test_eval_array_matches_scalar_evaluation():
     traj = integrate(lambda t, x: math.cos(t) - 0.3 * x, 0.0, 0.2, -15.0)
     times = np.concatenate((traj.t, np.linspace(traj.t[0], traj.t[-1], 501)))
     assert [float(v) for v in traj.eval_array(times)] == [traj(s) for s in times]
+
+
+def test_eval_array_keeps_a_negative_zero_at_a_node():
+    # the Hermite formula at a node adds +0.0 to the node value, which turns
+    # -0.0 into 0.0; traj(t) returns the node value itself
+    bufs = [array("d", v) for v in ((0.0, 1.0, 2.0), (-0.0, 1.0, -0.0), (1.0, 0.0, -1.0))]
+    traj = Trajectory("forward", *map(_view, bufs), "completed", None, *bufs)
+    for t in (0.0, 1.0, 2.0):
+        want = traj(t)
+        got = traj.eval_array(np.array([t, 0.5, t]))
+        assert got[0].hex() == got[2].hex() == want.hex()
+
+
+# ---------------------------------------------------------------------------
+# a run that stops after a time short of its end
+# ---------------------------------------------------------------------------
+
+def _stop_cases():
+    cubic = make_model("allee-multiplicative-cubic", {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0})
+    # the pulse stays short of the fold at -2/(3*sqrt(3)), so both ways stay bounded
+    pulse = make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.2, b=0.05)
+    return {"frozen": cubic.frozen_rhs(0.2),
+            "transition": cubic.transition_rhs(ConstantRate(pulse, 1.0))}
+
+
+@pytest.mark.parametrize("kind", ["frozen", "transition"])
+@pytest.mark.parametrize("t_start, x0, t_end, stop", [(-60.0, 0.9, 90.0, 20.0),
+                                                       (60.0, 0.1, -90.0, -20.0)],
+                         ids=["forward", "backward"])
+def test_stop_after_gives_a_prefix_of_the_full_run(kind, t_start, x0, t_end, stop):
+    rhs = _stop_cases()[kind]
+    full = integrate(rhs, t_start, x0, t_end)
+    short = integrate(rhs, t_start, x0, t_end, stop_after=stop)
+    n = len(short.t)
+    assert short.status == "completed" and n < len(full.t)
+    backward = t_end < t_start
+    # the nodes from the start, in the direction of integration
+    part = slice(len(full.t) - n, None) if backward else slice(0, n)
+    for mine, theirs in ((short.t, full.t), (short.x, full.x), (short.f, full.f)):
+        assert mine.tobytes() == theirs[part].tobytes()
+    # the last node lies strictly past stop_after and the one before does not
+    last, before = (short.t[0], short.t[1]) if backward else (short.t[-1], short.t[-2])
+    assert (last < stop <= before) if backward else (before <= stop < last)
+
+
+def test_stop_after_keeps_a_blow_up_before_it():
+    full = integrate(lambda t, x: x * x, 0.0, 1.0, 2.0)
+    short = integrate(lambda t, x: x * x, 0.0, 1.0, 2.0, stop_after=1.5)
+    assert short.status == full.status == "blow-up"
+    assert short.t_blow == full.t_blow
+    assert short.t.tobytes() == full.t.tobytes() and short.x.tobytes() == full.x.tobytes()
+
+
+@pytest.mark.parametrize("t_end, stop", [
+    (5.0, math.nan), (5.0, math.inf), (5.0, -math.inf),
+    (5.0, 0.0), (5.0, 5.0), (5.0, 6.0), (5.0, -1.0),
+    (-5.0, 0.0), (-5.0, -5.0), (-5.0, 1.0), (-5.0, -6.0),
+])
+def test_stop_after_must_lie_strictly_inside_the_span(t_end, stop):
+    with pytest.raises(IntegrationError, match="stop_after") as err:
+        integrate(lambda t, x: -x, 0.0, 1.0, t_end, stop_after=stop)
+    assert repr(stop) in str(err.value)
 
 
 def _log_pole(t, x):
