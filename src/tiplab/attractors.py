@@ -35,27 +35,30 @@ class NonConvergentError(AttractorError):
     """Burn-in doubling failed to stabilize the estimate."""
 
 
+# the thresholds no run varies, each defined once here
+TAIL_REL_TOL = 5.0e-3        # parameter-path tail vs its spread at the horizon
+MAX_HORIZON_DOUBLINGS = 2
+TRACK_TOL_FACTOR = 1.0e-3    # fraction of the future attractor separation
+TAIL_TRACK_FACTOR = 4.0      # tracking allowance per unit of path tail at +-H
+BAND_MARGIN = 1.0
+WINDOW_SAMPLES = 257
+SEP_TOL = 1.0e-3
+ANCHOR_DELTA = 1.0e-4
+
 # the least value of a Numerics field; every other number field must be positive
-_NUMERICS_LEAST = {"max_horizon_doublings": 0, "max_burn_doublings": 0, "tail_track_factor": 0,
-                   "band_margin": 0, "warn_refine_tol": 0, "window_samples": 2}
+_NUMERICS_LEAST = {"max_burn_doublings": 0, "warn_refine_tol": 0}
 
 
 @dataclass(frozen=True)
 class Numerics:
-    """Shared numerical knobs for attractor, classification and warning runs."""
+    """The numerical knobs a run may vary, shared by attractor,
+    classification and warning runs; the thresholds none varies are the
+    constants above."""
 
     horizon: float = 400.0
-    tail_rel_tol: float = 5.0e-3       # parameter-path tail vs its spread at the horizon
-    max_horizon_doublings: int = 2
     burn_in: float = 200.0
     conv_tol: float = 1.0e-7           # relative to max(1, sup|x|) over the window
     max_burn_doublings: int = 5
-    sep_tol: float = 1.0e-3
-    track_tol_factor: float = 1.0e-3   # fraction of the future attractor separation
-    tail_track_factor: float = 4.0     # tracking allowance per unit of path tail at +-H
-    band_margin: float = 1.0
-    window_samples: int = 257
-    anchor_delta: float = 1.0e-4
     quad_h: float = 0.1
     quad_tol: float = 1.0e-6
     warn_refine_tol: float = 1.0e-3
@@ -219,9 +222,9 @@ def _certified_run(rhs, t_from_of, x0_of, t_to, grid, num: Numerics):
     raise NonConvergentError(f"burn-in doubling did not converge (last gap {gap:.3g})")
 
 
-def _band(model, num: Numerics) -> tuple[float, float]:
-    """The state box widened by band_margin; leaving it counts as escape."""
-    return (model.state_box[0] - num.band_margin, model.state_box[1] + num.band_margin)
+def _band(model) -> tuple[float, float]:
+    """The state box widened by BAND_MARGIN; leaving it counts as escape."""
+    return (model.state_box[0] - BAND_MARGIN, model.state_box[1] + BAND_MARGIN)
 
 
 def limit_hyperbolic_solutions(
@@ -250,10 +253,10 @@ def limit_hyperbolic_solutions(
         raise AttractorError(f"empty window ({w0}, {w1})")
     if model.concavity not in (CONCAVE, DCONCAVE):  # pragma: no cover
         raise AttractorError(f"unknown concavity class {model.concavity!r}")
-    grid = np.linspace(w0, w1, num.window_samples)
+    grid = np.linspace(w0, w1, WINDOW_SAMPLES)
     seed_lo, seed_hi = model.seeds()
     rhs = model.frozen_rhs(gamma)
-    band_lo, band_hi = _band(model, num)
+    band_lo, band_hi = _band(model)
     out = LimitSet(gamma=gamma, concavity=model.concavity, window=(w0, w1))
     notes = out._notes
     # no function below refers to out: the pending phase is handed the set
@@ -308,9 +311,9 @@ def limit_hyperbolic_solutions(
         ls._estimates = {e.role: e for e in full if e is not None}
         if None not in full:
             ls._separation = separation(*full)
-            ls._complete = ls._separation >= num.sep_tol
+            ls._complete = ls._separation >= SEP_TOL
             if not ls._complete:
-                notes.append(f"separation {ls._separation:.3g} below sep_tol; "
+                notes.append(f"separation {ls._separation:.3g} below SEP_TOL; "
                              "not uniformly separated")
 
     chain = None
@@ -325,7 +328,7 @@ def limit_hyperbolic_solutions(
             held = [replace(e, role="attractive") for e in (upper, lower) if e is not None]
             if held:
                 notes.append("single attractive estimate")
-        elif (gap := separation(upper, lower)) < num.sep_tol:
+        elif (gap := separation(upper, lower)) < SEP_TOL:
             held = [replace(upper, role="attractive")]
             notes.append(f"attractive estimates collide (gap {gap:.3g}); not bistable")
         else:
@@ -414,7 +417,7 @@ def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> Pullbac
     if not anchor.trajectory.covers(t_from):
         raise AttractorError(f"anchor window does not cover {t_from}")
     traj = integrate(model.transition_rhs(mechanism), t_from, anchor(t_from), -t_from, num.integ)
-    band = _band(model, num)
+    band = _band(model)
     return PullbackSolution(
         role=anchor.role, trajectory=traj, anchor=anchor,
         horizon=H, band=band, band_exit_time=_band_exit(traj, band, backward),
@@ -423,9 +426,9 @@ def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> Pullbac
 
 def check_anchor_insensitivity(model, mechanism, solution: PullbackSolution,
                                num: Numerics = DEFAULT_NUMERICS) -> float:
-    """Re-run the pullback integration from an anchor value moved by
-    num.anchor_delta and report the largest deviation from the solution at
-    the half horizon."""
+    """Re-run the pullback integration from the anchor value moved by
+    +-ANCHOR_DELTA and report the largest deviation from the solution at the
+    half horizon."""
     H = solution.horizon
     rhs = model.transition_rhs(mechanism)
     backward = solution.trajectory.direction == "backward"
@@ -434,7 +437,7 @@ def check_anchor_insensitivity(model, mechanism, solution: PullbackSolution,
     base = solution(t_probe)
     worst = 0.0
     for sgn in (1.0, -1.0):
-        x0 = solution.anchor(t_from) + sgn * num.anchor_delta
+        x0 = solution.anchor(t_from) + sgn * ANCHOR_DELTA
         traj = integrate(rhs, t_from, x0, t_probe, num.integ)
         worst = max(worst, abs(traj(t_probe) - base))
     return worst

@@ -18,9 +18,14 @@ from .attractors import (
     AttractorError,
     DEFAULT_NUMERICS,
     LimitSet,
+    MAX_HORIZON_DOUBLINGS,
     NonConvergentError,
     Numerics,
     PullbackSolution,
+    SEP_TOL,
+    TAIL_REL_TOL,
+    TAIL_TRACK_FACTOR,
+    TRACK_TOL_FACTOR,
     _role_for,
     limit_hyperbolic_solutions,
     pullback_attractive,
@@ -60,8 +65,8 @@ def resolve_horizon(mechanism, num: Numerics = DEFAULT_NUMERICS) -> float:
     scale = mechanism.path_scale(num.horizon)
     if scale <= 0.0:
         return H
-    for _ in range(num.max_horizon_doublings):
-        if mechanism.tail_gap(H) / scale <= num.tail_rel_tol:
+    for _ in range(MAX_HORIZON_DOUBLINGS):
+        if mechanism.tail_gap(H) / scale <= TAIL_REL_TOL:
             break
         H *= 2.0
     return H
@@ -148,50 +153,56 @@ def pullback_of(model, mechanism, role: str, num: Numerics = DEFAULT_NUMERICS,
     return pullback_repulsive(model, mechanism, future[role], H, num)
 
 
-def _tracking_targets(mechanism, future: LimitSet, H: float,
-                      num: Numerics) -> tuple[float, float, float]:
-    """The future upper attractor at +H, the solution below it (the lower
-    attractor, d-concave, or the repeller, concave) and the distance within
-    which a solution tracks an attractor: a fraction of their gap. The path
-    has not fully reached its limit at +-H, and the pullback solution lags
-    the frozen attractor by O(that tail); the tolerance budgets for it."""
-    up, below = (("upper-attractive", "lower-attractive") if future.concavity == DCONCAVE
-                 else ("attractive", "repulsive"))
-    upper, lower = future[up](H), future[below](H)
-    return upper, lower, max(num.track_tol_factor * (upper - lower),
-                             num.tail_track_factor * mechanism.tail_gap(H))
-
-
 def _terminal_distance(traj: Trajectory, target: float, H: float) -> float:
     return abs(traj(H) - target) if traj.covers(H) else math.inf
 
 
+def label_upper_run(traj: Trajectory, mechanism, future: LimitSet,
+                    H: float) -> tuple[str, float, float | None, float]:
+    """Label one run of the upper (concave: the) attractive solution alone:
+    A when it tracks the future upper attractor at +H, else C2 when it
+    tracks the lower one (d-concave), else C on a blow-up (concave), else
+    indeterminate. Returns the label, the run's distances to the upper and
+    the lower attractor (None, concave) and the tolerance: TRACK_TOL_FACTOR
+    times the gap between the upper attractor and the solution below it,
+    or TAIL_TRACK_FACTOR times the path's tail at H if more, since the
+    pullback solution lags the frozen attractor by O(that tail)."""
+    dconcave = future.concavity == DCONCAVE
+    up, below = (("upper-attractive", "lower-attractive") if dconcave
+                 else ("attractive", "repulsive"))
+    upper, lower = future[up](H), future[below](H)
+    tol = max(TRACK_TOL_FACTOR * (upper - lower), TAIL_TRACK_FACTOR * mechanism.tail_gap(H))
+    to_upper = _terminal_distance(traj, upper, H)
+    to_lower = _terminal_distance(traj, lower, H) if dconcave else None
+    if to_upper < tol:
+        label = "A"
+    elif dconcave and to_lower < tol:
+        label = "C2"
+    elif not dconcave and traj.status == "blow-up":
+        label = "C"
+    else:
+        label = "indeterminate"
+    return label, to_upper, to_lower, tol
+
+
 def _classify_dconcave(model, mechanism, past, future, H, num, u=None) -> CaseLabel:
-    """u is integrated first, unless given: when it misses the upper
-    attractor and lands on the lower one, A is ruled out and C2 holds
-    whatever l and m do, so they are not integrated."""
+    """u is integrated first, unless given: when its own label is C2, A is
+    ruled out and C2 holds whatever l and m do, so they are not integrated."""
     if u is None:
         u = pullback_attractive(model, mechanism, past["upper-attractive"], H, num)
-    up_target, low_target, track_tol = _tracking_targets(mechanism, future, H, num)
-    d_u_up = _terminal_distance(u.trajectory, up_target, H)
-    d_u_low = _terminal_distance(u.trajectory, low_target, H)
-    if not d_u_up < track_tol and d_u_low < track_tol:
-        return CaseLabel("C2", DCONCAVE, H, {
-            "u_to_upper": d_u_up, "u_to_lower": d_u_low,
-            "u_status": u.status, "track_tol": track_tol,
-        })
+    u_label, d_u_up, d_u_low, track_tol = label_upper_run(u.trajectory, mechanism, future, H)
+    evidence = {"u_to_upper": d_u_up, "u_to_lower": d_u_low, "u_status": u.status,
+                "track_tol": track_tol}
+    if u_label == "C2":
+        return CaseLabel("C2", DCONCAVE, H, evidence)
 
     low = pullback_attractive(model, mechanism, past["lower-attractive"], H, num)
     m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
-    d_l_up = _terminal_distance(low.trajectory, up_target, H)
-    d_l_low = _terminal_distance(low.trajectory, low_target, H)
-    evidence = {
-        "u_to_upper": d_u_up, "u_to_lower": d_u_low,
-        "l_to_upper": d_l_up, "l_to_lower": d_l_low,
-        "m_bounded": m.bounded, "m_band_exit": m.band_exit_time,
-        "u_status": u.status, "l_status": low.status, "m_status": m.status,
-        "track_tol": track_tol,
-    }
+    d_l_up = _terminal_distance(low.trajectory, future["upper-attractive"](H), H)
+    d_l_low = _terminal_distance(low.trajectory, future["lower-attractive"](H), H)
+    evidence.update({"l_to_upper": d_l_up, "l_to_lower": d_l_low, "m_bounded": m.bounded,
+                     "m_band_exit": m.band_exit_time, "l_status": low.status,
+                     "m_status": m.status})
     if d_u_up < track_tol and d_l_low < track_tol and m.bounded:
         label = "A"
     elif d_u_low < track_tol:
@@ -204,26 +215,19 @@ def _classify_dconcave(model, mechanism, past, future, H, num, u=None) -> CaseLa
 
 
 def _classify_concave(model, mechanism, past, future, H, num, a=None) -> CaseLabel:
-    """a is integrated first, unless given: its blow-up decides C, so r is
-    not integrated."""
+    """a is integrated first, unless given: when its own label is C (a
+    blow-up), r is not integrated."""
     if a is None:
         a = pullback_attractive(model, mechanism, past["attractive"], H, num)
-    a_target, _, track_tol = _tracking_targets(mechanism, future, H, num)
-    d_a = _terminal_distance(a.trajectory, a_target, H)
-    if a.status == "blow-up":
-        return CaseLabel("C", CONCAVE, H, {
-            "a_to_attractive": d_a, "a_status": a.status,
-            "a_blow": a.trajectory.t_blow, "a_band_exit": a.band_exit_time,
-            "track_tol": track_tol,
-        })
+    a_label, d_a, _, track_tol = label_upper_run(a.trajectory, mechanism, future, H)
+    evidence = {"a_to_attractive": d_a, "a_status": a.status, "a_blow": a.trajectory.t_blow,
+                "a_band_exit": a.band_exit_time, "track_tol": track_tol}
+    if a_label == "C":
+        return CaseLabel("C", CONCAVE, H, evidence)
 
     r = pullback_repulsive(model, mechanism, future["repulsive"], H, num)
-    evidence = {
-        "a_to_attractive": d_a, "a_status": a.status, "r_status": r.status,
-        "a_blow": a.trajectory.t_blow, "r_blow": r.trajectory.t_blow,
-        "a_band_exit": a.band_exit_time, "r_band_exit": r.band_exit_time,
-        "track_tol": track_tol,
-    }
+    evidence.update({"r_status": r.status, "r_blow": r.trajectory.t_blow,
+                     "r_band_exit": r.band_exit_time})
     if r.status == "blow-up":
         label = "C"
     elif a.bounded and r.bounded and d_a < track_tol:
@@ -450,9 +454,9 @@ def switching_classify(model, left_mechanism, right_mechanism, t0: float = 0.0,
         raise ClassifyError("right pullback repulsive solution does not reach t0")
     a0, r0 = a(t0), r(t0)
     evidence = {"a_at_t0": a0, "r_at_t0": r0, "margin": a0 - r0, "t0": t0}
-    if a0 > r0 + num.sep_tol:
+    if a0 > r0 + SEP_TOL:
         label = "A"
-    elif a0 < r0 - num.sep_tol:
+    elif a0 < r0 - SEP_TOL:
         label = tip_label
     else:
         label = "boundary"

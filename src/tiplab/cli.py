@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, attractors
 from .attractors import (
     AttractorError,
     Numerics,
@@ -142,7 +142,17 @@ def _whole(value) -> int:
     return int(float(value))
 
 
-def _read_fields(block: dict, fields: dict, what: str, keys=None) -> dict:
+# Keys older manifests list that no run sets any more: ignored whatever they
+# hold (_ANY), or when they hold null or the value every run now uses, a
+# numerics one the attractors constant of its name in capitals.
+_ANY = object()
+_REMOVED_NUMERICS = {"anchor_tol": _ANY, **{key: getattr(attractors, key.upper()) for key in (
+    "tail_rel_tol", "max_horizon_doublings", "track_tol_factor", "tail_track_factor",
+    "band_margin", "window_samples", "sep_tol", "anchor_delta")}}
+_REMOVED_INTEGRATOR = {"fixed_step": _ANY, "method": "dopri54", "first_step": None}
+
+
+def _read_fields(block: dict, fields: dict, what: str, keys=None, removed={}) -> dict:
     """The fields of a config block, keyed by the parameters that declare
     them. Each value is converted by its parameter's annotation; a curve,
     mechanism or integrator field is read as a block of its own, a float
@@ -150,10 +160,16 @@ def _read_fields(block: dict, fields: dict, what: str, keys=None) -> dict:
     missing: a required one raises, an optional one is left out so that its
     default holds. A value its converter refuses, or a key outside keys
     (by default the declared fields), raises a ConfigError that names it,
-    and through nested blocks the path."""
-    stray = sorted(set(block) - set(fields if keys is None else keys))
+    and through nested blocks the path. So does a key of removed (key ->
+    accepted value) that holds another value."""
+    stray = sorted(set(block) - set(fields if keys is None else keys) - set(removed))
     if stray:
         raise ConfigError(f"{what} takes no field {', '.join(map(repr, stray))}")
+    for key, want in removed.items():
+        value = block.get(key)
+        if want is not _ANY and value is not None and (value != want or isinstance(value, bool)):
+            raise ConfigError(f"{what} field {key!r} was removed; every run now uses "
+                              f"{json.dumps(want)}, not {json.dumps(value)}")
     args = {}
     for name, field in fields.items():
         if block.get(name) is None:
@@ -198,30 +214,16 @@ def _swept(cfg: dict, parameter: str | None) -> tuple[dict, str]:
 
 
 def _read_integrator(block: dict) -> IntegratorConfig:
-    """The integrator block. Older manifests also list ``method``,
-    ``first_step`` and ``fixed_step``: dropped where they hold what the
-    adaptive DP54 integrator does anyway, and refused otherwise."""
-    block = dict(block)
-    method = block.pop("method", "dopri54")
-    if method != "dopri54":
-        raise ConfigError(f"integrator method {method!r} was removed; "
-                          "only the adaptive dopri54 remains")
-    block.pop("fixed_step", None)
-    if block.pop("first_step", None) is not None:
-        raise ConfigError("integrator.first_step was removed; "
-                          "the first step always follows from the span")
-    return IntegratorConfig(**_read_fields(block, _fields(IntegratorConfig), "integrator"))
+    return IntegratorConfig(**_read_fields(block, _fields(IntegratorConfig), "integrator",
+                                           removed=_REMOVED_INTEGRATOR))
 
 
 def build_numerics(cfg: dict) -> Numerics:
     """The numerics block: the fields of Numerics, integ under the key
-    integrator. Older manifests also list ``anchor_tol``, which no run
-    read: it is dropped."""
+    integrator."""
     fields = _fields(Numerics)
     fields["integrator"] = fields.pop("integ")
-    block = dict(cfg.get("numerics") or {})
-    block.pop("anchor_tol", None)
-    args = _read_fields(block, fields, "numerics")
+    args = _read_fields(cfg.get("numerics") or {}, fields, "numerics", removed=_REMOVED_NUMERICS)
     args["integ"] = args.pop("integrator", fields["integrator"].default)
     return Numerics(**args)
 

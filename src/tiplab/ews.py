@@ -22,19 +22,19 @@ from .attractors import (
     NonConvergentError,
     Numerics,
     PullbackSolution,
+    TRACK_TOL_FACTOR,
     _refined,
     gauss3_interval_integrals,
 )
 from .classify import (
     CaseLabel,
     LimitCache,
-    _terminal_distance,
-    _tracking_targets,
+    label_upper_run,
     pullback_of,
     resolve_horizon,
 )
 from .integrator import IntegrationError, _bisect, _first_hit, integrate
-from .models import CONCAVE, DCONCAVE, _fx_along
+from .models import _fx_along
 
 
 class EwsError(RuntimeError):
@@ -304,12 +304,11 @@ def _first_root(fn, level: float, lo: float, hi: float) -> float | None:
     return None if hit is None else 0.5 * (hit[0] + hit[1])
 
 
-def crossover_time(solution: PullbackSolution, future_limits,
-                   num: Numerics = DEFAULT_NUMERICS) -> float | None:
+def crossover_time(solution: PullbackSolution, future_limits) -> float | None:
     """First time the solution lands on the future extinction branch, i.e.
-    comes within the tracking tolerance of the lower attractor; None if it
-    never does (tracking runs). Scanned on a _CROSSOVER_STEP grid, then
-    bisected by _first_hit."""
+    comes within TRACK_TOL_FACTOR times the attractor gap of the lower
+    attractor; None if it never does (tracking runs). Scanned on a
+    _CROSSOVER_STEP grid, then bisected by _first_hit."""
     upper = future_limits["upper-attractive"]
     lower = future_limits["lower-attractive"]
     traj = solution.trajectory
@@ -317,7 +316,7 @@ def crossover_time(solution: PullbackSolution, future_limits,
     hi = min(traj.t_end, upper.window[1], lower.window[1])
 
     def landed(t: float) -> bool:
-        tol = num.track_tol_factor * (upper(t) - lower(t))
+        tol = TRACK_TOL_FACTOR * (upper(t) - lower(t))
         return abs(traj(t) - lower(t)) < tol
 
     n = int((hi - lo) / _CROSSOVER_STEP)
@@ -372,10 +371,8 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
                  T: float, L: float, num: Numerics = DEFAULT_NUMERICS,
                  shared: _UnreactedRun | None = None) -> ReactionOutcome:
     """Integrate the upper pullback solution, switch to the increased-rate
-    equation at the first warning time, and label the terminal state by the
-    tracking rule of classify: A near the future upper attractor, else C2
-    near the lower one (d-concave), else C on a concave blow-up, else
-    indeterminate.
+    equation at the first warning time, and label the run by
+    classify.label_upper_run, with the unreacted path's tail term.
 
     Without a warning the unreacted equation's own classification is
     returned, with t1 = None.
@@ -393,19 +390,11 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
     H = run.H
     traj = integrate(model.transition_rhs(reaction), t1, run.u(t1), H, num.integ)
     # tail term of the unreacted path: the run never follows the Reaction's -H end
-    upper, below, tol = _tracking_targets(run.mechanism, run.future, H, num)
-    ev = {"to_upper": _terminal_distance(traj, upper, H), "track_tol": tol,
+    label, to_upper, to_lower, tol = label_upper_run(traj, run.mechanism, run.future, H)
+    ev = {"to_upper": to_upper, "track_tol": tol,
           "status": traj.status, "t_blow": traj.t_blow, "t1": t1, "r": r, "kappa": kappa}
-    if model.concavity == DCONCAVE:
-        ev["to_lower"] = _terminal_distance(traj, below, H)
-    if ev["to_upper"] < tol:
-        label = "A"
-    elif ev.get("to_lower", math.inf) < tol:
-        label = "C2"
-    elif model.concavity == CONCAVE and traj.status == "blow-up":
-        label = "C"
-    else:
-        label = "indeterminate"
+    if to_lower is not None:
+        ev["to_lower"] = to_lower
     return ReactionOutcome(CaseLabel(label, model.concavity, H, ev), t1, r, kappa, True)
 
 

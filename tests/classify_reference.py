@@ -3,16 +3,32 @@
 Each rule integrated every pullback solution of its concavity class (u, l
 and m for a d-concave field; a and r for a concave one) before it read any
 of them. ``_classify_dconcave`` and ``_classify_concave`` below are kept
-verbatim; they use the package's own pullbacks, tracking targets and
-terminal distances. ``classify`` must give the same label, and every
-evidence key both report must hold the same value.
+verbatim; they use the package's own pullbacks and terminal distances, and
+the tracking targets as classify computed them then. ``classify`` must
+give the same label, and every evidence key both report must hold the same
+value.
 """
 
 from __future__ import annotations
 
-from tiplab.attractors import pullback_attractive, pullback_repulsive
-from tiplab.classify import CaseLabel, _terminal_distance, _tracking_targets
+from tiplab.attractors import (
+    TAIL_TRACK_FACTOR,
+    TRACK_TOL_FACTOR,
+    pullback_attractive,
+    pullback_repulsive,
+)
+from tiplab.classify import CaseLabel, _terminal_distance
 from tiplab.models import CONCAVE, DCONCAVE
+
+
+def _tracking_targets(mechanism, future, H):
+    """The future upper attractor at +H, the solution below it and the
+    tracking distance, as classify read them before the early exits."""
+    up, below = (("upper-attractive", "lower-attractive") if future.concavity == DCONCAVE
+                 else ("attractive", "repulsive"))
+    upper, lower = future[up](H), future[below](H)
+    return upper, lower, max(TRACK_TOL_FACTOR * (upper - lower),
+                             TAIL_TRACK_FACTOR * mechanism.tail_gap(H))
 
 
 def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
@@ -20,7 +36,7 @@ def _classify_dconcave(model, mechanism, past, future, H, num) -> CaseLabel:
     low = pullback_attractive(model, mechanism, past["lower-attractive"], H, num)
     m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
 
-    up_target, low_target, track_tol = _tracking_targets(mechanism, future, H, num)
+    up_target, low_target, track_tol = _tracking_targets(mechanism, future, H)
     d_u_up = _terminal_distance(u.trajectory, up_target, H)
     d_u_low = _terminal_distance(u.trajectory, low_target, H)
     d_l_up = _terminal_distance(low.trajectory, up_target, H)
@@ -47,7 +63,7 @@ def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
     a = pullback_attractive(model, mechanism, past["attractive"], H, num)
     r = pullback_repulsive(model, mechanism, future["repulsive"], H, num)
 
-    a_target, _, track_tol = _tracking_targets(mechanism, future, H, num)
+    a_target, _, track_tol = _tracking_targets(mechanism, future, H)
     d_a = _terminal_distance(a.trajectory, a_target, H)
     evidence = {
         "a_to_attractive": d_a, "a_status": a.status, "r_status": r.status,

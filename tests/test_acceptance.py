@@ -131,7 +131,7 @@ def test_criterion_3_case_table_and_warnings(dmodel, dprof):
         wt = warning_time(series, EwsConfig(0.6, L))
         checks.append(mark(wt is not None, f"c={c}: finite warning {wt}"))
         if want == "C2":
-            xo = crossover_time(u, cache.get(mech.gamma_plus, H), NUM)
+            xo = crossover_time(u, cache.get(mech.gamma_plus, H))
             checks.append(mark(xo is not None and wt is not None and wt < xo,
                                f"c={c}: warning {wt} < crossover {xo}"))
     record(3, "case table with warnings before extinction", checks)

@@ -169,7 +169,7 @@ def test_gamma_interval_edges_are_pinned(cubic):
 
 def test_crossover_time_is_pinned(slow_run):
     _, future, u = slow_run
-    assert float(crossover_time(u, future, NUM)).hex() == "0x1.10a8e22600000p+10"
+    assert float(crossover_time(u, future)).hex() == "0x1.10a8e22600000p+10"
 
 
 def test_warning_times_are_pinned(cubic, slow_run):

@@ -33,8 +33,8 @@ def run_cli(tmp_path, subcommand, config, *extra):
     ("model.state-box=[0.0, 2.0]", "ConfigError: model takes no field 'state-box'"),
     ("numerics.horizon=abc",
      "ConfigError: numerics field 'horizon': could not convert string to float: 'abc'"),
-    ("numerics.window_samples=2.5",
-     "ConfigError: numerics field 'window_samples': needs a whole number, got 2.5"),
+    ("numerics.max_burn_doublings=2.5",
+     "ConfigError: numerics field 'max_burn_doublings': needs a whole number, got 2.5"),
     ("numerics.integrator.rtol=abc",
      "ConfigError: numerics field 'integrator': integrator field 'rtol': "
      "could not convert string to float: 'abc'"),
@@ -45,7 +45,7 @@ def run_cli(tmp_path, subcommand, config, *extra):
      "ModelError: state_box must be two increasing numbers, got (1.0,)"),
     ("model.state_box=[0, 1, 2]",
      "ModelError: state_box must be two increasing numbers, got (0, 1, 2)"),
-], ids=["model-typo", "model-dashed-key", "horizon-not-a-number", "window-samples-fraction",
+], ids=["model-typo", "model-dashed-key", "horizon-not-a-number", "burn-doublings-fraction",
         "rtol-not-a-number", "integrator-typo", "numerics-typo", "state-box-one-number",
         "state-box-three-numbers"])
 def test_bad_model_or_numerics_field_is_refused_by_name(change, message, tmp_path, capsys):
@@ -54,31 +54,29 @@ def test_bad_model_or_numerics_field_is_refused_by_name(change, message, tmp_pat
 
 
 @pytest.mark.parametrize("change, message", [
-    ("numerics.window_samples=true",
-     "ConfigError: numerics field 'window_samples': needs a number, got true"),
-    ("numerics.sep_tol=true", "ConfigError: numerics field 'sep_tol': needs a number, got true"),
+    ("numerics.max_burn_doublings=true",
+     "ConfigError: numerics field 'max_burn_doublings': needs a number, got true"),
+    ("numerics.conv_tol=true", "ConfigError: numerics field 'conv_tol': needs a number, got true"),
     ("mechanism.c=true",
      "ConfigError: mechanism kind 'constant-rate' field 'c': needs a number, got true"),
     ("mechanism.profile.b=true",
      "ConfigError: mechanism kind 'constant-rate' field 'profile': invalid 'cauchy-pulse' "
      "profile: 'cauchy-pulse' curve parameter 'b' must be a number, got True"),
     ("model.coefficients.r=true", "ModelError: cannot interpret coefficient spec True"),
-    ("numerics.window_samples=1", "numerics field 'window_samples' must be at least 2, got 1"),
     ("numerics.conv_tol=-1", "numerics field 'conv_tol' must be positive, got -1.0"),
     ("numerics.horizon=0", "numerics field 'horizon' must be positive, got 0.0"),
     ("numerics.quad_h=0", "numerics field 'quad_h' must be positive, got 0.0"),
     ("numerics.max_burn_doublings=-1",
      "numerics field 'max_burn_doublings' must be at least 0, got -1"),
-    ("numerics.tail_track_factor=-0.5",
-     "numerics field 'tail_track_factor' must be at least 0, got -0.5"),
+    ("numerics.warn_refine_tol=-0.5",
+     "numerics field 'warn_refine_tol' must be at least 0, got -0.5"),
     ("numerics.integrator.rtol=-1",
      "IntegrationError: integrator field 'rtol' must be positive, got -1.0"),
     ("numerics.integrator.max_steps=0",
      "IntegrationError: integrator field 'max_steps' must be at least 1, got 0"),
-], ids=["window-samples-boolean", "sep-tol-boolean", "rate-boolean", "profile-boolean",
-        "coefficient-boolean", "one-window-sample", "negative-conv-tol", "zero-horizon",
-        "zero-quad-step", "negative-doublings", "negative-tail-factor", "negative-rtol",
-        "zero-max-steps"])
+], ids=["burn-doublings-boolean", "conv-tol-boolean", "rate-boolean", "profile-boolean",
+        "coefficient-boolean", "negative-conv-tol", "zero-horizon", "zero-quad-step",
+        "negative-doublings", "negative-refine-tol", "negative-rtol", "zero-max-steps"])
 def test_booleans_and_out_of_range_numerics_are_refused_by_name(change, message, tmp_path,
                                                                  capsys):
     assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change) == 1
@@ -104,11 +102,11 @@ def test_missing_curve_parameter_is_refused_by_name(block, curve, message, tmp_p
 
 def test_numerics_values_are_converted(tmp_path):
     rc = run_cli(tmp_path, "classify", CLASSIFY, "--set", "numerics.horizon=30",
-                 "--set", "numerics.window_samples=257.0")
+                 "--set", "numerics.max_burn_doublings=5.0")
     assert rc == 0
     numerics = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["numerics"]
     assert repr(numerics["horizon"]) == "30.0"
-    assert repr(numerics["window_samples"]) == "257"
+    assert repr(numerics["max_burn_doublings"]) == "5"
 
 
 @pytest.mark.parametrize("change", ["experiment.kappas=[1.5, -0.5]", "experiment.L=2.0"])

@@ -168,7 +168,7 @@ def test_slow_run_warns_before_extinction(cubic, slow_run):
     assert series.values.min() == pytest.approx(-3.4726, abs=5e-3)
     # the tipped solution only reaches the frozen lower branch far in the
     # future: the moving branch returns to it like 1/t^2
-    arrival = crossover_time(u, past, NUM)
+    arrival = crossover_time(u, past)
     assert arrival == pytest.approx(1090.64, abs=0.5)
     wt = warning_time(series, EwsConfig(0.5, -2.0))
     assert wt is not None and wt < arrival
@@ -178,7 +178,7 @@ def test_fast_run_stays_quiet(cubic, fast_run):
     mech, H, past, u = fast_run
     series = ftle_series(cubic, mech, u, 10.0, NUM)
     assert series.max_value == pytest.approx(-1.4154, abs=5e-3)
-    assert crossover_time(u, past, NUM) is None
+    assert crossover_time(u, past) is None
     assert warning_time(series, EwsConfig(0.5, -2.0)) is None
 
 
