@@ -107,7 +107,8 @@ class LimitSet:
     For d-concave fields the full structure is three solutions
     (lower-attractive < middle-repulsive < upper-attractive); for concave
     fields it is two (repulsive < attractive). ``complete`` says whether the
-    full structure was found with the required uniform separation.
+    full structure was found with the required uniform separation. An
+    attractive estimate ends after its first node past the window.
 
     The repulsive estimate may still be pending: ``limit_hyperbolic_solutions``
     leaves it to the first read that needs it, that is ``set[role]`` for a
@@ -201,15 +202,15 @@ def _certified_run(rhs, t_from_of, x0_of, t_to, grid, num: Numerics):
     """Integrate with doubling burn-in until the window values stabilize.
 
     t_from_of/x0_of map the burn-in B to the start point (t_from_of is called
-    first); every run ends at t_to, but the first, never returned, stops
-    after the grid's end when it runs forward. Runs at B, 2B, ... up to
-    max_burn_doublings doublings and returns (trajectory, burn_in, gap) of
-    the first run within conv_tol of the one before.
+    first); every run steps toward t_to, and a forward run stops after the
+    grid's end (``Trajectory.continued`` carries it on). Runs at B, 2B, ...
+    up to max_burn_doublings doublings and returns (trajectory, burn_in,
+    gap) of the first run within conv_tol of the one before.
     """
     B = num.burn_in
     prev, gap = None, math.inf
+    stop = grid[-1] if t_to > grid[-1] else None
     for _ in range(num.max_burn_doublings + 1):
-        stop = grid[-1] if prev is None and t_to > grid[-1] else None
         cur = integrate(rhs, t_from_of(B), x0_of(B), t_to, num.integ, stop_after=stop)
         if cur.status != "completed":
             raise NonConvergentError("escape during burn-in (no bounded solution reached)")
@@ -236,10 +237,11 @@ def limit_hyperbolic_solutions(
     """Estimate the hyperbolic solutions of x' = f(t, x, gamma) over a window.
 
     Attractive solutions come from forward burn-in started at seeds placed
-    outside the state box and run on past the right edge of the window; the
-    d-concave middle repulsive solution comes from backward burn-in seeded
-    between the attractive pair beyond the right edge, and the concave
-    repulsive one from backward burn-in seeded at the low seed.
+    outside the state box; each run steps toward twice the burn-in past the
+    right edge of the window, and stops after its first node past that
+    edge. The d-concave middle repulsive solution comes from backward
+    burn-in seeded between the attractive pair beyond the right edge, and
+    the concave repulsive one from backward burn-in seeded at the low seed.
 
     The attractive runs are made here, and so is the verdict on a d-concave
     pair that is missing an estimate or collides. The repulsive run, with
@@ -270,8 +272,10 @@ def limit_hyperbolic_solutions(
             return None
         return HyperbolicEstimate(role, gamma, tr, (w0, w1), b, gap)
 
+    reach = w1 + 2.0 * num.burn_in   # where the attractive runs step toward
+
     def attractive(role, seed):
-        return estimate(role, lambda b: w0 - b, lambda b: seed, w1 + 2.0 * num.burn_in)
+        return estimate(role, lambda b: w0 - b, lambda b: seed, reach)
 
     def repulsive(role, x0_of):
         return estimate(role, lambda b: w1 + b, x0_of, w0)
@@ -287,13 +291,16 @@ def limit_hyperbolic_solutions(
         pair = [upper.trajectory, lower.trajectory]
 
         def midpoint(b):
-            # the attractive runs are run again from their start when
-            # the seed point w1 + b moves past their end
+            # the attractive runs are continued to the seed point w1 + b,
+            # and run again from their start when it lies past their reach;
+            # the held estimates keep their own runs
             start = w1 + b
-            if not all(tr.covers(start) for tr in pair):
+            if start <= reach:
+                pair[:] = [tr if tr.covers(start) else tr.continued(start) for tr in pair]
+            elif not all(tr.covers(start) for tr in pair):
                 pair[:] = [integrate(rhs, tr.t[0], tr.x[0], start, num.integ) for tr in pair]
-                if any(tr.status != "completed" for tr in pair):
-                    raise NonConvergentError("attractive extension escaped")
+            if any(tr.status != "completed" for tr in pair):
+                raise NonConvergentError("attractive extension escaped")
             return 0.5 * (pair[0](start) + pair[1](start))
 
         est = repulsive("middle-repulsive", midpoint)

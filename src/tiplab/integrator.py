@@ -90,7 +90,9 @@ class Trajectory:
     direction of integration. t, x and f are read-only: limit sets are
     shared between callers, so an in-place write would change later answers.
     They view the buffers _tl, _xl and _fl, whose items read as Python
-    floats; scalar reads go to the buffers.
+    floats; scalar reads go to the buffers. steps counts the run's trial
+    steps, so len(t) - 1 of them were accepted; a run that stop_after ended
+    can be carried on (``continued``).
     """
 
     direction: str                 # "forward" | "backward"
@@ -102,6 +104,10 @@ class Trajectory:
     _tl: array = field(repr=False)  # the buffers t, x and f view
     _xl: array = field(repr=False)
     _fl: array = field(repr=False)
+    steps: int = 0
+    # (rhs, t_end in the integration clock, config, next trial step) of a
+    # run that stop_after ended, else None
+    _resume: tuple | None = field(default=None, repr=False)
 
     @property
     def t_start(self) -> float:
@@ -151,7 +157,23 @@ class Trajectory:
         x = np.frombuffer(xl, dtype=float)
         np.add(x, dx, out=x)
         return Trajectory(self.direction, self.t, _read_only(x), self.f,
-                          self.status, self.t_blow, _tl=self._tl, _xl=xl, _fl=self._fl)
+                          self.status, self.t_blow, _tl=self._tl, _xl=xl, _fl=self._fl,
+                          steps=self.steps)
+
+    def continued(self, time: float) -> "Trajectory":
+        """The run that stop_after ended, carried on to its first node past
+        time, or to its end: its nodes, slopes and steps are bitwise those of
+        the uninterrupted run. A new trajectory, since the buffers cannot
+        grow while numpy views them."""
+        if self._resume is None:
+            raise IntegrationError("only a run that stop_after ended can be continued")
+        rhs, t1, config, h = self._resume
+        backward = self.direction == "backward"
+        i = 0 if backward else -1    # the last node in the run's direction
+        t0, stop = (-self._tl[i], -float(time)) if backward else (self._tl[i], float(time))
+        if not stop > t0:
+            raise IntegrationError(f"continue time {time!r} is not past the last node")
+        return _run(rhs, backward, t0, self._xl[i], t1, config, stop, h, self.steps, self)
 
 
 def _span_error(tl: array, time) -> IntegrationError:
@@ -224,6 +246,13 @@ def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
 # of a right-hand side, whose names are t, x, g, the family's locals, k<n>
 # and _v<n>.
 #
+# Beyond its last node a run's only state is its next trial step _h (and
+# the trial steps _steps it has made, which the step budget counts), so the
+# loop takes both as arguments and returns them: a run that ended after
+# the first node past _stop continues from that node, h and steps bit for
+# bit. Its k1 there is a call of the right-hand side, which the pasted
+# stage 7 equals bit for bit (see _dp54).
+#
 # A step calls no builtin. Each call of the standard controller (Hairer,
 # Norsett & Wanner, II.4) is written out so that it picks the same float:
 # - min(h, max_step, t1 - t) is the two compares below: min keeps the
@@ -239,7 +268,8 @@ def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
 # - The underflow test h < 1e-14*max(1, |t|) runs only below the per-run
 #   floor 1e-14*max(1, |t0|, |t1|). Inside the loop t0 <= t < t1, so the
 #   floor is at least the per-step bound (rounding is monotone), and a step
-#   at or above the floor passes both tests.
+#   at or above the floor passes both tests. A continued run starts at a
+#   later t0, so the same holds.
 _DP54 = """\
 _ts = _array("d", (_t0,))
 _xs = _array("d", (_x0,))
@@ -249,14 +279,11 @@ if not _isfinite(_k1):
 _fs = _array("d", (_k1,))
 _ts_append, _xs_append, _fs_append = _ts.append, _xs.append, _fs.append
 _status, _t_blow = "completed", None
-_span = _t1 - _t0
 _max_step = _cfg.max_step
-_h = min(_max_step, max(1e-6, 1e-3 * _span), _span)
 _t, _x = _t0, _x0
 _rtol, _atol, _x_max = _cfg.rtol, _cfg.atol, _cfg.x_max
 _max_steps = _cfg.max_steps
 _floor = 1e-14 * max(1.0, abs(_t0), abs(_t1))
-_steps = 0
 while _t < _t1 and _t <= _stop:
     if _steps >= _max_steps:
         raise _IntegrationError(f"step budget exhausted at t={{{sign}_t}}")
@@ -343,7 +370,9 @@ _LOOP_VALUES = {"_array": array, "_isfinite": math.isfinite,
 
 def _dp54(rhs, backward: bool):
     """The DP54 loop for rhs in one direction, as one generated function
-    (t0, x0, t1, cfg, stop) -> (ts, xs, fs, status, t_blow), ending after a node past stop.
+    (t0, x0, t1, cfg, stop, h, steps) -> (ts, xs, fs, status, t_blow, h, steps),
+    ending after a node past stop; h is the first trial step, steps the
+    trial steps already made, and the function returns both as they stand.
 
     The slopes at the start and at a blow-up point come from calling rhs.
     A right-hand side compiled by an Emitter with the signature (t, x) has
@@ -376,7 +405,8 @@ def _dp54(rhs, backward: bool):
     trial.append(_stage(body, "_t + _h", "_xn", "_k7", backward, same_t=True))
     trial.append(f"        _err = _h * ({_weighted(_E)})")
     e.lines.append(_DP54.format(sign="-" if backward else "", trial="\n".join(trial)))
-    return e.compile("dp54", "_t0, _x0, _t1, _cfg, _stop", "_ts, _xs, _fs, _status, _t_blow")
+    return e.compile("dp54", "_t0, _x0, _t1, _cfg, _stop, _h, _steps",
+                     "_ts, _xs, _fs, _status, _t_blow, _h, _steps")
 
 
 def integrate(rhs, t_start: float, x0: float, t_end: float,
@@ -389,7 +419,8 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     t_end that is not finite raises IntegrationError.
 
     A run given stop_after steps as the run to t_end and ends after its
-    first node past stop_after: its nodes are a bitwise prefix of that run's.
+    first node past stop_after: its nodes are a bitwise prefix of that run's,
+    and ``Trajectory.continued`` carries it on.
     """
     t_start, x0, t_end = float(t_start), float(x0), float(t_end)
     for name, value in (("t_start", t_start), ("x0", x0), ("t_end", t_end)):
@@ -402,17 +433,34 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     stop = t_end if stop_after is None else float(stop_after)
     if stop_after is not None and not min(t_start, t_end) < stop < max(t_start, t_end):
         raise IntegrationError(f"stop_after must lie strictly inside the span, got {stop!r}")
-    if t_end > t_start:
-        ts, xs, fs, status, t_blow = _dp54(rhs, False)(t_start, x0, t_end, config, stop)
-        return Trajectory("forward", _view(ts), _view(xs), _view(fs),
-                          status, t_blow, _tl=ts, _xl=xs, _fl=fs)
-    ts, xs, fs, status, t_blow = _dp54(rhs, True)(-t_start, x0, -t_end, config, -stop)
-    # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
-    for buf in (ts, xs, fs):
-        buf.reverse()
-    for buf in (ts, fs):
-        v = np.frombuffer(buf, dtype=float)
-        np.negative(v, out=v)
-    return Trajectory("backward", _view(ts), _view(xs), _view(fs),
-                      status, (-t_blow if t_blow is not None else None),
-                      _tl=ts, _xl=xs, _fl=fs)
+    backward = t_end < t_start
+    if backward:
+        t_start, t_end, stop = -t_start, -t_end, -stop
+    span = t_end - t_start
+    h = min(config.max_step, max(1e-6, 1e-3 * span), span)
+    return _run(rhs, backward, t_start, x0, t_end, config, stop, h, 0)
+
+
+def _run(rhs, backward: bool, t0, x0, t1, config, stop, h, steps,
+         before: Trajectory | None = None) -> Trajectory:
+    """The loop from (t0, x0) toward t1 in the integration clock, as a
+    trajectory in t; before is the run it continues from t0, its last node.
+    A run that stop ended keeps what continues it."""
+    ts, xs, fs, status, t_blow, h, steps = _dp54(rhs, backward)(t0, x0, t1, config, stop, h, steps)
+    resume = (rhs, t1, config, h) if status == "completed" and ts[-1] < t1 else None
+    if backward:
+        # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
+        for buf in (ts, xs, fs):
+            buf.reverse()
+        for buf in (ts, fs):
+            v = np.frombuffer(buf, dtype=float)
+            np.negative(v, out=v)
+        if t_blow is not None:
+            t_blow = -t_blow
+    if before is not None:
+        # the node t0 is before's, which the run's first node repeats
+        old = (before._tl, before._xl, before._fl)
+        ts, xs, fs = ((new[:-1] + b if backward else b + new[1:])
+                      for new, b in zip((ts, xs, fs), old))
+    return Trajectory("backward" if backward else "forward", _view(ts), _view(xs), _view(fs),
+                      status, t_blow, _tl=ts, _xl=xs, _fl=fs, steps=steps, _resume=resume)

@@ -113,8 +113,9 @@ class Curve:
             return e.num(p["value"])
         if kind == "sum":
             terms = " + ".join(paren(c.emit(e, arg)) for c in p["terms"])
-            # sum() adds left to right from the integer 0
-            return f"{e.num(p['offset'])} + (0 + {terms})"
+            # sum() of the terms, left to right; its start 0 is written
+            # 0.0, the same IEEE sums without an int + float add
+            return f"{e.num(p['offset'])} + (0.0 + {terms})"
         if kind == "cauchy-pulse":
             first, again = e.once(arg)
             return (f"{e.num(p['gamma_plus'])} + {e.num(p['gamma_star'] - p['gamma_plus'])} / "
@@ -472,7 +473,7 @@ _FAMILIES: dict[str, dict] = {
         "optional": {},
         "positive": ("r",),
         "constants": {},
-        "f": "d = x - g\nreturn -$r * d * d + $I",
+        "f": "d = x - g\nreturn $I - $r * d * d",
         "fx": "return -2.0 * $r * (x - g)",
         "fxx": None,
         "layout": lambda c, consts: ((-math.inf, math.inf), (-20.0, 20.0)),

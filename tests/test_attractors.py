@@ -279,8 +279,10 @@ def test_attractive_read_makes_no_repulsive_run(runs, family, coefficients, chai
     assert ls.notes == [] and len(runs) == made
 
 
-def test_only_the_first_forward_run_of_a_role_stops_after_the_window(monkeypatch, cubic):
-    # the first run is only compared on the window grid and never returned
+def test_every_forward_burn_in_run_stops_after_the_window(monkeypatch, cubic):
+    # nothing reads a held attractive estimate past the window; the middle
+    # seed carries the pair on in its own copies, and the held runs carried
+    # on to their end are the uninterrupted runs
     import tiplab.attractors as attractors
 
     inner = attractors.integrate
@@ -295,13 +297,15 @@ def test_only_the_first_forward_run_of_a_role_stops_after_the_window(monkeypatch
     ls = limit_hyperbolic_solutions(cubic, 0.0, WINDOW)
     w1, end = WINDOW[1], WINDOW[1] + 2.0 * DEFAULT_NUMERICS.burn_in
     forward = [(stop, traj) for ahead, stop, traj in made if ahead]
-    stopped = [traj for stop, traj in forward if stop is not None]
-    assert [stop for stop, _ in forward if stop is not None] == [w1, w1]   # upper, lower
-    assert all(traj.t[-2] <= w1 < traj.t[-1] for traj in stopped)
-    assert all(traj.t[-1] == end for stop, traj in forward if stop is None)
+    assert len(forward) >= 4 and all(stop == w1 for stop, _ in forward)
+    assert all(traj.t[-2] <= w1 < traj.t[-1] for _, traj in forward)
     assert ls.complete
-    assert [ls[role].trajectory.t[-1] for role in ("upper-attractive", "lower-attractive")] == [
-        end, end]
+    for role in ("upper-attractive", "lower-attractive"):
+        held = ls[role].trajectory
+        assert held.t[-2] <= w1 < held.t[-1]
+        full = inner(cubic.frozen_rhs(0.0), held.t[0], held.x[0], end)
+        whole = held.continued(end)
+        assert (whole.t.tobytes(), whole.x.tobytes()) == (full.t.tobytes(), full.x.tobytes())
 
 
 def test_an_unread_limit_set_is_freed_by_reference_counting(cubic):

@@ -51,6 +51,19 @@ def test_slow_pulse_tips_fast_pulse_tracks(cubic, pulse):
     assert fast.evidence["u_to_upper"] < fast.evidence["track_tol"]
 
 
+@pytest.mark.parametrize("gamma_star, tipped, boundary", [(-0.6, "C2", "B2"),
+                                                           (0.6, "C1", "B1")])
+def test_the_mirrored_pulse_tips_the_lower_solution_at_the_same_rate(
+        cubic, gamma_star, tipped, boundary):
+    # x - x^3 + g is odd under (x, g) -> (-x, -g): the pulse up to +0.6
+    # mirrors the one down to -0.6, so the lower attractive solution tips
+    # (C1) at the rates where the upper one does (C2), bracket for bracket
+    prof = make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=gamma_star, b=0.05)
+    res = critical_value(cubic, lambda c: ConstantRate(prof, c), 0.05, 5.0, 1.0e-6)
+    assert (res.lower, res.upper) == (2.1921779334545133, 2.1921785235404965)
+    assert (res.label_lower, res.label_upper, res.boundary_label) == (tipped, "A", boundary)
+
+
 def test_concave_rate_induced_tipping(cquad, deep_pulse):
     # classical direction: slow rates track the moving equilibria, fast
     # pulses drop the state below the repeller and it escapes to -inf

@@ -108,12 +108,12 @@ def test_a_callable_rhs_is_called_six_times_per_trial_step(t_end):
         return 1.0
 
     traj = integrate(rhs, 0.0, 0.0, t_end)
-    assert len(calls) == 6 * (len(traj.t) - 1) + 1
+    assert len(calls) == 6 * (len(traj.t) - 1) + 1 == 6 * traj.steps + 1
     # a rejected trial step takes its 6 calls too
     calls.clear()
     traj = integrate(lambda t, x: rhs(t, x) * math.cos(40.0 * t), 0.0, 0.0, t_end)
     trials, rest = divmod(len(calls) - 1, 6)
-    assert rest == 0 and trials > len(traj.t) - 1
+    assert rest == 0 and trials == traj.steps > len(traj.t) - 1
     assert all(calls[i + 4] == calls[i + 5] for i in range(1, len(calls), 6))
 
 
@@ -238,6 +238,74 @@ def test_stop_after_must_lie_strictly_inside_the_span(t_end, stop):
     with pytest.raises(IntegrationError, match="stop_after") as err:
         integrate(lambda t, x: -x, 0.0, 1.0, t_end, stop_after=stop)
     assert repr(stop) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# a stopped run, continued
+# ---------------------------------------------------------------------------
+
+def _bits(traj):
+    return (traj.direction, traj.status, traj.t_blow, traj.steps,
+            traj.t.tobytes(), traj.x.tobytes(), traj.f.tobytes())
+
+
+@pytest.mark.parametrize("continuations", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["frozen", "transition", "called"])
+@pytest.mark.parametrize("t_start, x0, t_end, stops", [
+    (-60.0, 0.9, 90.0, (-50.0, -10.0, 20.0, 60.0)),
+    (60.0, 0.1, -90.0, (50.0, 10.0, -20.0, -60.0)),
+], ids=["forward", "backward"])
+def test_a_continued_run_is_the_uninterrupted_run(t_start, x0, t_end, stops, kind,
+                                                  continuations):
+    # the pasted right-hand sides, and the frozen one called; the last
+    # continuation runs to the end
+    cases = _stop_cases()
+    rhs = cases.get(kind) or (lambda t, x: cases["frozen"](t, x))
+    full = integrate(rhs, t_start, x0, t_end)
+    run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0])
+    for stop in (*stops[1:continuations], t_end):
+        run = run.continued(stop)
+    assert _bits(run) == _bits(full)
+    with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
+        run.continued(t_end)
+
+
+@pytest.mark.parametrize("kind, t_start, x0, t_end, stops", [
+    ("called", 0.0, 0.1, 20.0, (2.0, 5.0)),
+    ("pasted", 0.0, 1.5, -10.0, (-0.1, -0.2)),
+], ids=["forward", "backward"])
+def test_a_continued_run_blows_up_as_the_uninterrupted_run(kind, t_start, x0, t_end, stops):
+    cubic = make_model("allee-multiplicative-cubic", {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0})
+    rhs = (lambda t, x: x * x) if kind == "called" else cubic.frozen_rhs(0.2)
+    full = integrate(rhs, t_start, x0, t_end)
+    run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0]).continued(stops[1])
+    assert run.status == "completed"
+    run = run.continued(t_end)
+    assert full.status == "blow-up" and _bits(run) == _bits(full)
+    with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
+        run.continued(t_end)
+
+
+@pytest.mark.parametrize("t_end, stop, behind", [(50.0, 10.0, 5.0), (-50.0, -10.0, -5.0)])
+def test_a_continued_run_counts_its_calls_and_steps(t_end, stop, behind):
+    # a called rhs that never raises nor blows up: 6 calls per trial step,
+    # rejected ones included, and 1 at the start and at each continuation
+    calls = []
+
+    def rhs(t, x):
+        calls.append(t)
+        return math.cos(40.0 * t)
+
+    run = integrate(rhs, 0.0, 0.0, t_end, stop_after=stop)
+    assert len(calls) == 6 * run.steps + 1 and run.steps > len(run.t) - 1
+    with pytest.raises(IntegrationError, match="not past the last node"):
+        run.continued(behind)
+    run = run.continued(2.0 * stop).continued(t_end)
+    assert len(calls) == 6 * run.steps + 3
+    assert run.steps == integrate(rhs, 0.0, 0.0, t_end).steps
+    # a shifted run solves another equation: it cannot be continued
+    with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
+        integrate(rhs, 0.0, 0.0, t_end, stop_after=stop).shifted(1.0).continued(t_end)
 
 
 def _log_pole(t, x):

@@ -12,7 +12,9 @@ comparison would measure the escape, not the integrator.
 
 sympy differentiates each family's f formula, as an oracle for the
 generated fx and fxx; scipy's brentq checks the two root finders of the
-warning machinery. sympy is a test-only dependency too.
+warning machinery. sympy is a test-only dependency too. scipy's
+eigh_tridiagonal places the fold of the concave study model, where its
+limit sets lose their hyperbolic solutions.
 """
 
 from string import Template
@@ -20,6 +22,7 @@ from string import Template
 import numpy as np
 import pytest
 
+from tiplab.attractors import limit_hyperbolic_solutions
 from tiplab.ews import EwsConfig, FtleSeries, _first_root, warning_time
 from tiplab.integrator import integrate
 from tiplab.models import _FAMILIES, _PLACEHOLDER, CONCAVE, ModelError, make_model
@@ -197,3 +200,38 @@ def test_warning_time_matches_brentq():
         # warning_time refines on the linear interpolant between nodes
         ref = brentq(lambda s: np.interp(s, t, v) - cfg.threshold, 0.0, 5.0, xtol=1e-14)
         assert abs(wt - ref) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the fold of the concave study model, from its Riccati linearisation
+# ---------------------------------------------------------------------------
+
+def _ground_state(h: float, half: float = 1000.0) -> float:
+    """Lowest eigenvalue of -u'' + I(t) u on [-half, half] with Dirichlet
+    ends, by second differences with step h; I is criterion 6's migration
+    term 0.895 - sin(t/2) - sin(sqrt(5) t), written out here."""
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    t = np.arange(1, round(2.0 * half / h)) * h - half
+    diagonal = 2.0 / h ** 2 + 0.895 - np.sin(0.5 * t) - np.sin(np.sqrt(5.0) * t)
+    off = np.full(t.size - 1, -1.0 / h ** 2)
+    return eigh_tridiagonal(diagonal, off, eigvals_only=True,
+                            select="i", select_range=(0, 0))[0]
+
+
+def test_the_concave_study_model_loses_its_limit_set_at_the_fold(cmodel):
+    # With y = x - g the tilted field I(t) - (x - g)^2 + lam reads
+    # y' = -y^2 + I + lam, and y = u'/u turns it into u'' = (I + lam) u. A
+    # solution bounded on the whole line exists iff that equation has a
+    # positive solution, i.e. iff -d^2/dt^2 + I + lam >= 0: the fold is
+    # lam = -E0, E0 the bottom of the spectrum of -d^2/dt^2 + I (Nunez &
+    # Obaya, DCDS-B 9, 2008). Dirichlet eigenvalues on a long interval
+    # approach E0, and one Richardson step removes the O(h^2) error of the
+    # second differences.
+    coarse, fine = _ground_state(0.04), _ground_state(0.02)
+    fold = -(4.0 * fine - coarse) / 3.0
+    assert fold == pytest.approx(-0.09243, abs=1.0e-5)
+    # the model is translation invariant in g: one frozen g stands for all
+    above = limit_hyperbolic_solutions(cmodel.tilted(fold + 1.0e-3), 0.0)
+    assert above.complete and above.roles == ("attractive", "repulsive")
+    below = limit_hyperbolic_solutions(cmodel.tilted(fold - 1.0e-3), 0.0)
+    assert below.roles == () and not below.complete
