@@ -161,10 +161,12 @@ class Trajectory:
                           steps=self.steps)
 
     def continued(self, time: float) -> "Trajectory":
-        """The run that stop_after ended, carried on to its first node past
-        time, or to its end: its nodes, slopes and steps are bitwise those of
-        the uninterrupted run. A new trajectory, since the buffers cannot
-        grow while numpy views them."""
+        """The run that stop_after ended, carried on from its last node to
+        its first node past time, or to its end. The new trajectory holds
+        the new nodes only, from that last node on, so a reader past the
+        end of a shared run copies nothing: its nodes after the first are
+        bitwise the uninterrupted run's next nodes, and steps counts the
+        whole run's trial steps."""
         if self._resume is None:
             raise IntegrationError("only a run that stop_after ended can be continued")
         rhs, t1, config, h = self._resume
@@ -173,7 +175,7 @@ class Trajectory:
         t0, stop = (-self._tl[i], -float(time)) if backward else (self._tl[i], float(time))
         if not stop > t0:
             raise IntegrationError(f"continue time {time!r} is not past the last node")
-        return _run(rhs, backward, t0, self._xl[i], t1, config, stop, h, self.steps, self)
+        return _run(rhs, backward, t0, self._xl[i], t1, config, stop, h, self.steps)
 
 
 def _span_error(tl: array, time) -> IntegrationError:
@@ -441,11 +443,9 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     return _run(rhs, backward, t_start, x0, t_end, config, stop, h, 0)
 
 
-def _run(rhs, backward: bool, t0, x0, t1, config, stop, h, steps,
-         before: Trajectory | None = None) -> Trajectory:
+def _run(rhs, backward: bool, t0, x0, t1, config, stop, h, steps) -> Trajectory:
     """The loop from (t0, x0) toward t1 in the integration clock, as a
-    trajectory in t; before is the run it continues from t0, its last node.
-    A run that stop ended keeps what continues it."""
+    trajectory in t. A run that stop ended keeps what continues it."""
     ts, xs, fs, status, t_blow, h, steps = _dp54(rhs, backward)(t0, x0, t1, config, stop, h, steps)
     resume = (rhs, t1, config, h) if status == "completed" and ts[-1] < t1 else None
     if backward:
@@ -457,10 +457,5 @@ def _run(rhs, backward: bool, t0, x0, t1, config, stop, h, steps,
             np.negative(v, out=v)
         if t_blow is not None:
             t_blow = -t_blow
-    if before is not None:
-        # the node t0 is before's, which the run's first node repeats
-        old = (before._tl, before._xl, before._fl)
-        ts, xs, fs = ((new[:-1] + b if backward else b + new[1:])
-                      for new, b in zip((ts, xs, fs), old))
     return Trajectory("backward" if backward else "forward", _view(ts), _view(xs), _view(fs),
                       status, t_blow, _tl=ts, _xl=xs, _fl=fs, steps=steps, _resume=resume)

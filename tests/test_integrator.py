@@ -249,6 +249,24 @@ def _bits(traj):
             traj.t.tobytes(), traj.x.tobytes(), traj.f.tobytes())
 
 
+def _continued(run, times):
+    """The bits of run continued at each time in turn, pieces joined, and
+    the last piece. A piece starts on the node its run stopped at."""
+    pieces = [run]
+    for time in times:
+        pieces.append(pieces[-1].continued(time))
+    backward = run.direction == "backward"
+    for piece, before in zip(pieces[1:], pieces):
+        i, j = (-1, 0) if backward else (0, -1)
+        assert (piece.t[i], piece.x[i], piece.f[i]) == (before.t[j], before.x[j], before.f[j])
+    order = pieces[::-1] if backward else pieces
+    last = pieces[-1]
+    arrays = [np.concatenate([getattr(order[0], k)] + [getattr(p, k)[1:] for p in order[1:]])
+              for k in "txf"]
+    return (run.direction, last.status, last.t_blow, last.steps,
+            *(a.tobytes() for a in arrays)), last
+
+
 @pytest.mark.parametrize("continuations", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["frozen", "transition", "called"])
 @pytest.mark.parametrize("t_start, x0, t_end, stops", [
@@ -263,11 +281,10 @@ def test_a_continued_run_is_the_uninterrupted_run(t_start, x0, t_end, stops, kin
     rhs = cases.get(kind) or (lambda t, x: cases["frozen"](t, x))
     full = integrate(rhs, t_start, x0, t_end)
     run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0])
-    for stop in (*stops[1:continuations], t_end):
-        run = run.continued(stop)
-    assert _bits(run) == _bits(full)
+    bits, last = _continued(run, (*stops[1:continuations], t_end))
+    assert bits == _bits(full)
     with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
-        run.continued(t_end)
+        last.continued(t_end)
 
 
 @pytest.mark.parametrize("kind, t_start, x0, t_end, stops", [
@@ -278,12 +295,12 @@ def test_a_continued_run_blows_up_as_the_uninterrupted_run(kind, t_start, x0, t_
     cubic = make_model("allee-multiplicative-cubic", {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0})
     rhs = (lambda t, x: x * x) if kind == "called" else cubic.frozen_rhs(0.2)
     full = integrate(rhs, t_start, x0, t_end)
-    run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0]).continued(stops[1])
-    assert run.status == "completed"
-    run = run.continued(t_end)
-    assert full.status == "blow-up" and _bits(run) == _bits(full)
+    run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0])
+    assert run.continued(stops[1]).status == "completed"
+    bits, last = _continued(run, (stops[1], t_end))
+    assert full.status == "blow-up" and bits == _bits(full)
     with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
-        run.continued(t_end)
+        last.continued(t_end)
 
 
 @pytest.mark.parametrize("t_end, stop, behind", [(50.0, 10.0, 5.0), (-50.0, -10.0, -5.0)])
