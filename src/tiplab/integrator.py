@@ -90,9 +90,10 @@ class Trajectory:
     direction of integration. t, x and f are read-only: limit sets are
     shared between callers, so an in-place write would change later answers.
     They view the buffers _tl, _xl and _fl, whose items read as Python
-    floats; scalar reads go to the buffers. steps counts the run's trial
-    steps, so len(t) - 1 of them were accepted; a run that stop_after ended
-    can be carried on (``continued``).
+    floats; scalar reads go to the buffers. steps counts the trial steps,
+    rejected ones included, of the run from its start, and len(t) - 1
+    steps are accepted here; a run that stop_after ended can be carried on
+    (``continued``).
     """
 
     direction: str                 # "forward" | "backward"
@@ -436,11 +437,10 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     if stop_after is not None and not min(t_start, t_end) < stop < max(t_start, t_end):
         raise IntegrationError(f"stop_after must lie strictly inside the span, got {stop!r}")
     backward = t_end < t_start
-    if backward:
-        t_start, t_end, stop = -t_start, -t_end, -stop
-    span = t_end - t_start
+    t0, t1, stop = (-t_start, -t_end, -stop) if backward else (t_start, t_end, stop)
+    span = t1 - t0
     h = min(config.max_step, max(1e-6, 1e-3 * span), span)
-    return _run(rhs, backward, t_start, x0, t_end, config, stop, h, 0)
+    return _run(rhs, backward, t0, x0, t1, config, stop, h, 0)
 
 
 def _run(rhs, backward: bool, t0, x0, t1, config, stop, h, steps) -> Trajectory:

@@ -295,10 +295,11 @@ def test_a_continued_run_blows_up_as_the_uninterrupted_run(kind, t_start, x0, t_
     cubic = make_model("allee-multiplicative-cubic", {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0})
     rhs = (lambda t, x: x * x) if kind == "called" else cubic.frozen_rhs(0.2)
     full = integrate(rhs, t_start, x0, t_end)
+    # the blow-up lies past the last stop, in the direction of the run
+    assert full.status == "blow-up" and (full.t_blow - stops[1]) * (t_end - t_start) > 0
     run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0])
-    assert run.continued(stops[1]).status == "completed"
     bits, last = _continued(run, (stops[1], t_end))
-    assert full.status == "blow-up" and bits == _bits(full)
+    assert bits == _bits(full)
     with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
         last.continued(t_end)
 
