@@ -288,18 +288,13 @@ def limit_hyperbolic_solutions(
     def middle(upper, lower):
         """The middle repulsive estimate, seeded between the attractive pair;
         None and a note when it leaves the state band."""
-        held = (upper.trajectory, lower.trajectory)
-        pair = list(held)
+        pair = [upper.trajectory, lower.trajectory]
 
         def midpoint(b):
             # the seed point w1 + b is read on the attractive runs continued
-            # to it, or, past their reach, run again from their start; the
-            # held estimates keep their own runs
+            # to it, past their reach too; the held estimates keep their runs
             start = w1 + b
-            if start <= reach:
-                pair[:] = [tr if tr.covers(start) else tr.continued(start) for tr in pair]
-            elif not all(tr.covers(start) for tr in pair):
-                pair[:] = [integrate(rhs, tr.t[0], tr.x[0], start, num.integ) for tr in held]
+            pair[:] = [tr if tr.covers(start) else tr.continued(start) for tr in pair]
             if any(tr.status != "completed" for tr in pair):
                 raise NonConvergentError("attractive extension escaped")
             return 0.5 * (pair[0](start) + pair[1](start))

@@ -92,8 +92,8 @@ class Trajectory:
     They view the buffers _tl, _xl and _fl, whose items read as Python
     floats; scalar reads go to the buffers. steps counts the trial steps,
     rejected ones included, of the run from its start, and len(t) - 1
-    steps are accepted here; a run that stop_after ended can be carried on
-    (``continued``).
+    steps are accepted here; a completed run can be carried on
+    (``continued``), a run that blew up cannot.
     """
 
     direction: str                 # "forward" | "backward"
@@ -107,7 +107,7 @@ class Trajectory:
     _fl: array = field(repr=False)
     steps: int = 0
     # (rhs, t_end in the integration clock, config, next trial step) of a
-    # run that stop_after ended, else None
+    # completed run, else None
     _resume: tuple | None = field(default=None, repr=False)
 
     @property
@@ -162,21 +162,22 @@ class Trajectory:
                           steps=self.steps)
 
     def continued(self, time: float) -> "Trajectory":
-        """The run that stop_after ended, carried on from its last node to
-        its first node past time, or to its end. The new trajectory holds
-        the new nodes only, from that last node on, so a reader past the
-        end of a shared run copies nothing: its nodes after the first are
-        bitwise the uninterrupted run's next nodes, and steps counts the
-        whole run's trial steps."""
+        """The completed run carried on from its last node: toward its end
+        it steps as the uninterrupted run, bit for bit, and ends after its
+        first node past time; past its end, the end moves to time and the
+        run ends on time. The next trial step and steps carry over. The new
+        trajectory holds the new nodes only, from that last node on, so a
+        reader past the end of a shared run copies nothing."""
         if self._resume is None:
-            raise IntegrationError("only a run that stop_after ended can be continued")
+            raise IntegrationError("only a completed run of integrate can be continued")
         rhs, t1, config, h = self._resume
         backward = self.direction == "backward"
         i = 0 if backward else -1    # the last node in the run's direction
         t0, stop = (-self._tl[i], -float(time)) if backward else (self._tl[i], float(time))
-        if not stop > t0:
-            raise IntegrationError(f"continue time {time!r} is not past the last node")
-        return _run(rhs, backward, t0, self._xl[i], t1, config, stop, h, self.steps)
+        if not t0 < stop < math.inf:
+            raise IntegrationError(
+                f"continue time must be finite and past the last node, got {time!r}")
+        return _run(rhs, backward, t0, self._xl[i], max(t1, stop), config, stop, h, self.steps)
 
 
 def _span_error(tl: array, time) -> IntegrationError:
@@ -251,10 +252,10 @@ def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
 #
 # Beyond its last node a run's only state is its next trial step _h (and
 # the trial steps _steps it has made, which the step budget counts), so the
-# loop takes both as arguments and returns them: a run that ended after
-# the first node past _stop continues from that node, h and steps bit for
-# bit. Its k1 there is a call of the right-hand side, which the pasted
-# stage 7 equals bit for bit (see _dp54).
+# loop takes both as arguments and returns them: a run continues from its
+# last node, toward its _t1 bit for bit, or toward a later one. Its k1
+# there is a call of the right-hand side, which the pasted stage 7 equals
+# bit for bit (see _dp54).
 #
 # A step calls no builtin. Each call of the standard controller (Hairer,
 # Norsett & Wanner, II.4) is written out so that it picks the same float:
@@ -272,7 +273,7 @@ def _locate_blow(t0, x0, f0, t1, x1, f1, x_max):
 #   floor 1e-14*max(1, |t0|, |t1|). Inside the loop t0 <= t < t1, so the
 #   floor is at least the per-step bound (rounding is monotone), and a step
 #   at or above the floor passes both tests. A continued run starts at a
-#   later t0, so the same holds.
+#   later t0 and ends at its own t1, so the same holds.
 _DP54 = """\
 _ts = _array("d", (_t0,))
 _xs = _array("d", (_x0,))
@@ -422,8 +423,8 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
     t_end that is not finite raises IntegrationError.
 
     A run given stop_after steps as the run to t_end and ends after its
-    first node past stop_after: its nodes are a bitwise prefix of that run's,
-    and ``Trajectory.continued`` carries it on.
+    first node past stop_after: its nodes are a bitwise prefix of that run's.
+    ``Trajectory.continued`` carries on any completed run.
     """
     t_start, x0, t_end = float(t_start), float(x0), float(t_end)
     for name, value in (("t_start", t_start), ("x0", x0), ("t_end", t_end)):
@@ -445,9 +446,9 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
 
 def _run(rhs, backward: bool, t0, x0, t1, config, stop, h, steps) -> Trajectory:
     """The loop from (t0, x0) toward t1 in the integration clock, as a
-    trajectory in t. A run that stop ended keeps what continues it."""
+    trajectory in t. A completed run keeps what continues it."""
     ts, xs, fs, status, t_blow, h, steps = _dp54(rhs, backward)(t0, x0, t1, config, stop, h, steps)
-    resume = (rhs, t1, config, h) if status == "completed" and ts[-1] < t1 else None
+    resume = (rhs, t1, config, h) if status == "completed" else None
     if backward:
         # back to the original clock: t = -s ascending, slopes dx/dt = -dy/ds
         for buf in (ts, xs, fs):

@@ -6,6 +6,7 @@ classification, warning and acceptance modules reuse one instance.
 
 import math
 
+import numpy as np
 import pytest
 
 from tiplab.attractors import DEFAULT_NUMERICS
@@ -13,6 +14,15 @@ from tiplab.models import make_model
 from tiplab.transitions import make_profile
 
 SQ5 = math.sqrt(5.0)
+
+
+def cubic_roots(gamma: float) -> np.ndarray:
+    """The real roots of x^3 - x - gamma, ascending: the constant hyperbolic
+    solutions of the cubic fixture's frozen equation x' = x - x^3 + gamma,
+    an oracle that uses neither the integrator nor the burn-in."""
+    roots = np.roots([1.0, 0.0, -1.0, -gamma])
+    return np.sort(roots[roots.imag == 0.0].real)
+
 
 # one line per criterion, echoed after the run so the acceptance suite
 # doubles as a checklist even under captured stdout

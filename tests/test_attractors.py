@@ -12,8 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import cubic_roots
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
+    WINDOW_SAMPLES,
     AttractorError,
     NonConvergentError,
     _role_for,
@@ -30,13 +32,6 @@ from tiplab.models import make_model
 from tiplab.transitions import ConstantRate, make_profile
 
 WINDOW = (-50.0, 50.0)
-
-
-def cubic_roots(gamma: float) -> np.ndarray:
-    """Real equilibria of x - x^3 + gamma, ascending."""
-    roots = np.roots([-1.0, 0.0, 1.0, gamma])
-    real = np.sort(roots[np.abs(roots.imag) < 1e-9].real)
-    return real
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +52,21 @@ def test_cubic_limit_set_roles(cubic):
     assert ls.separation == pytest.approx(1.0, abs=1e-8)
 
 
+# the gammas where burn-in 1 600 certifies the middle seed, whose point
+# w1 + 1 600 lies past the attractive pair's reach w1 + 2*burn_in
+NEAR_FOLD = (-0.38484700520833337, 0.38484700520833337)
+
+
 def test_cubic_limit_set_against_polynomial_roots(cubic):
-    for gamma in (-0.3, -0.15, 0.0, 0.2, 0.35):
-        ls = limit_hyperbolic_solutions(cubic, gamma, WINDOW)
-        want = cubic_roots(gamma)
-        assert want.size == 3
-        got = np.array([ls["lower-attractive"](0.0),
-                        ls["middle-repulsive"](0.0),
-                        ls["upper-attractive"](0.0)])
-        assert got == pytest.approx(want, abs=1e-7)
+    # every estimate is its root on the whole window grid, near the fold too
+    roles = ("lower-attractive", "middle-repulsive", "upper-attractive")
+    for window in ((-30.0, 30.0), (-400.0, 400.0)):
+        grid = np.linspace(*window, WINDOW_SAMPLES)
+        for gamma in (-0.3, -0.15, 0.0, 0.2, 0.35, *NEAR_FOLD):
+            ls = limit_hyperbolic_solutions(cubic, gamma, window)
+            assert ls.complete
+            for role, root in zip(roles, cubic_roots(gamma), strict=True):
+                assert np.max(np.abs(ls[role].eval_array(grid) - root)) <= 1e-9
 
 
 def test_cubic_gamma_monotonicity(cubic):
@@ -309,6 +310,27 @@ def test_every_forward_burn_in_run_stops_after_the_window(monkeypatch, cubic):
         assert held.t.tobytes() == full.t[:n].tobytes()
         assert rest.t.tobytes() == full.t[n - 1:].tobytes()
         assert rest.x.tobytes() == full.x[n - 1:].tobytes()
+
+
+def test_the_middle_seed_continues_the_pair_past_its_reach(monkeypatch, cubic):
+    # burn-in 1 600 puts the middle seed point past the pair's reach
+    # w1 + 2*burn_in; the pending phase continues the pair there and makes
+    # only the backward middle runs, no forward run from w0 - B
+    import tiplab.attractors as attractors
+
+    inner = attractors.integrate
+    made = []
+
+    def recorded(rhs, t0, x0, t1, *args, **kwargs):
+        made.append((t0, t1))
+        return inner(rhs, t0, x0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(attractors, "integrate", recorded)
+    w0, w1 = window = (-30.0, 30.0)
+    ls = limit_hyperbolic_solutions(cubic, NEAR_FOLD[0], window)
+    held = len(made)
+    assert ls.complete and ls["middle-repulsive"].burn_in == 1600.0
+    assert made[held:] == [(w1 + b, w0) for b in (200.0, 400.0, 800.0, 1600.0)]
 
 
 def test_an_unread_limit_set_is_freed_by_reference_counting(cubic):

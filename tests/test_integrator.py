@@ -201,6 +201,12 @@ def _stop_cases():
             "transition": cubic.transition_rhs(ConstantRate(pulse, 1.0))}
 
 
+def _rhs(kind):
+    """The pasted right-hand sides by name, and the frozen one called."""
+    cases = _stop_cases()
+    return cases.get(kind) or (lambda t, x: cases["frozen"](t, x))
+
+
 @pytest.mark.parametrize("kind", ["frozen", "transition"])
 @pytest.mark.parametrize("t_start, x0, t_end, stop", [(-60.0, 0.9, 90.0, 20.0),
                                                        (60.0, 0.1, -90.0, -20.0)],
@@ -241,7 +247,7 @@ def test_stop_after_must_lie_strictly_inside_the_span(t_end, stop):
 
 
 # ---------------------------------------------------------------------------
-# a stopped run, continued
+# a completed run, continued
 # ---------------------------------------------------------------------------
 
 def _bits(traj):
@@ -251,20 +257,22 @@ def _bits(traj):
 
 def _continued(run, times):
     """The bits of run continued at each time in turn, pieces joined, and
-    the last piece. A piece starts on the node its run stopped at."""
+    the pieces. A piece starts on the last node of the one before, bit for
+    bit."""
     pieces = [run]
     for time in times:
         pieces.append(pieces[-1].continued(time))
     backward = run.direction == "backward"
     for piece, before in zip(pieces[1:], pieces):
         i, j = (-1, 0) if backward else (0, -1)
-        assert (piece.t[i], piece.x[i], piece.f[i]) == (before.t[j], before.x[j], before.f[j])
+        assert ([float(a[i]).hex() for a in (piece.t, piece.x, piece.f)]
+                == [float(a[j]).hex() for a in (before.t, before.x, before.f)])
     order = pieces[::-1] if backward else pieces
     last = pieces[-1]
     arrays = [np.concatenate([getattr(order[0], k)] + [getattr(p, k)[1:] for p in order[1:]])
               for k in "txf"]
     return (run.direction, last.status, last.t_blow, last.steps,
-            *(a.tobytes() for a in arrays)), last
+            *(a.tobytes() for a in arrays)), pieces
 
 
 @pytest.mark.parametrize("continuations", [1, 2, 3, 4])
@@ -275,16 +283,36 @@ def _continued(run, times):
 ], ids=["forward", "backward"])
 def test_a_continued_run_is_the_uninterrupted_run(t_start, x0, t_end, stops, kind,
                                                   continuations):
-    # the pasted right-hand sides, and the frozen one called; the last
-    # continuation runs to the end
-    cases = _stop_cases()
-    rhs = cases.get(kind) or (lambda t, x: cases["frozen"](t, x))
+    # the last continuation runs to the end
+    rhs = _rhs(kind)
     full = integrate(rhs, t_start, x0, t_end)
     run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0])
-    bits, last = _continued(run, (*stops[1:continuations], t_end))
+    bits, _ = _continued(run, (*stops[1:continuations], t_end))
     assert bits == _bits(full)
-    with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
-        last.continued(t_end)
+
+
+@pytest.mark.parametrize("stopped", [False, True], ids=["finished", "stopped"])
+@pytest.mark.parametrize("kind", ["frozen", "transition", "called"])
+@pytest.mark.parametrize("t_start, x0, t_end, stop, later", [
+    (-60.0, 0.9, 90.0, 20.0, (120.0, 150.0)),
+    (60.0, 0.1, -90.0, -20.0, (-120.0, -150.0)),
+], ids=["forward", "backward"])
+def test_a_run_continued_past_its_end_ends_on_the_time(t_start, x0, t_end, stop, later,
+                                                       kind, stopped):
+    # past the planned end the end moves to the time asked for: each piece
+    # starts on the last node, ends on that time and adds its trial steps
+    rhs = _rhs(kind)
+    run = integrate(rhs, t_start, x0, t_end, stop_after=stop if stopped else None)
+    _, pieces = _continued(run, later)
+    for piece, before, time in zip(pieces[1:], pieces, later):
+        assert piece.status == "completed" and piece.t_end == time
+        assert piece.steps >= before.steps + len(piece.t) - 1 > before.steps
+    # the cubic attracts both ways here, so the end agrees with a run to it
+    direct = integrate(rhs, t_start, x0, later[-1])
+    assert pieces[-1](later[-1]) == pytest.approx(direct(later[-1]), abs=1e-9)
+    for time in (later[-1], later[0], t_end, math.nan, math.copysign(math.inf, t_end)):
+        with pytest.raises(IntegrationError, match="past the last node"):
+            pieces[-1].continued(time)
 
 
 @pytest.mark.parametrize("kind, t_start, x0, t_end, stops", [
@@ -298,10 +326,10 @@ def test_a_continued_run_blows_up_as_the_uninterrupted_run(kind, t_start, x0, t_
     # the blow-up lies past the last stop, in the direction of the run
     assert full.status == "blow-up" and (full.t_blow - stops[1]) * (t_end - t_start) > 0
     run = integrate(rhs, t_start, x0, t_end, stop_after=stops[0])
-    bits, last = _continued(run, (stops[1], t_end))
+    bits, pieces = _continued(run, (stops[1], t_end))
     assert bits == _bits(full)
-    with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
-        last.continued(t_end)
+    with pytest.raises(IntegrationError, match="only a completed run"):
+        pieces[-1].continued(2.0 * t_end)
 
 
 @pytest.mark.parametrize("t_end, stop, behind", [(50.0, 10.0, 5.0), (-50.0, -10.0, -5.0)])
@@ -316,13 +344,17 @@ def test_a_continued_run_counts_its_calls_and_steps(t_end, stop, behind):
 
     run = integrate(rhs, 0.0, 0.0, t_end, stop_after=stop)
     assert len(calls) == 6 * run.steps + 1 and run.steps > len(run.t) - 1
-    with pytest.raises(IntegrationError, match="not past the last node"):
+    with pytest.raises(IntegrationError, match="past the last node"):
         run.continued(behind)
     run = run.continued(2.0 * stop).continued(t_end)
     assert len(calls) == 6 * run.steps + 3
-    assert run.steps == integrate(rhs, 0.0, 0.0, t_end).steps
+    # and on past the end
+    steps = run.steps
+    run = run.continued(2.0 * t_end)
+    assert len(calls) == 6 * run.steps + 4 and run.steps > steps
+    assert steps == integrate(rhs, 0.0, 0.0, t_end).steps
     # a shifted run solves another equation: it cannot be continued
-    with pytest.raises(IntegrationError, match="only a run that stop_after ended"):
+    with pytest.raises(IntegrationError, match="only a completed run of integrate"):
         integrate(rhs, 0.0, 0.0, t_end, stop_after=stop).shifted(1.0).continued(t_end)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cubic_roots
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
     check_anchor_insensitivity,
@@ -147,13 +148,6 @@ def test_time_reversal_duality(a, b, x0, T):
 # ---------------------------------------------------------------------------
 # monotonicity of the frozen-field equilibria in gamma
 # ---------------------------------------------------------------------------
-
-def cubic_roots(gamma):
-    r = np.roots([-1.0, 0.0, 1.0, gamma])
-    real = np.sort(r[np.abs(r.imag) < 1e-9].real)
-    assert len(real) == 3
-    return real
-
 
 @settings(max_examples=100, **COMMON)
 @given(g1=st.floats(-0.36, 0.35), dg=st.floats(5e-3, 0.2))
