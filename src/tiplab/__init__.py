@@ -17,12 +17,10 @@ from .integrator import (
     integrate,
 )
 from .models import (
-    ConcavityReport,
     Curve,
     DomainError,
     ModelError,
     VectorFieldModel,
-    check_concavity_class,
     make_coefficient,
     make_model,
 )
@@ -89,9 +87,8 @@ __all__ = [
     # integrator
     "IntegratorConfig", "IntegrationError", "Trajectory", "integrate",
     # models
-    "ConcavityReport", "Curve", "DomainError", "ModelError",
-    "VectorFieldModel", "check_concavity_class", "make_coefficient",
-    "make_model",
+    "Curve", "DomainError", "ModelError", "VectorFieldModel",
+    "make_coefficient", "make_model",
     # transitions
     "ConstantRate", "Mechanism", "Phase", "Reaction", "Size",
     "Switching", "TimeDependentPhase", "TimeDependentRate", "TransitionError",

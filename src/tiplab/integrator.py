@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -40,13 +40,20 @@ class IntegrationError(RuntimeError):
 
 def _check_ranges(config, what: str, least: dict, error: type) -> None:
     """Raise error, naming the field, on the first number field of a config
-    dataclass that is below its value in least, or not positive where least
-    has none. A nested config block is left to its own check."""
-    for name, value in vars(config).items():
-        low = least.get(name)
-        if not is_dataclass(value) and not (value > 0 if low is None else value >= low):
+    dataclass that is a boolean, not an int where an int is declared, below
+    its value in least, or not positive where least has none; a nested
+    config block is left to its own check."""
+    for f in fields(config):
+        value, low, whole = getattr(config, f.name), least.get(f.name), f.type == "int"
+        if is_dataclass(value):
+            continue
+        if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+            rule = "a whole number" if whole else "a number"
+        elif not (value > 0 if low is None else value >= low):
             rule = "positive" if low is None else f"at least {low}"
-            raise error(f"{what} field {name!r} must be {rule}, got {value!r}")
+        else:
+            continue
+        raise error(f"{what} field {f.name!r} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

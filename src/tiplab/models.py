@@ -260,12 +260,12 @@ class VectorFieldModel:
     """Scalar vector field f(t, x, gamma) from the closed family catalog.
 
     The state box bounds the region where the hyperbolic solutions of
-    interest live; seeds and concavity checks are taken relative to it.
+    interest live; seeds are taken relative to it.
     The domain is the open x-interval on which the field is defined
     (poles of rational terms lie outside it). A tilt, when set, is a
     constant added to f (not to its x-derivatives).
 
-    f, its x-derivatives and the right-hand sides are generated from the
+    f, its x-derivative and the right-hand sides are generated from the
     family's formulas and the coefficients' fragments, and compiled into one
     function each.
 
@@ -285,7 +285,6 @@ class VectorFieldModel:
     tilt: float | None = None
     _f: Callable = field(init=False, repr=False, compare=False)
     _fx: Callable = field(init=False, repr=False, compare=False)
-    _fxx: Callable | None = field(init=False, repr=False, compare=False)
     _tilts: dict = field(init=False, repr=False, compare=False)
     _limit_sets: dict = field(init=False, repr=False, compare=False)
 
@@ -294,8 +293,6 @@ class VectorFieldModel:
         self._limit_sets = {}
         self._f = self._compile("f", "t, x, g")
         self._fx = self._compile("fx", "t, x, g")
-        self._fxx = (self._compile("fxx", "t, x, g")
-                     if _FAMILIES[self.family]["fxx"] else None)
 
     def _emit(self, e: Emitter, which: str) -> str:
         """Emit the statements of the family formula ``which`` into e and
@@ -328,13 +325,6 @@ class VectorFieldModel:
 
     def fx(self, t: float, x: float, gamma: float) -> float:
         return self._fx(t, x, gamma)
-
-    def fxx(self, t: float, x: float, gamma: float) -> float:
-        if self._fxx is None:
-            raise ModelError(
-                f"second x-derivative is not exposed for concave family {self.family!r}"
-            )
-        return self._fxx(t, x, gamma)
 
     def frozen_rhs(self, gamma: float) -> Callable[[float, float], float]:
         """Right-hand side t, x -> f(t, x, gamma) with gamma frozen."""
@@ -462,10 +452,10 @@ _RATIONAL_N = ("N = $r * (x * x - $mu * x - (x ** 3 - $mu * x * x) / $K)\n"
 _HOLLING2_CHECK = "d = x + $b\n" + _domain_check("allee-holling2", "d")
 _LINEAR_CHECK = "d = x + $b\n" + _domain_check("holling-predation-linear-gamma", "d")
 
-# family name -> concavity, required coefficients, optional coefficients
-# w/ defaults, required positive, constants w/ defaults, the f/fx/fxx
-# formulas (fxx None for concave families), the (domain, default state box)
-# layout and translation invariance in gamma
+# family name -> concavity (f_xx < 0 for a concave family, f_xxx < 0 for a
+# d-concave one), required coefficients, optional coefficients w/ defaults,
+# required positive, constants w/ defaults, the f/fx formulas, the (domain,
+# default state box) layout and translation invariance in gamma
 _FAMILIES: dict[str, dict] = {
     "concave-logistic-migration": {
         "concavity": CONCAVE,
@@ -475,7 +465,6 @@ _FAMILIES: dict[str, dict] = {
         "constants": {},
         "f": "d = x - g\nreturn $I - $r * d * d",
         "fx": "return -2.0 * $r * (x - g)",
-        "fxx": None,
         "layout": lambda c, consts: ((-math.inf, math.inf), (-20.0, 20.0)),
         "translation": True,
     },
@@ -487,7 +476,6 @@ _FAMILIES: dict[str, dict] = {
         "constants": {},
         "f": _GOMPERTZ_CHECK + "\nreturn -$r * x * log(x / $K) + g * $phi",
         "fx": _GOMPERTZ_CHECK + "\nreturn -$r * (log(x / $K) + 1.0)",
-        "fxx": None,
         "layout": _gompertz_layout,
         "translation": False,
     },
@@ -499,7 +487,6 @@ _FAMILIES: dict[str, dict] = {
         "constants": {},
         "f": _BH_CHECK + "\nreturn x * ((1.0 + $r) / den - 1.0) + g * $phi",
         "fx": _BH_CHECK + "\nreturn (1.0 + $r) / (den * den) - 1.0",
-        "fxx": None,
         "layout": _beverton_holt_layout,
         "translation": False,
     },
@@ -511,7 +498,6 @@ _FAMILIES: dict[str, dict] = {
         "constants": {},
         "f": "return $r * x * (1.0 - x / $K) * (x - $S) / $K + g * $phi",
         "fx": "return $r / $K * (2.0 * x - $S - (3.0 * x * x - 2.0 * $S * x) / $K)",
-        "fxx": "return $r / $K * (2.0 - (6.0 * x - 2.0 * $S) / $K)",
         "layout": _cubic_layout,
         "translation": False,
     },
@@ -523,9 +509,6 @@ _FAMILIES: dict[str, dict] = {
         "constants": {},
         "f": _RATIONAL_CHECK + "\nreturn $r * x * (1.0 - x / $K) * (x - $mu) / d + g * $phi",
         "fx": _RATIONAL_CHECK + "\n" + _RATIONAL_N + "return (Np * d - N) / (d * d)",
-        "fxx": (_RATIONAL_CHECK + "\n" + _RATIONAL_N
-                + "Npp = $r * (2.0 - (6.0 * x - 2.0 * $mu) / $K)\n"
-                + "return (Npp * d * d - 2.0 * Np * d + 2.0 * N) / (d ** 3)"),
         "layout": _pole_layout("nu", 0.1, 1.6),
         "translation": False,
     },
@@ -537,7 +520,6 @@ _FAMILIES: dict[str, dict] = {
         "constants": {},
         "f": _HOLLING2_CHECK + "\nreturn $r * x * (1.0 - x / $K) - $a * x / d + g * $phi",
         "fx": _HOLLING2_CHECK + "\nreturn $r * (1.0 - 2.0 * x / $K) - $a * $b / (d * d)",
-        "fxx": _HOLLING2_CHECK + "\nreturn -2.0 * $r / $K + 2.0 * $a * $b / (d ** 3)",
         "layout": _pole_layout("b", 0.5, 1.5),
         "translation": False,
     },
@@ -550,8 +532,6 @@ _FAMILIES: dict[str, dict] = {
         "f": _LINEAR_CHECK + "\nreturn $r * x * (1.0 - x / $K) - ($p0 - $p1 * g) * x / d",
         "fx": (_LINEAR_CHECK
                + "\nreturn $r * (1.0 - 2.0 * x / $K) - ($p0 - $p1 * g) * $b / (d * d)"),
-        "fxx": (_LINEAR_CHECK
-                + "\nreturn -2.0 * $r / $K + 2.0 * ($p0 - $p1 * g) * $b / (d ** 3)"),
         "layout": _pole_layout("b", 0.5, 1.5),
         "translation": False,
     },
@@ -613,57 +593,3 @@ def make_model(
         translation_invariant=spec["translation"],
     )
 
-
-# ---------------------------------------------------------------------------
-# concavity verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ConcavityReport:
-    concavity: str
-    passed: bool
-    delta: float          # margin: second differences are <= -delta
-    worst: float          # largest sampled second difference quotient
-    samples: int
-
-
-# the sample grid of check_concavity_class: t on [0, 60], x across the state
-# box, three frozen parameters, and the difference step as a box fraction
-_CONCAVITY_T_SPAN, _CONCAVITY_T_SAMPLES, _CONCAVITY_X_SAMPLES = (0.0, 60.0), 31, 41
-_CONCAVITY_GAMMAS, _CONCAVITY_STEP = (-1.0, 0.0, 1.0), 1.0e-3
-
-
-def check_concavity_class(model) -> ConcavityReport:
-    """Verify strict concavity of f (concave class) or of f_x (d-concave class)
-    by sampled second difference quotients in x over the state box.
-
-    Passes when every sampled quotient is <= -delta for the reported delta > 0.
-    """
-    lo, hi = model.state_box
-    h = (hi - lo) * _CONCAVITY_STEP
-    nx, nt = _CONCAVITY_X_SAMPLES, _CONCAVITY_T_SAMPLES
-    t0, t1 = _CONCAVITY_T_SPAN
-    # keep x +- h inside the sampled box
-    xs = [lo + h + (hi - lo - 2 * h) * i / (nx - 1) for i in range(nx)]
-    ts = [t0 + (t1 - t0) * i / (nt - 1) for i in range(nt)]
-    if model.concavity == CONCAVE:
-        g = model.f
-    else:
-        g = model.fx
-    worst = -math.inf
-    n = 0
-    for gam in _CONCAVITY_GAMMAS:
-        for t in ts:
-            for x in xs:
-                d2 = (g(t, x + h, gam) - 2.0 * g(t, x, gam) + g(t, x - h, gam)) / (h * h)
-                if d2 > worst:
-                    worst = d2
-                n += 1
-    passed = worst < 0.0
-    return ConcavityReport(
-        concavity=model.concavity,
-        passed=passed,
-        delta=-worst if passed else 0.0,
-        worst=worst,
-        samples=n,
-    )

@@ -3,8 +3,9 @@
 These are the closure builders tiplab used before its right-hand sides were
 generated as source: one closure per coefficient and profile, one lambda per
 mechanism path, one closure per family formula, and an outer lambda for the
-additive tilt. The builders below are kept verbatim; only the glue that feeds
-them tiplab objects is new. The compiled functions must agree with them bit
+additive tilt. The builders below are kept verbatim, less the f_xx closures
+that tiplab no longer builds; only the glue that feeds them tiplab objects is
+new. The compiled functions must agree with them bit
 for bit, and raise DomainError at the same points.
 """
 
@@ -117,7 +118,7 @@ def _build_logistic_migration(c, consts):
         return -2.0 * r(t) * (x - g)
 
     inf = math.inf
-    return f, fx, None, (-inf, inf), (-20.0, 20.0), True
+    return f, fx, (-inf, inf), (-20.0, 20.0), True
 
 
 def _build_gompertz(c, consts):
@@ -135,7 +136,7 @@ def _build_gompertz(c, consts):
         return -r(t) * (log(x / K(t)) + 1.0)
 
     k_lo, k_hi = c["K"].bounds()
-    return f, fx, None, (0.0, math.inf), (0.005 * k_lo, 3.0 * k_hi), False
+    return f, fx, (0.0, math.inf), (0.005 * k_lo, 3.0 * k_hi), False
 
 
 def _build_beverton_holt(c, consts):
@@ -157,7 +158,7 @@ def _build_beverton_holt(c, consts):
     r_lo, r_hi = c["r"].bounds()
     domain_lo = -1.0 / a_hi
     box = (0.5 * domain_lo, 3.0 * r_hi / a_lo + 10.0)
-    return f, fx, None, (domain_lo, math.inf), box, False
+    return f, fx, (domain_lo, math.inf), box, False
 
 
 def _build_allee_cubic(c, consts):
@@ -172,15 +173,11 @@ def _build_allee_cubic(c, consts):
         St = S(t)
         return r(t) / Kt * (2.0 * x - St - (3.0 * x * x - 2.0 * St * x) / Kt)
 
-    def fxx(t, x, g):
-        Kt = K(t)
-        return r(t) / Kt * (2.0 - (6.0 * x - 2.0 * S(t)) / Kt)
-
     k_hi = c["K"].bounds()[1]
     s_abs = max(abs(b) for b in c["S"].bounds())
     half = 1.5 * k_hi + s_abs + 1.0
     inf = math.inf
-    return f, fx, fxx, (-inf, inf), (-half, half), False
+    return f, fx, (-inf, inf), (-half, half), False
 
 
 def _build_allee_rational(c, consts):
@@ -204,21 +201,9 @@ def _build_allee_rational(c, consts):
         Np = rt * (2.0 * x - mut - (3.0 * x * x - 2.0 * mut * x) / Kt)
         return (Np * d - N) / (d * d)
 
-    def fxx(t, x, g):
-        Kt = K(t)
-        mut = mu(t)
-        rt = r(t)
-        d = nu(t) + x
-        if d <= 0.0:
-            raise DomainError(f"allee-multiplicative-rational undefined at x={x!r}")
-        N = rt * (x * x - mut * x - (x ** 3 - mut * x * x) / Kt)
-        Np = rt * (2.0 * x - mut - (3.0 * x * x - 2.0 * mut * x) / Kt)
-        Npp = rt * (2.0 - (6.0 * x - 2.0 * mut) / Kt)
-        return (Npp * d * d - 2.0 * Np * d + 2.0 * N) / (d ** 3)
-
     nu_lo = c["nu"].bounds()[0]
     k_hi = c["K"].bounds()[1]
-    return f, fx, fxx, (-nu_lo, math.inf), (-0.1 * nu_lo, 1.6 * k_hi), False
+    return f, fx, (-nu_lo, math.inf), (-0.1 * nu_lo, 1.6 * k_hi), False
 
 
 def _build_allee_holling2(c, consts):
@@ -238,16 +223,9 @@ def _build_allee_holling2(c, consts):
             raise DomainError(f"allee-holling2 undefined at x={x!r}")
         return r(t) * (1.0 - 2.0 * x / K(t)) - a(t) * bt / (d * d)
 
-    def fxx(t, x, g):
-        bt = b(t)
-        d = x + bt
-        if d <= 0.0:
-            raise DomainError(f"allee-holling2 undefined at x={x!r}")
-        return -2.0 * r(t) / K(t) + 2.0 * a(t) * bt / (d ** 3)
-
     b_lo = c["b"].bounds()[0]
     k_hi = c["K"].bounds()[1]
-    return f, fx, fxx, (-b_lo, math.inf), (-0.5 * b_lo, 1.5 * k_hi), False
+    return f, fx, (-b_lo, math.inf), (-0.5 * b_lo, 1.5 * k_hi), False
 
 
 def _build_holling_linear(c, consts):
@@ -267,16 +245,9 @@ def _build_holling_linear(c, consts):
             raise DomainError(f"holling-predation-linear-gamma undefined at x={x!r}")
         return r(t) * (1.0 - 2.0 * x / K(t)) - (p0 - p1 * g) * bt / (d * d)
 
-    def fxx(t, x, g):
-        bt = b(t)
-        d = x + bt
-        if d <= 0.0:
-            raise DomainError(f"holling-predation-linear-gamma undefined at x={x!r}")
-        return -2.0 * r(t) / K(t) + 2.0 * (p0 - p1 * g) * bt / (d ** 3)
-
     b_lo = c["b"].bounds()[0]
     k_hi = c["K"].bounds()[1]
-    return f, fx, fxx, (-b_lo, math.inf), (-0.5 * b_lo, 1.5 * k_hi), False
+    return f, fx, (-b_lo, math.inf), (-0.5 * b_lo, 1.5 * k_hi), False
 
 
 _BUILDERS = {
@@ -295,7 +266,7 @@ class Model:
 
     def __init__(self, model):
         c = {name: Coefficient(coef) for name, coef in model.coefficients.items()}
-        (self.f, self.fx, self.fxx, self.domain, self.default_box,
+        (self.f, self.fx, self.domain, self.default_box,
          self.translation_invariant) = _BUILDERS[model.family](c, model.constants)
         if model.tilt is not None:
             # the additive tilt, as the former tilted-model wrapper built it

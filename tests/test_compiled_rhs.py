@@ -136,9 +136,7 @@ def test_compiled_field_matches_closures(family, kind, tilt):
            for name, mech in MECHANISMS.items()]
     errors = 0
     for t, x, g in sample_points(model, 60, seed):
-        for name in ("f", "fx", "fxx"):
-            if name == "fxx" and twin.fxx is None:
-                continue
+        for name in ("f", "fx"):
             got = outcome(getattr(model, name), t, x, g)
             assert_same(got, outcome(getattr(twin, name), t, x, g),
                         f"{name}({t!r}, {x!r}, {g!r})")

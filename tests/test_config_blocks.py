@@ -5,17 +5,21 @@ parameters of make_model, Numerics and IntegratorConfig, a key that none
 of them declares is refused, and a value that does not convert is refused
 with a ConfigError that names its field. Out-of-range integrator values,
 boolean or fractional grid and pair entries and experiment keys that no
-subcommand declares are refused by name too. A manifest written by any
-subcommand re-runs to the same result files.
+subcommand declares are refused by name too. Numerics and IntegratorConfig
+refuse a boolean, or a fraction in an int field, by name themselves. A
+manifest written by any subcommand re-runs to the same result files.
 """
 
 import json
+import re
 
 import pytest
 
 from test_bitwise_pins import CUBIC, PULSE, result_files
 from test_experiment_blocks import MINIMAL, NUMERICS, minimal_config
 from tiplab import cli
+from tiplab.attractors import Numerics
+from tiplab.integrator import IntegrationError, IntegratorConfig
 
 CLASSIFY = {"model": CUBIC, "numerics": NUMERICS,
             "mechanism": {"kind": "constant-rate", "profile": PULSE, "c": 5.0}}
@@ -81,6 +85,22 @@ def test_booleans_and_out_of_range_numerics_are_refused_by_name(change, message,
                                                                  capsys):
     assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build, name, value, error, rule", [
+    (Numerics, "max_burn_doublings", 2.5, ValueError, "a whole number"),
+    (Numerics, "horizon", True, ValueError, "a number"),
+    (Numerics, "warn_refine_tol", False, ValueError, "a number"),
+    (IntegratorConfig, "max_steps", True, IntegrationError, "a whole number"),
+    (IntegratorConfig, "max_steps", 2.0, IntegrationError, "a whole number"),
+], ids=["burn-doublings-fraction", "horizon-boolean", "refine-tol-boolean",
+        "max-steps-boolean", "max-steps-float"])
+def test_config_dataclasses_refuse_booleans_and_fractions_by_name(build, name, value, error,
+                                                                  rule):
+    # the config reader refuses these before they get here; built in code,
+    # a config taking them would fail later or run with a wrong value
+    with pytest.raises(error, match=re.escape(f"field {name!r} must be {rule}, got {value!r}")):
+        build(**{name: value})
 
 
 @pytest.mark.parametrize("block, curve, message", [

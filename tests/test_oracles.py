@@ -11,21 +11,31 @@ toward the repulsive solution; a start elsewhere escapes backward and the
 comparison would measure the escape, not the integrator.
 
 sympy differentiates each family's f formula, as an oracle for the
-generated fx and fxx; scipy's brentq checks the two root finders of the
-warning machinery. sympy is a test-only dependency too. scipy's
-eigh_tridiagonal places the fold of the concave study model, where its
-limit sets lose their hyperbolic solutions.
+generated fx and for the concavity class the family declares: f_xx < 0
+(concave) or f_xxx < 0 (d-concave) on its state box. sympy is a test-only
+dependency too. scipy's brentq checks the two root finders of the warning
+machinery, and DOP853 started from the cubic's polynomial roots confirms
+the labels of its mirrored critical-rate brackets. The fold of the concave
+study model, where its limit sets lose their hyperbolic solutions, comes
+from the spectrum of its Riccati linearisation: scipy's eigh_tridiagonal
+on a long interval, and numpy's eigvalsh over one period for the periodic
+model of the bifurcation-map golden.
 """
 
+import csv
+import json
+import math
 from string import Template
 
 import numpy as np
 import pytest
 
+from conftest import cubic_roots
+from test_bitwise_pins import GOLDEN
 from tiplab.attractors import limit_hyperbolic_solutions
 from tiplab.ews import EwsConfig, FtleSeries, _first_root, warning_time
 from tiplab.integrator import integrate
-from tiplab.models import _FAMILIES, _PLACEHOLDER, CONCAVE, ModelError, make_model
+from tiplab.models import _FAMILIES, _PLACEHOLDER, CONCAVE, make_model
 from tiplab.transitions import (
     ConstantRate,
     TimeDependentPhase,
@@ -144,6 +154,19 @@ def _sympy_f(sympy, family):
     raise AssertionError(f"{family}: no return line")
 
 
+def _names(family):
+    """The coefficients and constants of a family's f, sorted."""
+    return sorted(set(_PLACEHOLDER.findall(_FAMILIES[family]["f"])))
+
+
+def _derivative(sympy, family, order, module):
+    """The order-th x-derivative of a family's f, lambdified over x, g and
+    the values of _names(family) in that order."""
+    x, g = sympy.Symbol("x"), sympy.Symbol("g")
+    args = [x, g, *(sympy.Symbol(f"c_{n}") for n in _names(family))]
+    return sympy.lambdify(args, sympy.diff(_sympy_f(sympy, family), x, order), module)
+
+
 def test_every_family_has_derivative_oracle_coefficients():
     assert set(FAMILY_COEFFICIENTS) == set(_FAMILIES)
 
@@ -152,21 +175,13 @@ def test_every_family_has_derivative_oracle_coefficients():
 def test_derivatives_match_sympy(family):
     sympy = pytest.importorskip("sympy")
     model = make_model(family, FAMILY_COEFFICIENTS[family])
-    f = _sympy_f(sympy, family)
-    x, g = sympy.Symbol("x"), sympy.Symbol("g")
-    names = sorted(set(_PLACEHOLDER.findall(_FAMILIES[family]["f"])))
-    args = [x, g, *(sympy.Symbol(f"c_{n}") for n in names)]
-    exprs = {"f": f, "fx": sympy.diff(f, x), "fxx": sympy.diff(f, x, 2)}
-    oracle = {k: sympy.lambdify(args, e, "math") for k, e in exprs.items()}
-    generated = {"f": model.f, "fx": model.fx, "fxx": model.fxx}
-    if model.concavity == CONCAVE:
-        del generated["fxx"]
-        with pytest.raises(ModelError, match="not exposed"):
-            model.fxx(0.0, model.state_box[1], 0.0)
+    oracle = {"f": _derivative(sympy, family, 0, "math"),
+              "fx": _derivative(sympy, family, 1, "math")}
+    generated = {"f": model.f, "fx": model.fx}
     lo, hi = model.state_box
     for t in (0.0, 1.3, 7.7):
         values = [model.coefficients[n](t) if n in model.coefficients
-                  else model.constants[n] for n in names]
+                  else model.constants[n] for n in _names(family)]
         for gam in (-0.5, 0.0, 0.8):
             for xv in np.linspace(lo, hi, 9):
                 for k, fn in generated.items():
@@ -174,6 +189,58 @@ def test_derivatives_match_sympy(family):
                     got = fn(t, xv, gam)
                     assert abs(got - want) <= DERIVATIVE_TOL * max(1.0, abs(want)), (
                         k, t, xv, gam, got, want)
+
+
+# ---------------------------------------------------------------------------
+# the concavity class of every family and study model, by sympy
+# ---------------------------------------------------------------------------
+
+CURVATURE_T = np.linspace(-60.0, 60.0, 121)
+# each study fixture and the range of the parameter its runs sweep: the
+# cubic's pulse to -0.6 and its mirror to +0.6, dprof, hprof, and gam for
+# the concave model (whose tilts leave f_xx as it is)
+STUDY_GAMMAS = {"cubic": (-0.6, 0.6), "dmodel": (0.8, 1.5), "hmodel": (-0.55, 0.0),
+                "cmodel": (-1.0, 1.0)}
+
+
+def _worst_curvature(model, gammas) -> float:
+    """Largest f_xx (concave class) or f_xxx (d-concave class) of a model,
+    by sympy, over 201 points of its state box, CURVATURE_T and 21 points of
+    the closed range gammas."""
+    sympy = pytest.importorskip("sympy")
+    order = 2 if model.concavity == CONCAVE else 3
+    curvature = _derivative(sympy, model.family, order, "numpy")
+    x = np.linspace(*model.state_box, 201)[:, None, None]
+    g = np.linspace(*gammas, 21)[None, None, :]
+    values = [np.array([model.coefficients[n](t) for t in CURVATURE_T])[None, :, None]
+              if n in model.coefficients else model.constants[n]
+              for n in _names(model.family)]
+    return float(np.max(curvature(x, g, *values)))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_COEFFICIENTS))
+def test_every_family_is_of_its_concavity_class(family):
+    model = make_model(family, FAMILY_COEFFICIENTS[family])
+    assert _worst_curvature(model, (-1.0, 1.0)) < 0.0
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_GAMMAS))
+def test_the_study_models_are_of_their_concavity_class(name, request):
+    assert _worst_curvature(request.getfixturevalue(name), STUDY_GAMMAS[name]) < 0.0
+
+
+def test_the_holling_family_is_d_concave_only_below_gamma_4():
+    # the oracle is not vacuous: with p0 = 52 and p1 = 13 the predation
+    # term gives f_xxx = 78 b (g - 4)/(b + x)^4, positive once g > 4 and
+    # largest at the box's lower edge x = -b/2, so 78 * 10 * 0.5 / 5^4 at
+    # b = 10 and g = 4.5
+    sympy = pytest.importorskip("sympy")
+    family = "holling-predation-linear-gamma"
+    x, g, b, p0, p1 = (sympy.Symbol(n) for n in ("x", "g", "c_b", "c_p0", "c_p1"))
+    fxxx = sympy.diff(_sympy_f(sympy, family), x, 3).subs({p0: 52, p1: 13})
+    assert sympy.simplify(fxxx - 78 * b * (g - 4) / (b + x) ** 4) == 0
+    model = make_model(family, FAMILY_COEFFICIENTS[family])
+    assert _worst_curvature(model, (4.5, 4.5)) == pytest.approx(0.624, rel=1.0e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +270,60 @@ def test_warning_time_matches_brentq():
 
 
 # ---------------------------------------------------------------------------
-# the fold of the concave study model, from its Riccati linearisation
+# DOP853 from the cubic's roots confirms the mirrored critical-rate labels
+# ---------------------------------------------------------------------------
+
+# the bracket that test_classify.py pins for both pulses, at the horizon
+# its bisection ended on
+MIRROR_BRACKET = (2.1921779334545133, 2.1921785235404965)
+MIRROR_H = 1600.0
+ESCAPE = 1.0e6
+ROOT_TOL = 1.0e-3
+
+
+def _dop853_end(rhs, t0, x0, t1) -> float:
+    """x(t1) of the solution with x(t0) = x0, by DOP853 at rtol 1e-13, or
+    inf once |x| reaches ESCAPE."""
+    def escape(t, y):
+        return abs(y[0]) - ESCAPE
+    escape.terminal = True
+    sol = solve_ivp(lambda t, y: [rhs(t, y[0])], (t0, t1), [x0], method="DOP853",
+                    rtol=1e-13, atol=1e-15, events=escape)
+    assert sol.success
+    return math.inf if sol.status == 1 else float(sol.y[0, -1])
+
+
+@pytest.mark.parametrize("gamma_star, tipped", [(-0.6, "C2"), (0.6, "C1")])
+def test_dop853_from_the_roots_confirms_the_mirrored_labels(cubic, gamma_star, tipped):
+    # the pulse leaves g = 0 at both ends, where the frozen hyperbolic
+    # solutions are the roots -1 < 0 < 1 of x^3 - x: u and l start on the
+    # outer roots at -H and m on the middle one at +H, and the labels follow
+    # the d-concave rules of classify, with the roots as the attractors
+    prof = make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=gamma_star, b=0.05)
+    low, mid, up = cubic_roots(0.0)
+    labels, middles = [], []
+    for c in MIRROR_BRACKET:
+        rhs = cubic.transition_rhs(ConstantRate(prof, c))
+        u = _dop853_end(rhs, -MIRROR_H, up, MIRROR_H)
+        lo = _dop853_end(rhs, -MIRROR_H, low, MIRROR_H)
+        m = _dop853_end(rhs, MIRROR_H, mid, -MIRROR_H)
+        middles.append(m)
+        if abs(u - up) < ROOT_TOL and abs(lo - low) < ROOT_TOL and abs(m - mid) < ROOT_TOL:
+            labels.append("A")
+        elif abs(u - low) < ROOT_TOL:
+            labels.append("C2")
+        elif abs(lo - up) < ROOT_TOL:
+            labels.append("C1")
+        else:
+            labels.append("indeterminate")
+    assert labels == [tipped, "A"]
+    # below the bracket m escapes backward; above it m ends on the past
+    # middle root, -g(-H) = 9.8e-7 away from 0
+    assert middles[0] == math.inf and abs(middles[1]) < 1.0e-6
+
+
+# ---------------------------------------------------------------------------
+# the fold of the concave study models, from their Riccati linearisation
 # ---------------------------------------------------------------------------
 
 def _ground_state(h: float, half: float = 1000.0) -> float:
@@ -230,8 +350,45 @@ def test_the_concave_study_model_loses_its_limit_set_at_the_fold(cmodel):
     coarse, fine = _ground_state(0.04), _ground_state(0.02)
     fold = -(4.0 * fine - coarse) / 3.0
     assert fold == pytest.approx(-0.09243, abs=1.0e-5)
-    # the model is translation invariant in g: one frozen g stands for all
-    above = limit_hyperbolic_solutions(cmodel.tilted(fold + 1.0e-3), 0.0)
+    _assert_limit_sets_end_at(cmodel, fold)
+
+
+def _assert_limit_sets_end_at(model, fold):
+    """The limit set of the concave model tilted 1e-3 above the fold is
+    complete, and 1e-3 below it holds no estimate. The model is translation
+    invariant in g: one frozen g stands for all."""
+    above = limit_hyperbolic_solutions(model.tilted(fold + 1.0e-3), 0.0)
     assert above.complete and above.roles == ("attractive", "repulsive")
-    below = limit_hyperbolic_solutions(cmodel.tilted(fold - 1.0e-3), 0.0)
+    below = limit_hyperbolic_solutions(model.tilted(fold - 1.0e-3), 0.0)
     assert below.roles == () and not below.complete
+
+
+def _periodic_ground_state(n: int) -> float:
+    """Lowest eigenvalue of -u'' + I(t) u with period 4 pi, by periodic
+    second differences on n points; I is the bifurcation-map golden's
+    migration term 0.895 - sin(t/2), written out here."""
+    h = 4.0 * math.pi / n
+    i = np.arange(n)
+    a = np.diag(2.0 / h ** 2 + 0.895 - np.sin(0.5 * h * i))
+    a[i, (i + 1) % n] = a[(i + 1) % n, i] = -1.0 / h ** 2
+    return np.linalg.eigvalsh(a)[0]
+
+
+def test_the_periodic_golden_model_loses_its_limit_set_below_its_lambda_star():
+    # As above, with a 4 pi-periodic I: the bottom of the spectrum of Hill's
+    # operator on the line is its lowest periodic eigenvalue over one period
+    # (Magnus & Winkler, Hill's Equation, 1966), so one period suffices.
+    manifest = json.loads((GOLDEN / "manifests" / "bifurcation-map.json").read_text())
+    block = manifest["config"]["model"]
+    assert block["coefficients"] == {
+        "r": {"kind": "constant", "value": 1.0},
+        "I": {"kind": "sin", "offset": 0.895, "amplitude": -1.0, "omega": 0.5}}
+    model = make_model(**block)
+    coarse, fine = _periodic_ground_state(800), _periodic_ground_state(1600)
+    fold = -(4.0 * fine - coarse) / 3.0
+    assert fold == pytest.approx(-0.23208, abs=1.0e-5)
+    _assert_limit_sets_end_at(model, fold)
+    # every tilt below the fold is C, so each lambda* lies above it
+    with open(GOLDEN / "bifurcation-map" / "region.csv", newline="") as fh:
+        stars = [float(row["lambda_star"]) for row in csv.DictReader(fh)]
+    assert stars and min(stars) > fold

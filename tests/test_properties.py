@@ -22,7 +22,7 @@ from tiplab.attractors import (
 from tiplab.classify import LimitCache, resolve_horizon
 from tiplab.ews import EwsConfig, FtleSeries, ftle_series, warning_time
 from tiplab.integrator import integrate
-from tiplab.models import ModelError, make_model
+from tiplab.models import make_model
 from tiplab.transitions import ConstantRate, make_profile
 
 NUM = DEFAULT_NUMERICS
@@ -53,11 +53,6 @@ def stencil_fx(f, t, x, g, h=1e-3):
             + 8 * f(t, x + h, g) - f(t, x + 2 * h, g)) / (12 * h)
 
 
-def stencil_fxx(f, t, x, g, h=1e-3):
-    return (-f(t, x - 2 * h, g) + 16 * f(t, x - h, g) - 30 * f(t, x, g)
-            + 16 * f(t, x + h, g) - f(t, x + 2 * h, g)) / (12 * h * h)
-
-
 # ---------------------------------------------------------------------------
 # derivative consistency
 # ---------------------------------------------------------------------------
@@ -83,26 +78,6 @@ def test_fx_matches_difference_stencil(case):
         assert got == pytest.approx(want, abs=1e-6 * max(1.0, abs(want)))
 
     inner()
-
-
-@pytest.mark.parametrize("case", [DERIVATIVE_BOXES[0], DERIVATIVE_BOXES[3]],
-                         ids=["cubic", "rational"])
-def test_fxx_matches_difference_stencil(case):
-    model, (t0, t1), (x0, x1), (g0, g1) = case
-
-    @settings(max_examples=100, **COMMON)
-    @given(t=st.floats(t0, t1), x=st.floats(x0, x1), g=st.floats(g0, g1))
-    def inner(t, x, g):
-        want = stencil_fxx(model.f, t, x, g)
-        got = model.fxx(t, x, g)
-        assert got == pytest.approx(want, abs=1e-6 * max(1.0, abs(want)))
-
-    inner()
-
-
-def test_concave_families_hide_fxx():
-    with pytest.raises(ModelError, match="second x-derivative"):
-        CQUAD.fxx(0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
