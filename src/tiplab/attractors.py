@@ -44,9 +44,9 @@ BAND_MARGIN = 1.0
 WINDOW_SAMPLES = 257
 SEP_TOL = 1.0e-3
 ANCHOR_DELTA = 1.0e-4
-
-# the least value of a Numerics field; every other number field must be positive
-_NUMERICS_LEAST = {"max_burn_doublings": 0, "warn_refine_tol": 0}
+QUAD_H = 0.1                 # first step of the f_x quadratures
+QUAD_TOL = 1.0e-6            # agreement of two quadrature passes
+WARN_REFINE_TOL = 1.0e-3     # bracket width of a refined warning time
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,11 @@ class Numerics:
     burn_in: float = 200.0
     conv_tol: float = 1.0e-7           # relative to max(1, sup|x|) over the window
     max_burn_doublings: int = 5
-    quad_h: float = 0.1
-    quad_tol: float = 1.0e-6
-    warn_refine_tol: float = 1.0e-3
-    integ: IntegratorConfig = DEFAULT_CONFIG
+    integrator: IntegratorConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        _check_ranges(self, "numerics", _NUMERICS_LEAST, ValueError)
+        # max_burn_doublings may be 0; every other number field is positive
+        _check_ranges(self, "numerics", {"max_burn_doublings": 0}, ValueError)
 
 
 DEFAULT_NUMERICS = Numerics()
@@ -211,7 +209,7 @@ def _certified_run(rhs, t_from_of, x0_of, t_to, grid, num: Numerics):
     prev, gap = None, math.inf
     stop = grid[-1] if t_to > grid[-1] else None
     for _ in range(num.max_burn_doublings + 1):
-        cur = integrate(rhs, t_from_of(B), x0_of(B), t_to, num.integ, stop_after=stop)
+        cur = integrate(rhs, t_from_of(B), x0_of(B), t_to, num.integrator, stop_after=stop)
         if cur.status != "completed":
             raise NonConvergentError("escape during burn-in (no bounded solution reached)")
         if prev is not None:
@@ -419,7 +417,8 @@ def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> Pullbac
     t_from = H if backward else -H
     if not anchor.trajectory.covers(t_from):
         raise AttractorError(f"anchor window does not cover {t_from}")
-    traj = integrate(model.transition_rhs(mechanism), t_from, anchor(t_from), -t_from, num.integ)
+    traj = integrate(model.transition_rhs(mechanism), t_from, anchor(t_from), -t_from,
+                     num.integrator)
     band = _band(model)
     return PullbackSolution(
         role=anchor.role, trajectory=traj, anchor=anchor,
@@ -441,7 +440,7 @@ def check_anchor_insensitivity(model, mechanism, solution: PullbackSolution,
     worst = 0.0
     for sgn in (1.0, -1.0):
         x0 = solution.anchor(t_from) + sgn * ANCHOR_DELTA
-        traj = integrate(rhs, t_from, x0, t_probe, num.integ)
+        traj = integrate(rhs, t_from, x0, t_probe, num.integrator)
         worst = max(worst, abs(traj(t_probe) - base))
     return worst
 
@@ -514,17 +513,20 @@ class LyapunovEstimate:
 def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
                       window_length: float,
                       num: Numerics = DEFAULT_NUMERICS) -> LyapunovEstimate:
-    """Average of f_x along a hyperbolic estimate over a centered window.
+    """Average of f_x along a hyperbolic estimate of the frozen equation at
+    gamma over a centered window; an estimate of another gamma raises.
 
-    The quadrature step num.quad_h is halved until two passes agree within
-    num.quad_tol, at most _QUAD_MAX_HALVINGS times, else NonConvergentError
+    The quadrature step QUAD_H is halved until two passes agree within
+    QUAD_TOL, at most _QUAD_MAX_HALVINGS times, else NonConvergentError
     names the last gap. The finer pass of the agreeing pair is the value,
     and their gap is quad_gap, a refinement gap and not an error bound of
-    the exponent. The average over half the window, at num.quad_h, is
-    reported as a sensitivity measure.
+    the exponent. The average over half the window, at QUAD_H, is reported
+    as a sensitivity measure. No field of num is read.
     """
     if not window_length > 0.0:
         raise AttractorError(f"window_length must be positive, got {window_length!r}")
+    if solution.gamma != gamma:
+        raise AttractorError(f"the estimate is of gamma={solution.gamma}, not gamma={gamma}")
     w0, w1 = solution.window
     c = 0.5 * (w0 + w1)
     a, b = c - 0.5 * window_length, c + 0.5 * window_length
@@ -540,10 +542,10 @@ def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
         h = (hi - lo) / n
         return float(np.sum(gauss3_interval_integrals(fn, traj, lo, h, n))) / (hi - lo)
 
-    _, value, quad_gap = _refined(lambda k: average(a, b, num.quad_h * 0.5 ** k),
+    _, value, quad_gap = _refined(lambda k: average(a, b, QUAD_H * 0.5 ** k),
                                   lambda coarse, fine: abs(coarse - fine),
-                                  num.quad_tol, NonConvergentError)
-    half = average(c - 0.25 * window_length, c + 0.25 * window_length, num.quad_h)
+                                  QUAD_TOL, NonConvergentError)
+    half = average(c - 0.25 * window_length, c + 0.25 * window_length, QUAD_H)
     return LyapunovEstimate(
         value=value, window=window_length,
         sensitivity=abs(value - half), quad_gap=quad_gap,

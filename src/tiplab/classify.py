@@ -33,6 +33,7 @@ from .attractors import (
 )
 from .integrator import IntegrationError, Trajectory, _bisect, _first_hit
 from .models import CONCAVE, DCONCAVE
+from .transitions import Phase
 
 
 class ClassifyError(RuntimeError):
@@ -346,8 +347,6 @@ def lambda_star(model, profile, c: float, s: float,
     The equation tilted by lam is in Case A above the returned value and in
     Case C below it, so a negative value means the untilted equation tracks.
     """
-    from .transitions import Phase
-
     if model.concavity != CONCAVE:
         raise ClassifyError("the bifurcation map is defined for concave models")
     mech = Phase(profile, c, -s)

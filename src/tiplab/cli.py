@@ -148,7 +148,8 @@ def _whole(value) -> int:
 _ANY = object()
 _REMOVED_NUMERICS = {"anchor_tol": _ANY, **{key: getattr(attractors, key.upper()) for key in (
     "tail_rel_tol", "max_horizon_doublings", "track_tol_factor", "tail_track_factor",
-    "band_margin", "window_samples", "sep_tol", "anchor_delta")}}
+    "band_margin", "window_samples", "sep_tol", "anchor_delta", "quad_h", "quad_tol",
+    "warn_refine_tol")}}
 _REMOVED_INTEGRATOR = {"fixed_step": _ANY, "method": "dopri54", "first_step": None}
 
 
@@ -219,19 +220,9 @@ def _read_integrator(block: dict) -> IntegratorConfig:
 
 
 def build_numerics(cfg: dict) -> Numerics:
-    """The numerics block: the fields of Numerics, integ under the key
-    integrator."""
-    fields = _fields(Numerics)
-    fields["integrator"] = fields.pop("integ")
-    args = _read_fields(cfg.get("numerics") or {}, fields, "numerics", removed=_REMOVED_NUMERICS)
-    args["integ"] = args.pop("integrator", fields["integrator"].default)
-    return Numerics(**args)
-
-
-def resolved_numerics(num: Numerics) -> dict:
-    d = dataclasses.asdict(num)
-    d["integrator"] = d.pop("integ")
-    return d
+    """The numerics block: the fields of Numerics."""
+    return Numerics(**_read_fields(cfg.get("numerics") or {}, _fields(Numerics), "numerics",
+                                   removed=_REMOVED_NUMERICS))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +234,6 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
     if v is None:
         return ""
     return str(v)
@@ -256,17 +245,9 @@ def write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def write_json(path: Path, payload: dict) -> None:
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
 
@@ -301,7 +282,7 @@ def _pair(spec) -> tuple[float, float]:
 
 def run_simulate(cfg, out, model, num, /, *, t_start: float, x0: float, t_end: float):
     mech = build_mechanism(cfg.get("mechanism"))
-    traj = integrate(model.transition_rhs(mech), t_start, x0, t_end, num.integ)
+    traj = integrate(model.transition_rhs(mech), t_start, x0, t_end, num.integrator)
     write_csv(out / "trajectory.csv", ("t", "x"), zip(traj.t, traj.x))
     result = {"status": traj.status, "t_blow": traj.t_blow,
               "samples": int(len(traj.t))}
@@ -408,7 +389,7 @@ def run_ftle(cfg, out, model, num, /, *, T: float, role: str = None,
     result = {"max": series.max_value, "quad_gap": series.quad_gap,
               "t_range": [float(series.t[0]), float(series.t[-1])]}
     if kappa is not None:
-        wt = warning_time(series, EwsConfig(kappa, L), refine_tol=num.warn_refine_tol)
+        wt = warning_time(series, EwsConfig(kappa, L))
         result["warning_time"] = wt
         print(f"ftle: max={series.max_value:.6g} warning_time={wt}")
     else:
@@ -569,7 +550,7 @@ def main(argv=None) -> int:
             "config": {
                 "model": model.describe(),
                 "mechanism": _resolved_mechanism(cfg, experiment.get("parameter")),
-                "numerics": resolved_numerics(num),
+                "numerics": dataclasses.asdict(num),
                 "experiment": experiment,
             },
             "result": result,

@@ -22,19 +22,24 @@ from .attractors import (
     NonConvergentError,
     Numerics,
     PullbackSolution,
+    QUAD_H,
+    QUAD_TOL,
     TRACK_TOL_FACTOR,
+    WARN_REFINE_TOL,
     _refined,
     gauss3_interval_integrals,
 )
 from .classify import (
     CaseLabel,
     LimitCache,
+    classify,
     label_upper_run,
     pullback_of,
     resolve_horizon,
 )
 from .integrator import IntegrationError, _bisect, _first_hit, integrate
 from .models import _fx_along
+from .transitions import ConstantRate, Reaction, TimeDependentRate
 
 
 class EwsError(RuntimeError):
@@ -74,14 +79,15 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
                 t_max: float | None = None) -> FtleSeries:
     """Sliding-window average of f_x along the solution, for window length T.
 
-    One pass of composite 3-point Gauss quadrature on a uniform step that
-    divides T yields every window by differencing the cumulative sums. The
-    step is halved until two passes agree within num.quad_tol at every
-    window of the coarser one, at most _QUAD_MAX_HALVINGS times, else
-    EwsError names the last gap. The coarser pass of the agreeing pair is
-    the series, and their gap is quad_gap: a refinement gap, not an error
-    bound, since the solution is read through cubic Hermite interpolation
-    whose error does not shrink with the step.
+    One pass of composite 3-point Gauss quadrature on a uniform step near
+    QUAD_H that divides T yields every window by differencing the
+    cumulative sums. The step is halved until two passes agree within
+    QUAD_TOL at every window of the coarser one, at most _QUAD_MAX_HALVINGS
+    times, else EwsError names the last gap. The coarser pass of the
+    agreeing pair is the series, and their gap is quad_gap: a refinement
+    gap, not an error bound, since the solution is read through cubic
+    Hermite interpolation whose error does not shrink with the step. No
+    field of num is read.
     """
     if not T > 0.0:
         raise EwsError(f"window length T must be positive, got {T!r}")
@@ -95,7 +101,7 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     if t0 > t1:
         raise EwsError("empty time range after clipping to the solution span")
 
-    m = max(1, round(T / num.quad_h))
+    m = max(1, round(T / QUAD_H))
     h = T / m
     a0 = t0 - T
     n = m + max(1, int(math.ceil((t1 - t0) / h - 1e-12)))
@@ -114,7 +120,7 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
 
     (times, vals), _, gap = _refined(
         series, lambda coarse, fine: float(np.abs(fine[1][::2] - coarse[1]).max()),
-        num.quad_tol, EwsError)
+        QUAD_TOL, EwsError)
     return FtleSeries(solution.role, T, times, vals, gap)
 
 
@@ -139,7 +145,7 @@ class EwsConfig:
 
 
 def warning_time(series: FtleSeries, ews: EwsConfig,
-                 refine_tol: float = 1.0e-3) -> float | None:
+                 refine_tol: float = WARN_REFINE_TOL) -> float | None:
     """First time the series reaches kappa*L, refined between grid nodes by
     bisection on the linear interpolant; None if never triggered."""
     thr = ews.threshold
@@ -240,8 +246,6 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
     when u_D passes above the frozen-rate repeller there, and a no-return
     point when u_D falls below the repulsive solution of the future rate.
     """
-    from .transitions import ConstantRate, TimeDependentRate
-
     dval = lambda t: float(delta(d * t))
     c_star = float(c_star) if c_star is not None else float(delta.limit_plus)
 
@@ -344,8 +348,6 @@ class _UnreactedRun:
     first, so the label is classified with it rather than a second run."""
 
     def __init__(self, model, profile, delta, T: float, num: Numerics):
-        from .transitions import TimeDependentRate
-
         self.model = model
         self.num = num
         self.mechanism = TimeDependentRate(profile, delta, 1.0)
@@ -360,8 +362,6 @@ class _UnreactedRun:
         """Classification of the unreacted problem, computed on first use
         from the held u and shared by every cell that does not warn."""
         if self._label is None:
-            from .classify import classify
-
             self._label = classify(self.model, self.mechanism, self.num,
                                    horizon=self.H, _upper=self.u)
         return self._label
@@ -377,18 +377,16 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
     Without a warning the unreacted equation's own classification is
     returned, with t1 = None.
     """
-    from .transitions import Reaction
-
     if r < 0.0:
         raise EwsError("reaction strength must be nonnegative")
     run = shared if shared is not None else _UnreactedRun(model, profile, delta, T, num)
-    t1 = warning_time(run.series, EwsConfig(kappa, L), refine_tol=num.warn_refine_tol)
+    t1 = warning_time(run.series, EwsConfig(kappa, L))
     if t1 is None:
         return ReactionOutcome(run.unreacted_label(), None, r, kappa, False)
 
     reaction = Reaction(profile, delta, r, b, t1)
     H = run.H
-    traj = integrate(model.transition_rhs(reaction), t1, run.u(t1), H, num.integ)
+    traj = integrate(model.transition_rhs(reaction), t1, run.u(t1), H, num.integrator)
     # tail term of the unreacted path: the run never follows the Reaction's -H end
     label, to_upper, to_lower, tol = label_upper_run(traj, run.mechanism, run.future, H)
     ev = {"to_upper": to_upper, "track_tol": tol,

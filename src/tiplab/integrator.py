@@ -129,11 +129,8 @@ class Trajectory:
     def span(self) -> tuple[float, float]:
         return (self.t[0], self.t[-1])
 
-    def covers(self, a: float, b: float | None = None) -> bool:
-        lo, hi = self.t[0], self.t[-1]
-        if b is None:
-            b = a
-        return lo <= min(a, b) and max(a, b) <= hi
+    def covers(self, time: float) -> bool:
+        return self._tl[0] <= time <= self._tl[-1]
 
     def __call__(self, time: float) -> float:
         """Cubic Hermite evaluation; exact at nodes."""

@@ -45,8 +45,6 @@ _CURVE_PARAMS = {
 }
 # "arctan-ramp" is read as "arctan"
 CURVE_KINDS = (*_CURVE_PARAMS, "arctan-ramp")
-# grid on which Curve.check_positive samples a loose ``sum`` bound
-_POSITIVE_T_MAX, _POSITIVE_STEP = 1.0e4, 0.25
 
 
 class Curve:
@@ -147,19 +145,11 @@ class Curve:
         return (self._lo, self._hi)
 
     def check_positive(self) -> float:
-        """Positive lower bound of the curve over all t; raises if there is
-        none.
-
-        The closed-form bound decides for every kind but ``sum``, whose bound
-        (the sum of its terms' bounds) may be loose: when it is not positive,
-        the minimum is sampled on a _POSITIVE_STEP grid over
-        [-_POSITIVE_T_MAX, _POSITIVE_T_MAX] instead.
-        """
+        """The closed-form lower bound of the curve over all t; raises when
+        it is not positive. A ``sum`` is bounded below by the sum of its
+        terms' bounds, so one whose terms cancel is refused too: no sample
+        of its values can show an infimum."""
         m = self._lo
-        if m <= 0.0 and self.kind == "sum":
-            fn = self._fn
-            n = int(_POSITIVE_T_MAX / _POSITIVE_STEP)
-            m = min(fn(i * _POSITIVE_STEP) for i in range(-n, n + 1))
         if m <= 0.0:
             raise ModelError(
                 f"curve {self.kind!r} is not positively bounded below "

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from tiplab.attractors import AttractorError, LyapunovEstimate
+from tiplab.attractors import QUAD_H, QUAD_TOL, AttractorError, LyapunovEstimate
 from tiplab.ews import EwsError, FtleSeries
 from tiplab.integrator import IntegrationError
 
@@ -101,8 +102,14 @@ def path_integrand(model, mechanism, trajectory):
 
 
 # ---------------------------------------------------------------------------
-# the exponent and the series (verbatim; glue: the integrands above)
+# the exponent and the series (verbatim; glue: the integrands above, and
+# QUADRATURE_NUM for their num)
 # ---------------------------------------------------------------------------
+
+# the quadrature settings the code below reads from num, which are the
+# attractors constants now
+QUADRATURE_NUM = SimpleNamespace(quad_h=QUAD_H, quad_tol=QUAD_TOL)
+
 
 def estimate_lyapunov(model, gamma, solution, window_length, num):
     w0, w1 = solution.window

@@ -296,17 +296,17 @@ def test_criterion_9_property_suites(cubic, cmodel, hmodel, tmp_path):
         gap = rng.uniform(1e-3, 1.0)
         c = rng.uniform(0.1, 5.0)
         rhs = cubic.transition_rhs(ConstantRate(pulse, c))
-        lo = integrate(rhs, 0.0, x1, 2.0, NUM.integ)
-        hi = integrate(rhs, 0.0, x1 + gap, 2.0, NUM.integ)
+        lo = integrate(rhs, 0.0, x1, 2.0, NUM.integrator)
+        hi = integrate(rhs, 0.0, x1 + gap, 2.0, NUM.integrator)
         order_ok &= hi(2.0) > lo(2.0) - 1e-9
         g1 = rng.uniform(-0.5, 0.5)
         g2 = g1 + rng.uniform(1e-3, 0.5)
         a = integrate(cubic.transition_rhs(
             ConstantRate(make_profile("constant", value=g1), 1.0)),
-            0.0, x1, 2.0, NUM.integ)
+            0.0, x1, 2.0, NUM.integrator)
         b = integrate(cubic.transition_rhs(
             ConstantRate(make_profile("constant", value=g2), 1.0)),
-            0.0, x1, 2.0, NUM.integ)
+            0.0, x1, 2.0, NUM.integrator)
         rhs_ok &= b(2.0) > a(2.0) - 1e-9
     checks.append(mark(order_ok, "order preservation, 100 draws"))
     checks.append(mark(rhs_ok, "rhs comparison, 100 draws"))
@@ -316,9 +316,9 @@ def test_criterion_9_property_suites(cubic, cmodel, hmodel, tmp_path):
         a_, b_ = rng.uniform(-1, 1), rng.uniform(0.05, 0.5)
         x0, T = rng.uniform(-1, 1), rng.uniform(1.0, 5.0)
         fwd = integrate(lambda t, x: a_ * math.cos(t) - b_ * x, 0.0, x0, T,
-                        NUM.integ)
+                        NUM.integrator)
         back = integrate(lambda s, y: -(a_ * math.cos(-s) - b_ * y), -T,
-                         fwd(T), 0.0, NUM.integ)
+                         fwd(T), 0.0, NUM.integrator)
         dual_ok &= abs(back(0.0) - x0) < 1e-8
     checks.append(mark(dual_ok, "time-reversal duality"))
 

@@ -6,6 +6,7 @@ closed-form oracles (polynomial roots) for every estimate.
 
 import gc
 import math
+import types
 import weakref
 from dataclasses import replace
 
@@ -15,8 +16,11 @@ import pytest
 from conftest import cubic_roots
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
+    QUAD_H,
+    QUAD_TOL,
     WINDOW_SAMPLES,
     AttractorError,
+    HyperbolicEstimate,
     NonConvergentError,
     _role_for,
     check_anchor_insensitivity,
@@ -92,6 +96,17 @@ def test_cubic_loses_bistability(cubic):
     want = cubic_roots(1.0)
     assert want.size == 1
     assert ls["attractive"](0.0) == pytest.approx(want[0], abs=1e-7)
+
+
+def test_a_middle_solution_outside_the_state_band_is_not_bistable():
+    # the cubic's frozen solutions at gamma = 0 are -1, 0 and 1; with the
+    # state box (1.5, 3) the middle one lies below the band (0.5, 4)
+    model = make_model("allee-multiplicative-cubic",
+                       {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0}, state_box=(1.5, 3.0))
+    ls = limit_hyperbolic_solutions(model, 0.0, (-30.0, 30.0))
+    assert not ls.complete and ls.separation is None
+    assert ls.notes == ["middle-repulsive leaves the state band; not bistable"]
+    assert ls.roles == ("upper-attractive", "lower-attractive")
 
 
 def test_missing_role_raises(cubic):
@@ -195,16 +210,42 @@ def test_lyapunov_refuses_a_window_length_that_is_not_positive(cubic, length):
         estimate_lyapunov(cubic, 0.0, upper, length)
 
 
-def test_lyapunov_refines_until_two_passes_agree(hmodel):
-    # the Holling model's upper attractor: from quad_h = 25 four halvings do
-    # not bring two passes within quad_tol, from quad_h = 5 they do, after
-    # more than the one extra halving the exponent used to stop at
-    upper = limit_hyperbolic_solutions(hmodel, 0.0, (-600.0, 600.0))["upper-attractive"]
+def test_lyapunov_refines_until_two_passes_agree():
+    # the average of cos(100 t) over [-50, 50]: the passes at QUAD_H / 2^k,
+    # k = 0..3, differ by 2.3e-4, 5.2e-6 and 3.0e-8, so the value is the
+    # pass at QUAD_H / 8, two halvings past the first comparison
+    traj = integrate(lambda t, x: 0.0, -60.0, 0.0, 60.0)
+    est = HyperbolicEstimate("attractive", 0.0, traj, (-50.0, 50.0), 0.0, 0.0)
+
+    def exponent(omega):
+        model = types.SimpleNamespace(fx=lambda t, x, g: math.cos(omega * t))
+        return estimate_lyapunov(model, 0.0, est, 100.0)
+
+    def average(k):
+        n = int(math.ceil(100.0 / (QUAD_H * 0.5 ** k)))
+        fn = lambda t, x: math.cos(100.0 * t)
+        return float(np.sum(gauss3_interval_integrals(fn, traj, -50.0, 100.0 / n, n))) / 100.0
+
+    passes = [average(k) for k in range(4)]
+    assert abs(passes[1] - passes[2]) > QUAD_TOL
+    got = exponent(100.0)
+    assert got.value == passes[3]
+    assert got.quad_gap == abs(passes[2] - passes[3]) <= QUAD_TOL
+    assert got.value == pytest.approx(math.sin(5000.0) / 5000.0, abs=1e-9)
+    # cos(1000 t) is too fast for four halvings
     with pytest.raises(NonConvergentError, match="quadrature refinement stalled at gap"):
-        estimate_lyapunov(hmodel, 0.0, upper, 1000.0, replace(DEFAULT_NUMERICS, quad_h=25.0))
-    est = estimate_lyapunov(hmodel, 0.0, upper, 1000.0, replace(DEFAULT_NUMERICS, quad_h=5.0))
-    assert est.quad_gap <= DEFAULT_NUMERICS.quad_tol
-    assert est.value == pytest.approx(-0.45540, abs=1e-5)
+        exponent(1000.0)
+
+
+def test_lyapunov_refuses_an_estimate_of_another_gamma():
+    # x' = 1/4 - (x - gamma)^2 has the attractor gamma + 1/2 with exponent
+    # -1; f_x read at gamma = 0.2 along the gamma = 0 attractor would give
+    # a plausible -0.6
+    model = make_model("concave-logistic-migration", {"r": 1.0, "I": 0.25})
+    attractive = limit_hyperbolic_solutions(model, 0.0, WINDOW)["attractive"]
+    assert estimate_lyapunov(model, 0.0, attractive, 50.0).value == pytest.approx(-1.0)
+    with pytest.raises(AttractorError, match=r"estimate is of gamma=0\.0, not gamma=0\.2"):
+        estimate_lyapunov(model, 0.2, attractive, 50.0)
 
 
 def test_gauss3_interval_integrals():

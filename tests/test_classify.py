@@ -13,6 +13,7 @@ from tiplab.classify import (
     classify,
     critical_value,
     gamma_interval,
+    lambda_star,
     pullback_of,
     resolve_horizon,
     switching_classify,
@@ -92,6 +93,44 @@ def test_pullback_keeps_its_anchors_role(concave, cubic, pulse, cquad, deep_puls
     for role in roles:
         sol = pullback_of(model, mech, role)
         assert sol.role == sol.anchor.role == role
+
+
+@pytest.mark.parametrize("c, label", [(2.19217, "C2"), (2.1921782, "A")])
+def test_an_indeterminate_label_is_retried_at_the_doubled_horizon(cubic, pulse, c, label):
+    # near the critical rate u is still on its way at +15, close to neither
+    # future attractor; by +30 it has landed
+    mech = ConstantRate(pulse, c)
+    first = classify(cubic, mech, horizon=15.0, _allow_doubling=False)
+    assert first.indeterminate and first.horizon == 15.0
+    out = classify(cubic, mech, horizon=15.0)
+    assert (out.label, out.horizon) == (label, 30.0)
+
+
+def test_lambda_star_expands_its_bracket_to_a_sign_change(cquad):
+    # x' = 1/4 + lam - (x - gamma)^2 under an arctan ramp at rate 1: from
+    # [-0.6, -0.5], all C, the upper end moves up 5 times; from [0.5, 0.6],
+    # all A, the lower end moves down 6 times. Both end on brackets of
+    # one lambda*
+    ramp = make_profile("arctan", amplitude=2.0 / math.pi, scale=1.0)
+    up = lambda_star(cquad, ramp, 1.0, 0.0, bracket=(-0.6, -0.5), tol=0.05)
+    down = lambda_star(cquad, ramp, 1.0, 0.0, bracket=(0.5, 0.6), tol=0.05)
+    assert up.upper == pytest.approx(0.0, abs=1e-12)
+    assert down.lower == pytest.approx(-0.05625, abs=1e-12)
+    for res in (up, down):
+        assert res.lower < res.value < res.upper and res.upper - res.lower <= 0.05
+    assert max(up.lower, down.lower) < min(up.upper, down.upper)
+
+
+@pytest.mark.parametrize("bracket, message, end", [
+    ((-2.0, -1.9), "no Case A tilt found up to ", -1.3),
+    ((1.0, 1.1), "no Case C tilt found down to ", 0.4),
+], ids=["upper-end", "lower-end"])
+def test_lambda_star_gives_up_after_six_expansions(cquad, bracket, message, end):
+    # an end moved six times by the bracket width, still on the wrong side
+    ramp = make_profile("arctan", amplitude=2.0 / math.pi, scale=1.0)
+    with pytest.raises(ClassifyError, match=message) as info:
+        lambda_star(cquad, ramp, 1.0, 0.0, bracket=bracket, tol=0.05)
+    assert float(str(info.value).removeprefix(message)) == pytest.approx(end, abs=1e-12)
 
 
 def test_case_label_to_dict(cubic, pulse):

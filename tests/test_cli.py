@@ -170,16 +170,33 @@ def test_module_invocation(tmp_path):
     assert "case=A" in proc.stdout
 
 
-def test_ftle_with_zero_refine_tolerance_terminates(tmp_path):
-    # bisection down to tolerance 0 stops at adjacent floats instead of
-    # looping forever
-    cfg = base_config(c=0.05, experiment={"T": 10.0, "kappa": 0.5, "L": -2.0})
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tiplab.cli", "ftle", "--config", str(cfg_path),
-         "--set", "numerics.warn_refine_tol=0", "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["result"]["warning_time"] is not None
+def test_ews_region_cell_that_fails_is_false_noted_and_exits_1(tmp_path):
+    # a window T longer than the pullback's span: ftle_series fails, and
+    # the whole c column reads false with one note
+    cfg = base_config(experiment={"kappas": [0.3, 0.6], "cs": [0.05], "T": 1.0e5,
+                                  "L": -2.0})
+    rc, out = run_cli(tmp_path, "ews-region", cfg)
+    assert rc == 1
+    rows = (out / "region.csv").read_text().splitlines()
+    assert rows == ["kappa,c,outcome", "0.29999999999999999,0.050000000000000003,false",
+                    "0.59999999999999998,0.050000000000000003,false"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 1
+    (note,) = manifest["result"]["notes"].values()
+    assert note.startswith("EwsError: solution span") and "shorter than the window" in note
+
+
+def test_reaction_region_cell_that_fails_is_an_error_and_exits_1(tmp_path):
+    cfg = base_config(experiment={"rs": [-1.0, 0.0], "kappas": [0.5], "b": 1.0, "T": 10.0,
+                                  "L": -2.0})
+    cfg["mechanism"] = {"kind": "time-dependent-rate", "profile": dict(PULSE),
+                        "delta": {"kind": "constant", "value": 0.5}}
+    rc, out = run_cli(tmp_path, "reaction-region", cfg)
+    assert rc == 1
+    rows = (out / "region.csv").read_text().splitlines()
+    assert rows == ["r,kappa,outcome", "-1,0.5,error", "0,0.5,C2"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 1
+    assert manifest["result"]["counts"] == {"C2": 1, "error": 1}
+    assert manifest["result"]["notes"] == {
+        "(-1.0, 0.5)": "EwsError: reaction strength must be nonnegative"}

@@ -278,9 +278,9 @@ def test_study_pullbacks_are_bitwise_identical(dmodel, dprof, cmodel, gam, hmode
         twin = ref.Model(model)
         for t0, x0, t1 in ((-H, x_fwd, H), (H, x_bwd, -H)):
             assert_same_run(model.transition_rhs(mech), twin.transition_rhs(mech),
-                            t0, x0, t1, num.integ)
+                            t0, x0, t1, num.integrator)
         assert_same_run(model.frozen_rhs(mech.gamma_minus), twin.frozen_rhs(mech.gamma_minus),
-                        -H, x_fwd, H, num.integ)
+                        -H, x_fwd, H, num.integrator)
 
 
 @pytest.mark.parametrize("tilt", [None, -0.35])
@@ -360,15 +360,16 @@ def test_reaction_region_classifies_unreacted_problem_once(cubic, monkeypatch):
     from tiplab.attractors import DEFAULT_NUMERICS
     from tiplab.ews import reaction_region
 
-    classify_module = importlib.import_module("tiplab.classify")
-    inner = classify_module.classify
+    # the name ews calls classify by
+    ews_module = importlib.import_module("tiplab.ews")
+    inner = ews_module.classify
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(classify_module, "classify", counted)
+    monkeypatch.setattr(ews_module, "classify", counted)
     pulse = make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.6, b=0.05)
     delta = make_profile("sigmoid-blend", left=5.0, right=3.0, rate=0.05)
     grid = reaction_region(cubic, pulse, delta, [0.0, 1.0, 2.0, 3.0], [0.0],

@@ -69,11 +69,12 @@ def test_bad_model_or_numerics_field_is_refused_by_name(change, message, tmp_pat
     ("model.coefficients.r=true", "ModelError: cannot interpret coefficient spec True"),
     ("numerics.conv_tol=-1", "numerics field 'conv_tol' must be positive, got -1.0"),
     ("numerics.horizon=0", "numerics field 'horizon' must be positive, got 0.0"),
-    ("numerics.quad_h=0", "numerics field 'quad_h' must be positive, got 0.0"),
+    ("numerics.quad_h=0",
+     "numerics field 'quad_h' was removed; every run now uses 0.1, not 0"),
     ("numerics.max_burn_doublings=-1",
      "numerics field 'max_burn_doublings' must be at least 0, got -1"),
     ("numerics.warn_refine_tol=-0.5",
-     "numerics field 'warn_refine_tol' must be at least 0, got -0.5"),
+     "numerics field 'warn_refine_tol' was removed; every run now uses 0.001, not -0.5"),
     ("numerics.integrator.rtol=-1",
      "IntegrationError: integrator field 'rtol' must be positive, got -1.0"),
     ("numerics.integrator.max_steps=0",
@@ -90,10 +91,10 @@ def test_booleans_and_out_of_range_numerics_are_refused_by_name(change, message,
 @pytest.mark.parametrize("build, name, value, error, rule", [
     (Numerics, "max_burn_doublings", 2.5, ValueError, "a whole number"),
     (Numerics, "horizon", True, ValueError, "a number"),
-    (Numerics, "warn_refine_tol", False, ValueError, "a number"),
+    (Numerics, "conv_tol", False, ValueError, "a number"),
     (IntegratorConfig, "max_steps", True, IntegrationError, "a whole number"),
     (IntegratorConfig, "max_steps", 2.0, IntegrationError, "a whole number"),
-], ids=["burn-doublings-fraction", "horizon-boolean", "refine-tol-boolean",
+], ids=["burn-doublings-fraction", "horizon-boolean", "conv-tol-boolean",
         "max-steps-boolean", "max-steps-float"])
 def test_config_dataclasses_refuse_booleans_and_fractions_by_name(build, name, value, error,
                                                                   rule):

@@ -7,13 +7,14 @@ warning tests.
 
 import math
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
+    QUAD_TOL,
+    WARN_REFINE_TOL,
     PullbackSolution,
     pullback_attractive,
 )
@@ -62,7 +63,7 @@ def test_ftle_exact_on_linear_field():
     series = ftle_series(model, mech, sol, T, NUM)
     exact = 0.3 + (np.cos(series.t - T) - np.cos(series.t)) / T
     assert np.abs(series.values - exact).max() < 1.0e-8
-    assert series.quad_gap < NUM.quad_tol
+    assert series.quad_gap < QUAD_TOL
     assert series.t[0] == pytest.approx(-60.0 + T)
     assert series.t[-1] <= 60.0 + 1e-12
 
@@ -125,6 +126,19 @@ def test_warning_time_bump():
     assert wt_deep <= wt
     assert wt_deep == pytest.approx(5.0 - math.sqrt(math.log(1.9 / 0.4)),
                                     abs=2e-2)
+
+
+def test_warning_time_with_zero_refine_tolerance_terminates():
+    # bisection down to tolerance 0 stops at adjacent floats instead of
+    # looping forever; the warning is the later one, where the linear
+    # interpolant has reached the threshold
+    series = bump_series()
+    wt = warning_time(series, EwsConfig(0.5, -2.0), refine_tol=0.0)
+    assert wt == pytest.approx(5.0 - math.sqrt(math.log(1.9)), abs=2e-2)
+    i = int(np.argmax(series.values >= -1.0))
+    t0, t1, v0, v1 = series.t[i - 1], series.t[i], series.values[i - 1], series.values[i]
+    at = lambda t: v0 + (t - t0) / (t1 - t0) * (v1 - v0)
+    assert at(wt) >= -1.0 > at(math.nextafter(wt, -math.inf))
 
 
 def test_warning_time_edge_cases():
@@ -352,18 +366,16 @@ def test_reaction_at_the_past_rate_keeps_its_tolerance(cubic):
         assert out.label.label == "C2"
 
 
-def test_reaction_warns_at_the_configured_refinement(cubic):
+def test_reaction_warns_at_the_default_refinement(cubic):
     from tiplab.ews import _UnreactedRun
 
     delta = make_profile("constant", value=0.5)
-    coarse = replace(NUM, warn_refine_tol=0.25)
-    run = _UnreactedRun(cubic, PULSE, delta, 10.0, coarse)
-    out = reaction_run(cubic, PULSE, delta, 3.0, 1.0, 0.5, 10.0, -2.0, coarse,
-                       shared=run)
+    run = _UnreactedRun(cubic, PULSE, delta, 10.0, NUM)
+    out = reaction_run(cubic, PULSE, delta, 3.0, 1.0, 0.5, 10.0, -2.0, NUM, shared=run)
     cfg = EwsConfig(0.5, -2.0)
     assert out.warned
-    assert out.t1 == warning_time(run.series, cfg, refine_tol=0.25)
-    assert out.t1 != warning_time(run.series, cfg)
+    assert out.t1 == warning_time(run.series, cfg, refine_tol=WARN_REFINE_TOL)
+    assert out.t1 != warning_time(run.series, cfg, refine_tol=0.25)
 
 
 def test_unreacted_c2_label_reuses_the_held_pullback(cubic, monkeypatch):

@@ -7,6 +7,7 @@ keys that existed then. Re-running a subcommand from it must reproduce every
 result file of tests/golden/<subcommand>/ byte for byte.
 """
 
+import dataclasses
 import json
 import re
 
@@ -47,6 +48,9 @@ REFUSED = [
     ("numerics", "window_samples", 513),
     ("numerics", "sep_tol", 2.0e-3),
     ("numerics", "anchor_delta", 2.0e-4),
+    ("numerics", "quad_h", 0.05),
+    ("numerics", "quad_tol", 1.0e-8),
+    ("numerics", "warn_refine_tol", 0.0),
 ]
 IGNORED = [("numerics", "anchor_tol"), ("integrator", "fixed_step")]
 REMOVED = sorted({(block, key) for block, key, _ in REFUSED} | set(IGNORED))
@@ -76,7 +80,7 @@ def test_numerics_carry_no_anchor_tol(block, key):
     # no run sets a removed key: a new manifest leaves it out, and the
     # value an old manifest lists, alone or with the others, still builds
     # the default numerics
-    assert key not in removed_key_block({"numerics": cli.resolved_numerics(DEFAULT_NUMERICS)},
+    assert key not in removed_key_block({"numerics": dataclasses.asdict(DEFAULT_NUMERICS)},
                                         block)
     manifest = json.loads((MANIFESTS / "classify.json").read_text())
     old = removed_key_block(manifest["config"], block)[key]

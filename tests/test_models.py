@@ -152,19 +152,37 @@ def test_positive_guard_sees_the_whole_time_axis():
             "kind": "arctan", "offset": 0.5, "amplitude": 1.0, "scale": 1.0}})
 
 
-def test_positive_guard_samples_sums_with_loose_bounds():
-    # the terms cancel: bound 0.5 - 2 < 0, value 0.5 everywhere
-    ok = make_coefficient({"kind": "sum", "offset": 0.5, "terms": [
+def test_positive_guard_refuses_sums_with_loose_bounds():
+    # the terms cancel: value 0.5 everywhere, but the closed-form bound
+    # 0.5 - 2 decides
+    cancelling = make_coefficient({"kind": "sum", "offset": 0.5, "terms": [
         {"kind": "sin", "amplitude": 1.0, "omega": 1.0},
         {"kind": "sin", "amplitude": -1.0, "omega": 1.0},
     ]})
-    assert ok.bounds()[0] < 0.0
-    assert ok.check_positive() == 0.5
+    assert cancelling.bounds()[0] < 0.0
+    with pytest.raises(ModelError, match="positive"):
+        cancelling.check_positive()
     # positive for t >= 0 only
     bad = make_coefficient({"kind": "sum", "offset": 0.5, "terms": [
         {"kind": "arctan", "amplitude": 1.0, "scale": 1.0}]})
     with pytest.raises(ModelError, match="positive"):
         bad.check_positive()
+
+
+def test_positive_guard_refuses_a_sum_whose_infimum_no_sample_shows():
+    # 1 - 1e-7 - (sin t + sin(sqrt(5) t))/2: the frequencies are rationally
+    # independent, so both sines come arbitrarily close to 1 together and
+    # the infimum is -1e-7, which is the closed-form bound; a sample of t
+    # in [-1e4, 1e4] finds no value below 6e-7
+    curve = make_coefficient({"kind": "sum", "offset": 0.9999999, "terms": [
+        {"kind": "sin", "amplitude": -0.5, "omega": 1.0},
+        {"kind": "sin", "amplitude": -0.5, "omega": math.sqrt(5.0)},
+    ]})
+    assert curve.bounds()[0] == pytest.approx(-1.0e-7, rel=1e-6)
+    with pytest.raises(ModelError, match="positive"):
+        curve.check_positive()
+    with pytest.raises(ModelError, match="positive"):
+        make_model("gompertz", {"r": 1.0, "K": curve.describe()})
 
 
 def test_concavity_labels(cubic, cmodel, hmodel, dmodel):

@@ -19,7 +19,8 @@ the labels of its mirrored critical-rate brackets. The fold of the concave
 study model, where its limit sets lose their hyperbolic solutions, comes
 from the spectrum of its Riccati linearisation: scipy's eigh_tridiagonal
 on a long interval, and numpy's eigvalsh over one period for the periodic
-model of the bifurcation-map golden.
+model of the bifurcation-map golden. Every lambda* cell of criterion 6
+classifies as C 1e-3 above that fold, so its lambda* lies above it.
 """
 
 import csv
@@ -33,11 +34,13 @@ import pytest
 from conftest import cubic_roots
 from test_bitwise_pins import GOLDEN
 from tiplab.attractors import limit_hyperbolic_solutions
+from tiplab.classify import classify, resolve_horizon
 from tiplab.ews import EwsConfig, FtleSeries, _first_root, warning_time
 from tiplab.integrator import integrate
 from tiplab.models import _FAMILIES, _PLACEHOLDER, CONCAVE, make_model
 from tiplab.transitions import (
     ConstantRate,
+    Phase,
     TimeDependentPhase,
     TimeDependentRate,
     make_profile,
@@ -338,7 +341,8 @@ def _ground_state(h: float, half: float = 1000.0) -> float:
                             select="i", select_range=(0, 0))[0]
 
 
-def test_the_concave_study_model_loses_its_limit_set_at_the_fold(cmodel):
+@pytest.fixture(scope="module")
+def study_fold():
     # With y = x - g the tilted field I(t) - (x - g)^2 + lam reads
     # y' = -y^2 + I + lam, and y = u'/u turns it into u'' = (I + lam) u. A
     # solution bounded on the whole line exists iff that equation has a
@@ -348,9 +352,29 @@ def test_the_concave_study_model_loses_its_limit_set_at_the_fold(cmodel):
     # approach E0, and one Richardson step removes the O(h^2) error of the
     # second differences.
     coarse, fine = _ground_state(0.04), _ground_state(0.02)
-    fold = -(4.0 * fine - coarse) / 3.0
-    assert fold == pytest.approx(-0.09243, abs=1.0e-5)
-    _assert_limit_sets_end_at(cmodel, fold)
+    return -(4.0 * fine - coarse) / 3.0
+
+
+def test_the_concave_study_model_loses_its_limit_set_at_the_fold(cmodel, study_fold):
+    assert study_fold == pytest.approx(-0.09243, abs=1.0e-5)
+    _assert_limit_sets_end_at(cmodel, study_fold)
+
+
+# criterion 6's (c, s) cells
+LAMBDA_STAR_CELLS = [(0.25, 0.0), (0.74, 0.0), (0.495, 0.0), (1.0, -5.0), (1.0, 2.5), (1.0, 10.0)]
+
+
+def test_every_lambda_star_cell_tips_just_above_the_fold(cmodel, gam, study_fold):
+    # The tilt lifts f, so by comparison the pullback attractive solution of
+    # a higher tilt stays above that of a lower one, and a label is C below
+    # any tilt labelled C. Each cell classifies as lambda_star's label_at
+    # does, at its horizon; C at fold + 1e-3 (where the limit sets are
+    # complete, above) puts the cell's lambda* above the fold.
+    tilted = cmodel.tilted(study_fold + 1.0e-3)
+    for c, s in LAMBDA_STAR_CELLS:
+        mech = Phase(gam, c, -s)
+        label = classify(tilted, mech, horizon=resolve_horizon(mech))
+        assert label.label == "C", (c, s, label.evidence)
 
 
 def _assert_limit_sets_end_at(model, fold):

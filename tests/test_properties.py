@@ -89,8 +89,8 @@ def test_fx_matches_difference_stencil(case):
        c=st.floats(0.1, 5.0))
 def test_flow_preserves_initial_order(x1, gap, c):
     rhs = CUBIC.transition_rhs(ConstantRate(PULSE, c))
-    lo = integrate(rhs, 0.0, x1, 2.0, NUM.integ)
-    hi = integrate(rhs, 0.0, x1 + gap, 2.0, NUM.integ)
+    lo = integrate(rhs, 0.0, x1, 2.0, NUM.integrator)
+    hi = integrate(rhs, 0.0, x1 + gap, 2.0, NUM.integrator)
     for t in (0.5, 1.3, 2.0):
         assert hi(t) > lo(t) - 1e-9
 
@@ -102,8 +102,8 @@ def test_flow_monotone_in_additive_forcing(g1, dg, x0):
     low = CUBIC.transition_rhs(ConstantRate(make_profile("constant", value=g1), 1.0))
     high = CUBIC.transition_rhs(
         ConstantRate(make_profile("constant", value=g1 + dg), 1.0))
-    a = integrate(low, 0.0, x0, 2.0, NUM.integ)
-    b = integrate(high, 0.0, x0, 2.0, NUM.integ)
+    a = integrate(low, 0.0, x0, 2.0, NUM.integrator)
+    b = integrate(high, 0.0, x0, 2.0, NUM.integrator)
     for t in (0.5, 1.3, 2.0):
         assert b(t) > a(t) - 1e-9
 
@@ -114,9 +114,9 @@ def test_flow_monotone_in_additive_forcing(g1, dg, x0):
 def test_time_reversal_duality(a, b, x0, T):
     # y(s) = x(-s) solves y' = -f(-s, y); running it back recovers x0
     fwd = integrate(lambda t, x: a * math.cos(t) - b * x, 0.0, x0, T,
-                    NUM.integ)
+                    NUM.integrator)
     back = integrate(lambda s, y: -(a * math.cos(-s) - b * y), -T, fwd(T),
-                     0.0, NUM.integ)
+                     0.0, NUM.integrator)
     assert back(0.0) == pytest.approx(x0, abs=1e-8)
 
 
@@ -236,7 +236,7 @@ def test_warning_time_monotone_in_kappa(amp, center, width, k1, dk):
 @given(c=st.floats(0.1, 5.0), x0=st.floats(-1.5, 1.5))
 def test_integration_is_bitwise_deterministic(c, x0):
     rhs = CUBIC.transition_rhs(ConstantRate(PULSE, c))
-    one = integrate(rhs, -3.0, x0, 3.0, NUM.integ)
-    two = integrate(rhs, -3.0, x0, 3.0, NUM.integ)
+    one = integrate(rhs, -3.0, x0, 3.0, NUM.integrator)
+    two = integrate(rhs, -3.0, x0, 3.0, NUM.integrator)
     assert np.array_equal(one.t, two.t)
     assert np.array_equal(one.x, two.x)

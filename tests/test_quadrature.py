@@ -11,7 +11,6 @@ exactly on a node or on the last node.
 
 import math
 import types
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,15 +114,15 @@ def cases(cubic, dmodel, dprof, hmodel, hprof, cmodel, gam):
     for model, gamma, mech, x_in, x_out, way in study(cubic, dmodel, dprof, hmodel,
                                                       hprof, cmodel, gam):
         frozen = model.frozen_rhs(gamma)
-        forward = integrate(frozen, -SPAN, x_in, SPAN, NUM.integ)
-        blown = integrate(frozen, -way * SPAN, x_out, way * SPAN, NUM.integ)
+        forward = integrate(frozen, -SPAN, x_in, SPAN, NUM.integrator)
+        blown = integrate(frozen, -way * SPAN, x_out, way * SPAN, NUM.integrator)
         assert blown.status == "blow-up"
         trajs = {
             "forward": forward,
-            "backward": integrate(frozen, SPAN, x_in, -SPAN, NUM.integ),
+            "backward": integrate(frozen, SPAN, x_in, -SPAN, NUM.integrator),
             "blow-up": blown,
             "shifted": forward.shifted(0.25),
-            "transition": integrate(model.transition_rhs(mech), -SPAN, x_in, SPAN, NUM.integ),
+            "transition": integrate(model.transition_rhs(mech), -SPAN, x_in, SPAN, NUM.integrator),
         }
         out.append((model, gamma, mech, trajs))
     return out
@@ -159,7 +158,7 @@ def test_gauss_nodes_on_a_node_and_on_the_last_node(cases):
 def test_domain_error_at_the_same_gauss_node(hmodel):
     # shifted down, the solution crosses the pole at x = -b midway; both
     # quadratures must stop at the same Gauss node with the same message
-    traj = integrate(hmodel.frozen_rhs(0.0), -SPAN, 70.0, SPAN, NUM.integ)
+    traj = integrate(hmodel.frozen_rhs(0.0), -SPAN, 70.0, SPAN, NUM.integrator)
     dx = -10.0 - float(np.median(traj.x))
     low = traj.shifted(dx)
     calls = {"walk": 0, "reference": 0}
@@ -205,14 +204,14 @@ def test_exponent_and_series_match_the_reference(cases):
         forward, transition = trajs["forward"], trajs["transition"]
         est = HyperbolicEstimate("attractive", gamma, forward, (-SPAN, SPAN), 0.0, 0.0)
         got = estimate_lyapunov(model, gamma, est, 60.0, NUM)
-        want = ref.estimate_lyapunov(model, gamma, est, 60.0, NUM)
+        want = ref.estimate_lyapunov(model, gamma, est, 60.0, ref.QUADRATURE_NUM)
         assert [v.hex() for v in (got.value, got.sensitivity, got.quad_gap)] == [
             v.hex() for v in (want.value, want.sensitivity, want.quad_gap)]
         sol = PullbackSolution("attractive", transition, None, SPAN, (-1e9, 1e9))
         # unclipped, the series starts at a numpy scalar, t[0] + T - T
         for clip in ((-20.0, 30.0), (None, None)):
-            got, want = (f(model, mech, sol, 10.0, NUM, *clip)
-                         for f in (ftle_series, ref.ftle_series))
+            got = ftle_series(model, mech, sol, 10.0, NUM, *clip)
+            want = ref.ftle_series(model, mech, sol, 10.0, ref.QUADRATURE_NUM, *clip)
             assert got.t.tobytes() == want.t.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
             assert got.quad_gap.hex() == want.quad_gap.hex()
@@ -224,18 +223,19 @@ def test_ftle_series_on_a_stub_model_matches_the_reference():
     mech = ConstantRate(make_profile("arctan", amplitude=1.0, scale=0.5), 1.0)
     traj = integrate(lambda t, x: math.sin(t) - 0.1 * x, -30.0, 0.5, 30.0)
     sol = PullbackSolution("attractive", traj, None, 30.0, (-1e9, 1e9))
-    got, want = (f(model, mech, sol, 5.0, NUM) for f in (ftle_series, ref.ftle_series))
+    got = ftle_series(model, mech, sol, 5.0, NUM)
+    want = ref.ftle_series(model, mech, sol, 5.0, ref.QUADRATURE_NUM)
     assert got.t.tobytes() == want.t.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
     assert got.quad_gap.hex() == want.quad_gap.hex()
 
 
 def test_ftle_refinement_stall_raises_ews_error():
-    # a fast integrand at a step of the whole window: four halvings do not
-    # bring two passes within quad_tol
-    model = types.SimpleNamespace(fx=lambda t, x, g: math.sin(5.0 * t))
+    # an integrand too fast for the quadrature step: four halvings of QUAD_H
+    # do not bring two passes within QUAD_TOL
+    model = types.SimpleNamespace(fx=lambda t, x, g: math.sin(1000.0 * t))
     mech = ConstantRate(make_profile("constant", value=0.0), 1.0)
     traj = integrate(lambda t, x: 0.0, -30.0, 0.0, 30.0)
     sol = PullbackSolution("attractive", traj, None, 30.0, (-1.0, 1.0))
     with pytest.raises(EwsError, match="quadrature refinement stalled at gap"):
-        ftle_series(model, mech, sol, 10.0, replace(NUM, quad_h=10.0))
+        ftle_series(model, mech, sol, 10.0, NUM)
