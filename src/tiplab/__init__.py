@@ -45,7 +45,6 @@ from .attractors import (
     NonConvergentError,
     Numerics,
     PullbackSolution,
-    check_anchor_insensitivity,
     estimate_lyapunov,
     limit_hyperbolic_solutions,
     pullback_attractive,
@@ -96,8 +95,8 @@ __all__ = [
     # attractors
     "DEFAULT_NUMERICS", "AttractorError", "HyperbolicEstimate", "LimitSet",
     "LyapunovEstimate", "NonConvergentError", "Numerics", "PullbackSolution",
-    "check_anchor_insensitivity", "estimate_lyapunov",
-    "limit_hyperbolic_solutions", "pullback_attractive", "pullback_repulsive",
+    "estimate_lyapunov", "limit_hyperbolic_solutions", "pullback_attractive",
+    "pullback_repulsive",
     # classify
     "CaseLabel", "ClassifyError", "CriticalValueResult", "GammaIntervalResult",
     "IndeterminateError", "LambdaStarResult", "LimitCache", "classify",

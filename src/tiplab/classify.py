@@ -74,9 +74,11 @@ def resolve_horizon(mechanism, num: Numerics = DEFAULT_NUMERICS) -> float:
 
 
 class LimitCache:
-    """Limit sets keyed by (gamma, horizon); translation-invariant models are
-    served by shifting a single base computation. The sets are the ones the
-    model keeps for num, so every caller on that model shares them."""
+    """Limit sets keyed by (gamma, horizon). The sets are the ones the model
+    keeps for num, so every caller on that model shares them. A
+    translation-invariant model keeps only its gamma = 0 sets: the set at
+    any other gamma is that base shifted on each read, a copy of the x
+    buffers that the reader frees (t and f are shared)."""
 
     def __init__(self, model, num: Numerics):
         self.model = model
@@ -89,14 +91,12 @@ class LimitCache:
         return self._limit_set(gamma, horizon).require_complete()
 
     def _limit_set(self, gamma: float, horizon: float) -> LimitSet:
+        if self.model.translation_invariant and gamma != 0.0:
+            return self._limit_set(0.0, horizon).shifted(gamma, gamma)
         key = (gamma, horizon)
         if key not in self._sets:
-            if self.model.translation_invariant and gamma != 0.0:
-                ls = self._limit_set(0.0, horizon).shifted(gamma, gamma)
-            else:
-                ls = limit_hyperbolic_solutions(self.model, gamma, (-horizon, horizon),
-                                                self.num)
-            self._sets[key] = ls
+            self._sets[key] = limit_hyperbolic_solutions(self.model, gamma, (-horizon, horizon),
+                                                         self.num)
         return self._sets[key]
 
 

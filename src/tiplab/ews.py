@@ -193,7 +193,8 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
     the pullback attractive solution reaches kappa*L inside the search window.
 
     One solution and one series per c serve the whole kappa column. Each
-    (kappa, L) pair is checked as an EwsConfig before any integration.
+    (kappa, L) pair is checked as an EwsConfig before any integration, and
+    so is each column's window T against the pullback's span (-H, H).
     """
     kappas = [float(k) for k in kappas]
     thresholds = [EwsConfig(k, L).threshold for k in kappas]
@@ -203,7 +204,10 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
     for j, c in enumerate(cs):
         mech = mechanism_family(c)
         try:
-            sol = pullback_of(model, mech, role, num)
+            H = resolve_horizon(mech, num)
+            if T > 2.0 * H:
+                raise EwsError(f"solution span {(-H, H)} shorter than the window {T}")
+            sol = pullback_of(model, mech, role, num, horizon=H)
             series = ftle_series(model, mech, sol, T, num,
                                  t_min=search[0], t_max=search[1])
         except (EwsError, NonConvergentError, IntegrationError) as exc:

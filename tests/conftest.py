@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from tiplab.attractors import DEFAULT_NUMERICS
+from tiplab.attractors import ANCHOR_DELTA, DEFAULT_NUMERICS
+from tiplab.integrator import integrate
 from tiplab.models import make_model
 from tiplab.transitions import make_profile
 
@@ -22,6 +23,24 @@ def cubic_roots(gamma: float) -> np.ndarray:
     an oracle that uses neither the integrator nor the burn-in."""
     roots = np.roots([1.0, 0.0, -1.0, -gamma])
     return np.sort(roots[roots.imag == 0.0].real)
+
+
+def check_anchor_insensitivity(model, mechanism, solution, num=DEFAULT_NUMERICS) -> float:
+    """Re-run the pullback integration from the anchor value moved by
+    +-ANCHOR_DELTA and report the largest deviation from the solution at the
+    half horizon."""
+    H = solution.horizon
+    rhs = model.transition_rhs(mechanism)
+    backward = solution.trajectory.direction == "backward"
+    t_from = H if backward else -H
+    t_probe = 0.5 * H if backward else -0.5 * H
+    base = solution(t_probe)
+    worst = 0.0
+    for sgn in (1.0, -1.0):
+        x0 = solution.anchor(t_from) + sgn * ANCHOR_DELTA
+        traj = integrate(rhs, t_from, x0, t_probe, num.integrator)
+        worst = max(worst, abs(traj(t_probe) - base))
+    return worst
 
 
 # one line per criterion, echoed after the run so the acceptance suite

@@ -21,7 +21,6 @@ from tiplab import cli
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
     PullbackSolution,
-    check_anchor_insensitivity,
     estimate_lyapunov,
     limit_hyperbolic_solutions,
     pullback_attractive,
@@ -343,8 +342,7 @@ def test_criterion_9_property_suites(cubic, cmodel, hmodel, tmp_path):
         sol = pullback_attractive(cubic, mech,
                                   cache.get(0.0, H)["upper-attractive"],
                                   H, NUM)
-        anchor_ok &= check_anchor_insensitivity(cubic, mech, sol,
-                                                NUM) < 1.0e-6
+        anchor_ok &= conftest.check_anchor_insensitivity(cubic, mech, sol, NUM) < 1.0e-6
     checks.append(mark(anchor_ok, "anchor insensitivity"))
 
     stub = types.SimpleNamespace(fx=lambda t, x, g: math.sin(t) + 0.3)

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import cubic_roots
+from conftest import check_anchor_insensitivity, cubic_roots
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
     QUAD_H,
@@ -23,7 +23,6 @@ from tiplab.attractors import (
     HyperbolicEstimate,
     NonConvergentError,
     _role_for,
-    check_anchor_insensitivity,
     estimate_lyapunov,
     gauss3_interval_integrals,
     limit_hyperbolic_solutions,
@@ -384,6 +383,32 @@ def test_an_unread_limit_set_is_freed_by_reference_counting(cubic):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_a_burn_in_run_starts_with_the_earlier_runs_of_its_role_freed(monkeypatch, cubic):
+    # the doubling keeps the previous run's window values, not the run; near
+    # the fold the middle role takes five runs
+    import tiplab.attractors as attractors
+
+    inner_certified, inner_integrate = attractors._certified_run, attractors.integrate
+    role_runs = []     # weak references to the runs of the role being certified
+    alive = []         # per run: the earlier runs of its role alive at its start
+
+    def certified(*args):
+        role_runs.clear()
+        return inner_certified(*args)
+
+    def recorded(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in role_runs))
+        traj = inner_integrate(*args, **kwargs)
+        role_runs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(attractors, "_certified_run", certified)
+    monkeypatch.setattr(attractors, "integrate", recorded)
+    ls = limit_hyperbolic_solutions(cubic, NEAR_FOLD[0], (-30.0, 30.0))
+    assert ls.complete and ls["middle-repulsive"].burn_in == 1600.0
+    assert len(alive) >= 9 and alive == [0] * len(alive)
 
 
 def test_pullbacks_check_their_anchor(cubic, cubic_pulse, num):

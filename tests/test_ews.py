@@ -239,6 +239,22 @@ def test_ews_region_refuses_what_ews_config_refuses(cubic, kappas, L):
         ews_region(cubic, unreachable, kappas=kappas, cs=[1.0], T=10.0, L=L, num=NUM)
 
 
+def test_ews_region_column_whose_window_exceeds_the_span_integrates_nothing(monkeypatch):
+    # the pullback spans (-H, H), and H is known before any run: a window
+    # longer than 2H fails its column before the burn-ins and the pullback
+    import tiplab.integrator as integrator
+
+    inner, runs = integrator._run, []
+    monkeypatch.setattr(integrator, "_run", lambda *args: runs.append(args) or inner(*args))
+    model = make_model("allee-multiplicative-cubic", {"r": 1.0, "K": 1.0, "S": -1.0, "phi": 1.0})
+    grid = ews_region(model, lambda c: ConstantRate(PULSE, c), kappas=[0.3, 0.6], cs=[0.05],
+                      T=1.0e5, L=-2.0, num=NUM)
+    assert runs == [] and grid.outcomes == [[False], [False]]
+    H = resolve_horizon(ConstantRate(PULSE, 0.05), NUM)
+    assert grid.notes == {
+        0.05: f"EwsError: solution span {(-H, H)} shorter than the window 100000.0"}
+
+
 # ---------------------------------------------------------------------------
 # safe and no-return certificates for a growing rate
 # ---------------------------------------------------------------------------

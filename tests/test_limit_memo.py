@@ -2,8 +2,10 @@
 
 A model keeps its tilted copies (up to models._TILTS_HELD of them) and, per
 Numerics, the limit sets of its frozen equations, so the lambda* map and
-every other entry point share them. Neither store refers back to the model,
-so dropping the model frees them without the cyclic collector.
+every other entry point share them. A translation-invariant model keeps
+only its gamma = 0 sets and shifts them on each read. Neither store refers
+back to the model, so dropping the model frees them without the cyclic
+collector.
 """
 
 import gc
@@ -11,13 +13,14 @@ import importlib
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from conftest import SQ5
 from tiplab.attractors import AttractorError, Numerics
 from tiplab.classify import LimitCache, classify, lambda_star
 from tiplab.models import _TILTS_HELD, make_model
-from tiplab.transitions import ConstantRate, make_profile
+from tiplab.transitions import ConstantRate, Phase, make_profile
 
 CONCAVE = ("concave-logistic-migration", {
     "r": 1.0,
@@ -93,6 +96,24 @@ def test_an_incomplete_set_names_the_gamma_asked_for(limit_calls):
                            match=rf"^incomplete hyperbolic structure at gamma={gamma}: "):
             cache.get(gamma, 30.0)
     assert limit_calls == [0.0]
+
+
+def test_a_translation_invariant_model_keeps_only_its_base_sets(limit_calls):
+    model = make_model(*CONCAVE)
+    mech = Phase(make_profile("arctan", amplitude=2.0 / math.pi, scale=1.0), 1.0, 0.0)
+    assert (mech.gamma_minus, mech.gamma_plus) == (-1.0, 1.0)
+    classify(model, mech, SHORT, horizon=30.0)
+    assert list(model.limit_sets(SHORT)) == [(0.0, 30.0)] and limit_calls == [0.0]
+    # each read shifts the base anew, bit for bit the same; t and f are shared
+    base = model.limit_sets(SHORT)[(0.0, 30.0)]
+    cache = LimitCache(model, SHORT)
+    first, second = cache.get(1.0, 30.0), cache.get(1.0, 30.0)
+    assert first is not second and first.roles == base.roles == ("attractive", "repulsive")
+    for role in base.roles:
+        x = (base[role].trajectory.x + 1.0).tobytes()
+        assert first[role].trajectory.x.tobytes() == second[role].trajectory.x.tobytes() == x
+        assert first[role].trajectory.t is base[role].trajectory.t
+    assert list(model.limit_sets(SHORT)) == [(0.0, 30.0)] and limit_calls == [0.0]
 
 
 def test_numerics_do_not_share_limit_sets(limit_calls):

@@ -34,7 +34,7 @@ import pytest
 from conftest import cubic_roots
 from test_bitwise_pins import GOLDEN
 from tiplab.attractors import limit_hyperbolic_solutions
-from tiplab.classify import classify, resolve_horizon
+from tiplab.classify import classify, lambda_star, resolve_horizon
 from tiplab.ews import EwsConfig, FtleSeries, _first_root, warning_time
 from tiplab.integrator import integrate
 from tiplab.models import _FAMILIES, _PLACEHOLDER, CONCAVE, make_model
@@ -329,13 +329,16 @@ def test_dop853_from_the_roots_confirms_the_mirrored_labels(cubic, gamma_star, t
 # the fold of the concave study models, from their Riccati linearisation
 # ---------------------------------------------------------------------------
 
-def _ground_state(h: float, half: float = 1000.0) -> float:
-    """Lowest eigenvalue of -u'' + I(t) u on [-half, half] with Dirichlet
-    ends, by second differences with step h; I is criterion 6's migration
-    term 0.895 - sin(t/2) - sin(sqrt(5) t), written out here."""
+def _ground_state(h: float, half: float = 1000.0, c: float = 0.0, s: float = 0.0) -> float:
+    """Lowest eigenvalue of -u'' + (I(t) - g'(t)) u on [-half, half] with
+    Dirichlet ends, by second differences with step h; I is criterion 6's
+    migration term 0.895 - sin(t/2) - sin(sqrt(5) t) and g(t) =
+    (2/pi) atan(c (t - s)) its cell's path, both written out here (c = 0:
+    the frozen equation)."""
     eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
     t = np.arange(1, round(2.0 * half / h)) * h - half
-    diagonal = 2.0 / h ** 2 + 0.895 - np.sin(0.5 * t) - np.sin(np.sqrt(5.0) * t)
+    bump = 2.0 / math.pi * c / (1.0 + (c * (t - s)) ** 2)
+    diagonal = 2.0 / h ** 2 + 0.895 - np.sin(0.5 * t) - np.sin(np.sqrt(5.0) * t) - bump
     off = np.full(t.size - 1, -1.0 / h ** 2)
     return eigh_tridiagonal(diagonal, off, eigvals_only=True,
                             select="i", select_range=(0, 0))[0]
@@ -375,6 +378,21 @@ def test_every_lambda_star_cell_tips_just_above_the_fold(cmodel, gam, study_fold
         mech = Phase(gam, c, -s)
         label = classify(tilted, mech, horizon=resolve_horizon(mech))
         assert label.label == "C", (c, s, label.evidence)
+
+
+@pytest.mark.parametrize("cell, spectral", [((1.0, 2.5), 0.2534234), ((1.0, -5.0), -0.089866)])
+def test_lambda_star_brackets_the_bottom_of_its_spectrum(cmodel, gam, cell, spectral):
+    # Along the path, y = x - g(t) turns the tilted field into
+    # y' = -y^2 + I + lam - g'(t), and y = u'/u into u'' = (I + lam - g') u,
+    # so as at the fold lambda* = -E0 (r = 1), E0 now the bottom of the
+    # spectrum of -d^2/dt^2 + I - g' (Coppel, Disconjugacy, LNM 220, 1971).
+    # The bump -g' pulls E0 below the frozen one. [-400, 400] gives the same
+    # 9 digits as [-800, 800].
+    coarse, fine = (_ground_state(h, 400.0, *cell) for h in (0.01, 0.005))
+    value = -(4.0 * fine - coarse) / 3.0
+    assert value == pytest.approx(spectral, abs=1.0e-6)
+    res = lambda_star(cmodel, gam, *cell, tol=1.0e-3)
+    assert res.lower <= value <= res.upper, (res, value)
 
 
 def _assert_limit_sets_end_at(model, fold):

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cubic_roots
+from conftest import check_anchor_insensitivity, cubic_roots
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
-    check_anchor_insensitivity,
     limit_hyperbolic_solutions,
     pullback_attractive,
 )
