@@ -99,6 +99,12 @@ class HyperbolicEstimate:
                                   self.window, self.burn_in, self.convergence_gap)
 
 
+def _chain_separation(grid: np.ndarray, ests) -> float:
+    """Least gap on the grid between neighbouring estimates, listed top down."""
+    return min(float(np.min(hi.eval_array(grid) - lo.eval_array(grid)))
+               for hi, lo in zip(ests, ests[1:]))
+
+
 class LimitSet:
     """Hyperbolic solutions of one frozen equation over a window.
 
@@ -109,32 +115,38 @@ class LimitSet:
     attractive estimate ends after its first node past the window.
 
     The repulsive estimate may still be pending: ``limit_hyperbolic_solutions``
-    leaves it to the first read that needs it, that is ``set[role]`` for a
-    role the set does not hold yet, ``estimates``, ``roles``, ``complete``,
-    ``separation``, ``notes``, ``require_complete`` or ``shifted``. Reading
-    an attractive estimate the set holds runs nothing.
+    hands the set a ``chain`` that returns every estimate top down, None for
+    a missing one, and the set runs it on the first read that needs it, that
+    is ``set[role]`` for a role the set does not hold yet, ``estimates``,
+    ``roles``, ``complete``, ``separation``, ``notes``, ``require_complete``
+    or ``shifted``. Reading an attractive estimate the set holds runs
+    nothing. The chain appends its notes to the set's notes list.
     """
 
     def __init__(self, gamma: float, concavity: str, window: tuple[float, float],
-                 estimates: dict[str, HyperbolicEstimate] | None = None,
-                 separation: float | None = None, complete: bool = False,
-                 notes: list[str] | None = None):
+                 estimates: list[HyperbolicEstimate], notes: list[str],
+                 separation: float | None = None, chain=None):
         self.gamma = gamma
         self.concavity = concavity
         self.window = window
-        self._estimates = dict(estimates or {})
+        self._estimates = {e.role: e for e in estimates}
+        self._notes = notes
         self._separation = separation
-        self._complete = complete
-        self._notes = list(notes or [])
-        # the pending phase, called with the set it fills; it refers to
-        # nothing that refers to the set, so an unread set is freed by
-        # reference counting
-        self._rest = None
+        # the pending phase; it refers to nothing that refers to the set, so
+        # an unread set is freed by reference counting
+        self._chain = chain
 
     def _finished(self) -> "LimitSet":
-        if self._rest is not None:
-            self._rest(self)
-            self._rest = None
+        if self._chain is not None:
+            full = self._chain()
+            self._chain = None
+            self._estimates = {e.role: e for e in full if e is not None}
+            if None not in full:
+                grid = np.linspace(*self.window, WINDOW_SAMPLES)
+                self._separation = _chain_separation(grid, full)
+                if not self.complete:
+                    self._notes.append(f"separation {self._separation:.3g} below SEP_TOL; "
+                                       "not uniformly separated")
         return self
 
     @property
@@ -147,7 +159,7 @@ class LimitSet:
 
     @property
     def complete(self) -> bool:
-        return self._finished()._complete
+        return self.separation is not None and self.separation >= SEP_TOL
 
     @property
     def notes(self) -> list[str]:
@@ -168,9 +180,9 @@ class LimitSet:
         return tuple(self.estimates)
 
     def shifted(self, dx: float, gamma: float) -> "LimitSet":
-        est = {r: e.shifted(dx, gamma) for r, e in self.estimates.items()}
-        return LimitSet(gamma, self.concavity, self.window, est,
-                        self.separation, self.complete, self.notes)
+        est = [e.shifted(dx, gamma) for e in self.estimates.values()]
+        return LimitSet(gamma, self.concavity, self.window, est, list(self.notes),
+                        self.separation)
 
     def require_complete(self) -> "LimitSet":
         """The set itself; raises when the structure is incomplete."""
@@ -250,9 +262,7 @@ def limit_hyperbolic_solutions(
     seed_lo, seed_hi = model.seeds()
     rhs = model.frozen_rhs(gamma)
     band_lo, band_hi = _band(model)
-    out = LimitSet(gamma=gamma, concavity=model.concavity, window=(w0, w1))
-    notes = out._notes
-    # no function below refers to out: the pending phase is handed the set
+    notes = []
 
     def estimate(role, t_from_of, x0_of, t_to):
         """The certified estimate of one role, or None and a note."""
@@ -270,11 +280,6 @@ def limit_hyperbolic_solutions(
 
     def repulsive(role, x0_of):
         return estimate(role, lambda b: w1 + b, x0_of, w0)
-
-    def separation(*ests):
-        """Least gap between neighbouring estimates, listed top down."""
-        return min(float(np.min(hi.eval_array(grid) - lo.eval_array(grid)))
-                   for hi, lo in zip(ests, ests[1:]))
 
     def middle(upper, lower):
         """The middle repulsive estimate, seeded between the attractive pair;
@@ -298,18 +303,6 @@ def limit_hyperbolic_solutions(
                 return None
         return est
 
-    def finish(ls):
-        """The pending phase: the repulsive run, then the separation of the
-        whole chain, held in chain order."""
-        full = chain()
-        ls._estimates = {e.role: e for e in full if e is not None}
-        if None not in full:
-            ls._separation = separation(*full)
-            ls._complete = ls._separation >= SEP_TOL
-            if not ls._complete:
-                notes.append(f"separation {ls._separation:.3g} below SEP_TOL; "
-                             "not uniformly separated")
-
     chain = None
     if model.concavity == CONCAVE:
         top = attractive("attractive", seed_hi)
@@ -322,16 +315,14 @@ def limit_hyperbolic_solutions(
             held = [replace(e, role="attractive") for e in (upper, lower) if e is not None]
             if held:
                 notes.append("single attractive estimate")
-        elif (gap := separation(upper, lower)) < SEP_TOL:
+        elif (gap := _chain_separation(grid, (upper, lower))) < SEP_TOL:
             held = [replace(upper, role="attractive")]
             notes.append(f"attractive estimates collide (gap {gap:.3g}); not bistable")
         else:
             held = [upper, lower]
             chain = lambda: [upper, middle(upper, lower), lower]
-    out._estimates = {e.role: e for e in held if e is not None}
-    if chain is not None:
-        out._rest = finish
-    return out
+    return LimitSet(gamma, model.concavity, (w0, w1), [e for e in held if e is not None],
+                    notes, chain=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +444,7 @@ def gauss3_interval_integrals(fn, traj: Trajectory, a: float, h: float, n: int) 
         k = ts.size if inside.all() else int(np.argmin(inside))
         g = np.fromiter(map(fn, ts[:k].tolist(), traj.eval_array(ts[:k]).tolist()), float, k)
         if k < ts.size:
-            raise _span_error(traj._tl, float(ts[k]))
+            raise _span_error(traj.t, float(ts[k]))
         out[i:i + m.size] = half * (w1 * g[0::3] + w2 * g[1::3] + w3 * g[2::3])
     return out
 

@@ -31,7 +31,7 @@ from .attractors import (
     pullback_attractive,
     pullback_repulsive,
 )
-from .integrator import IntegrationError, Trajectory, _bisect, _first_hit
+from .integrator import Trajectory, _bisect, _first_hit
 from .models import CONCAVE, DCONCAVE
 from .transitions import Phase
 
@@ -412,10 +412,7 @@ def gamma_interval(model, gamma_range: tuple[float, float], tol: float,
     def bistable(gamma: float) -> bool:
         nonlocal evals
         evals += 1
-        try:
-            return limit_hyperbolic_solutions(model, gamma, w, num).complete
-        except (NonConvergentError, IntegrationError):
-            return False
+        return limit_hyperbolic_solutions(model, gamma, w, num).complete
 
     g_lo, g_hi = float(gamma_range[0]), float(gamma_range[1])
     n = _GAMMA_SCAN_POINTS

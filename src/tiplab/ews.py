@@ -65,13 +65,6 @@ class FtleSeries:
     def max_value(self) -> float:
         return float(self.values.max())
 
-    def restricted(self, t_min: float, t_max: float) -> "FtleSeries":
-        keep = (self.t >= t_min) & (self.t <= t_max)
-        if not keep.any():
-            raise EwsError("empty restriction of the series")
-        return FtleSeries(self.role, self.window_length,
-                          self.t[keep], self.values[keep], self.quad_gap)
-
 
 def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
                 num: Numerics = DEFAULT_NUMERICS,

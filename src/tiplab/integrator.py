@@ -5,8 +5,8 @@ The method is the Dormand-Prince embedded Runge-Kutta 5(4) pair with FSAL
 control. Between accepted nodes the solution is evaluated by cubic Hermite
 interpolation on the stored values and slopes. Backward integration is
 realized by the substitution s = -t. Nodes are collected in flat
-``array('d')`` buffers, which the trajectory keeps and also reads as numpy
-arrays without a copy.
+``array('d')`` buffers, which the trajectory reads as numpy arrays without
+a copy.
 
 The step loop exists once, as source (``_DP54``), and is generated per
 right-hand side and direction through ``_codegen`` (``_dp54``). The
@@ -24,7 +24,6 @@ builtin calls would; the comment on ``_DP54`` has the argument.
 
 from __future__ import annotations
 
-import bisect
 import math
 from array import array
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -96,10 +95,9 @@ class Trajectory:
     |x| reached the blow-up bound and no samples exist beyond it in the
     direction of integration. t, x and f are read-only: limit sets are
     shared between callers, so an in-place write would change later answers.
-    They view the buffers _tl, _xl and _fl, whose items read as Python
-    floats; scalar reads go to the buffers. steps counts the trial steps,
-    rejected ones included, of the run from its start, and len(t) - 1
-    steps are accepted here; a completed run can be carried on
+    They view the buffers the loop filled, without a copy. steps counts the
+    trial steps, rejected ones included, of the run from its start, and
+    len(t) - 1 steps are accepted here; a completed run can be carried on
     (``continued``), a run that blew up cannot.
     """
 
@@ -109,9 +107,6 @@ class Trajectory:
     f: np.ndarray
     status: str
     t_blow: float | None
-    _tl: array = field(repr=False)  # the buffers t, x and f view
-    _xl: array = field(repr=False)
-    _fl: array = field(repr=False)
     steps: int = 0
     # (rhs, t_end in the integration clock, config, next trial step) of a
     # completed run, else None
@@ -130,26 +125,20 @@ class Trajectory:
         return (self.t[0], self.t[-1])
 
     def covers(self, time: float) -> bool:
-        return self._tl[0] <= time <= self._tl[-1]
+        return self.t[0] <= time <= self.t[-1]
 
     def __call__(self, time: float) -> float:
         """Cubic Hermite evaluation; exact at nodes."""
-        tl, xl = self._tl, self._xl
-        if not tl[0] <= time <= tl[-1]:
-            raise _span_error(tl, time)
-        i = bisect.bisect_right(tl, time) - 1
-        if time == tl[i]:   # a node, the last one included
-            return xl[i]
-        fl = self._fl
-        return float(_hermite(tl[i], xl[i], fl[i], tl[i + 1], xl[i + 1], fl[i + 1], time))
+        return float(self.eval_array(time))
 
     def eval_array(self, times: np.ndarray) -> np.ndarray:
-        """Bitwise traj(t) at every time; every time must lie in the span."""
+        """Cubic Hermite evaluation at every time, exact at nodes; every time
+        must lie in the span."""
         times = np.asarray(times, dtype=float)
         t, x, f = self.t, self.x, self.f
         outside = ~((times >= t[0]) & (times <= t[-1]))
         if outside.any():
-            raise _span_error(self._tl, float(times[outside].flat[0]))
+            raise _span_error(t, float(times[outside].flat[0]))
         k = np.searchsorted(t, times, side="right") - 1   # the node at or before
         i = np.minimum(k, len(t) - 2)
         v = _hermite(t[i], x[i], f[i], t[i + 1], x[i + 1], f[i + 1], times)
@@ -158,12 +147,8 @@ class Trajectory:
     def shifted(self, dx: float) -> "Trajectory":
         """Trajectory of x + dx; valid when the shifted curve solves the
         correspondingly translated equation (slopes are unchanged)."""
-        xl = array("d", self._xl)
-        x = np.frombuffer(xl, dtype=float)
-        np.add(x, dx, out=x)
-        return Trajectory(self.direction, self.t, _read_only(x), self.f,
-                          self.status, self.t_blow, _tl=self._tl, _xl=xl, _fl=self._fl,
-                          steps=self.steps)
+        return Trajectory(self.direction, self.t, _read_only(self.x + dx), self.f,
+                          self.status, self.t_blow, steps=self.steps)
 
     def continued(self, time: float) -> "Trajectory":
         """The completed run carried on from its last node: toward its end
@@ -177,17 +162,18 @@ class Trajectory:
         rhs, t1, config, h = self._resume
         backward = self.direction == "backward"
         i = 0 if backward else -1    # the last node in the run's direction
-        t0, stop = (-self._tl[i], -float(time)) if backward else (self._tl[i], float(time))
+        t0, x0 = float(self.t[i]), float(self.x[i])
+        t0, stop = (-t0, -float(time)) if backward else (t0, float(time))
         if not t0 < stop < math.inf:
             raise IntegrationError(
                 f"continue time must be finite and past the last node, got {time!r}")
-        return _run(rhs, backward, t0, self._xl[i], max(t1, stop), config, stop, h, self.steps)
+        return _run(rhs, backward, t0, x0, max(t1, stop), config, stop, h, self.steps)
 
 
-def _span_error(tl: array, time) -> IntegrationError:
-    """The error of evaluating a trajectory with nodes tl outside its span."""
+def _span_error(t: np.ndarray, time) -> IntegrationError:
+    """The error of evaluating a trajectory with nodes t outside its span."""
     return IntegrationError(
-        f"evaluation time {time} outside trajectory span [{tl[0]}, {tl[-1]}]")
+        f"evaluation time {time} outside trajectory span [{t[0]}, {t[-1]}]")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -463,4 +449,4 @@ def _run(rhs, backward: bool, t0, x0, t1, config, stop, h, steps) -> Trajectory:
         if t_blow is not None:
             t_blow = -t_blow
     return Trajectory("backward" if backward else "forward", _view(ts), _view(xs), _view(fs),
-                      status, t_blow, _tl=ts, _xl=xs, _fl=fs, steps=steps, _resume=resume)
+                      status, t_blow, steps=steps, _resume=resume)

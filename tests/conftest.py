@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tiplab.attractors import ANCHOR_DELTA, DEFAULT_NUMERICS
+from tiplab.classify import lambda_star
 from tiplab.integrator import integrate
 from tiplab.models import make_model
 from tiplab.transitions import make_profile
@@ -111,3 +112,15 @@ def cmodel():
 @pytest.fixture(scope="session")
 def gam():
     return make_profile("arctan", amplitude=2.0 / math.pi, scale=1.0)
+
+
+# criterion 6's (c, s) cells
+LAMBDA_STAR_CELLS = [(0.25, 0.0), (0.74, 0.0), (0.495, 0.0), (1.0, -5.0), (1.0, 2.5), (1.0, 10.0)]
+
+
+@pytest.fixture(scope="session")
+def lambda_star_map(cmodel, gam):
+    """lambda_star of the concave study model at each of criterion 6's
+    cells, at its default bracket and tolerance; criterion 6 and the
+    spectral oracle read the same results."""
+    return {cell: lambda_star(cmodel, gam, *cell) for cell in LAMBDA_STAR_CELLS}

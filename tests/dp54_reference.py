@@ -138,7 +138,7 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
         ts, xs, fs, status, t_blow = _integrate_forward(
             rhs, t_start, x0, t_end, config)
         return Trajectory("forward", _view(ts), _view(xs), _view(fs),
-                          status, t_blow, _tl=ts, _xl=xs, _fl=fs)
+                          status, t_blow)
     rev = lambda s, y: -rhs(-s, y)
     ts, xs, fs, status, t_blow = _integrate_forward(
         rev, -t_start, x0, -t_end, config)
@@ -149,5 +149,4 @@ def integrate(rhs, t_start: float, x0: float, t_end: float,
         v = np.frombuffer(buf, dtype=float)
         np.negative(v, out=v)
     return Trajectory("backward", _view(ts), _view(xs), _view(fs),
-                      status, (-t_blow if t_blow is not None else None),
-                      _tl=ts, _xl=xs, _fl=fs)
+                      status, (-t_blow if t_blow is not None else None))

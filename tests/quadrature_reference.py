@@ -38,7 +38,7 @@ def _hermite(t0, x0, f0, t1, x1, f1, time):
 
 def trajectory_at(self, time: float) -> float:
     """Cubic Hermite evaluation; exact at nodes."""
-    tl = self._tl
+    tl = self.t
     if not tl[0] <= time <= tl[-1]:
         raise IntegrationError(
             f"evaluation time {time} outside trajectory span [{tl[0]}, {tl[-1]}]"

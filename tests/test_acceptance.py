@@ -29,7 +29,6 @@ from tiplab.classify import (
     LimitCache,
     classify,
     critical_value,
-    lambda_star,
     resolve_horizon,
     switching_classify,
 )
@@ -153,7 +152,8 @@ def test_criterion_4_window_study_near_critical(dmodel, dprof):
         else:
             checks.append(mark(m <= 0.0, f"T={T:g}: max {m:+.4f} <= 0"))
         if T == 50.0:
-            plateau = float(series.restricted(-300.0, -150.0).values.mean())
+            far_past = (series.t >= -300.0) & (series.t <= -150.0)
+            plateau = float(series.values[far_past].mean())
     checks.append(mark(plateau is not None and abs(plateau - L) <= 0.02,
                        f"far-past plateau {plateau:+.4f} within 0.02 of L"))
     record(4, "FTLE window study at the re-derived critical rate", checks)
@@ -183,13 +183,14 @@ def test_criterion_5_holling_certificates(hmodel, hprof):
     ])
 
 
-def test_criterion_6_bifurcation_map_signs(cmodel):
-    gam = make_profile("arctan", amplitude=2.0 / math.pi, scale=1.0)
+def test_criterion_6_bifurcation_map_signs(lambda_star_map):
+    # lambda_star_map (conftest) holds lambda_star(cmodel, gam, c, s) of
+    # each cell, which the spectral oracle of test_oracles.py reads too
     points = [(0.25, 0.0, -1), (0.74, 0.0, -1), (0.495, 0.0, +1),
               (1.0, -5.0, -1), (1.0, 2.5, +1), (1.0, 10.0, -1)]
     checks = []
     for c, s, sign in points:
-        res = lambda_star(cmodel, gam, c, s, num=NUM)
+        res = lambda_star_map[(c, s)]
         ok = (res.value < 0.0) if sign < 0 else (res.value > 0.0)
         checks.append(mark(ok, f"lambda*({c},{s})={res.value:+.5f} "
                                f"want {'<' if sign < 0 else '>'}0"))

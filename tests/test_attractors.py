@@ -385,6 +385,29 @@ def test_an_unread_limit_set_is_freed_by_reference_counting(cubic):
         gc.enable()
 
 
+def test_a_full_chain_closer_than_sep_tol_is_held_but_not_complete():
+    # x' = 1000 x (x - 5e-4)(1 - x): constant solutions 1 > 5e-4 > 0, the
+    # middle one 5e-4 above the lower, half of SEP_TOL. The pending phase
+    # holds the whole chain and its separation, and notes why it is not
+    # complete; a shifted copy keeps all three
+    model = make_model("allee-multiplicative-cubic", {"r": 1000.0, "K": 1.0, "S": 5.0e-4})
+    ls = limit_hyperbolic_solutions(model, 0.0, (-30.0, 30.0))
+    chain = ("upper-attractive", "middle-repulsive", "lower-attractive")
+    note = "separation 0.0005 below SEP_TOL; not uniformly separated"
+    assert ls.roles == chain
+    assert ls.separation == pytest.approx(5.0e-4, rel=1.0e-6)
+    assert not ls.complete and ls.notes == [note]
+    with pytest.raises(AttractorError, match="incomplete hyperbolic structure"):
+        ls.require_complete()
+    shifted = ls.shifted(0.25, 0.25)
+    assert shifted.roles == chain and shifted.gamma == 0.25
+    assert shifted.separation == ls.separation
+    assert not shifted.complete and shifted.notes == [note]
+    for role in chain:
+        assert shifted[role](0.0) == ls[role](0.0) + 0.25
+    assert ls.notes == [note]
+
+
 def test_a_burn_in_run_starts_with_the_earlier_runs_of_its_role_freed(monkeypatch, cubic):
     # the doubling keeps the previous run's window values, not the run; near
     # the fold the middle role takes five runs

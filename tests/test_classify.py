@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tiplab.classify import (
+    CaseLabel,
     ClassifyError,
     IndeterminateError,
     LimitCache,
@@ -19,7 +20,7 @@ from tiplab.classify import (
     switching_classify,
 )
 from tiplab.models import make_model
-from tiplab.transitions import ConstantRate, make_profile
+from tiplab.transitions import ConstantRate, Phase, make_profile
 
 SN = 2.0 / (3.0 * math.sqrt(3.0))    # cubic saddle-node at gamma = -+SN
 
@@ -164,6 +165,73 @@ def test_resolve_horizon_doubles_for_slow_tails(num):
     slow = ConstantRate(prof, 1.0e-3)
     assert resolve_horizon(fast, num) == num.horizon
     assert resolve_horizon(slow, num) > num.horizon
+    # a constant path has no tail to wait for, however slow its rate
+    still = ConstantRate(make_profile("constant", value=0.3), 1.0e-3)
+    assert resolve_horizon(still, num) == num.horizon
+
+
+def _classify_by_rate(labels, inside):
+    """A stand-in for classify: labels[c] at a bracket end c, inside
+    elsewhere, with no run."""
+    return lambda model, mech, num, horizon: CaseLabel(
+        labels.get(mech.c, inside), model.concavity, horizon)
+
+
+_RAMP = make_profile("arctan", amplitude=2.0 / math.pi, scale=1.0)
+_ENDS = {0.05: "C2", 5.0: "A"}
+
+# (call on the cubic, the concave quadratic and the pulse; classify's
+# stand-in or None; error; message)
+REFUSALS = {
+    "critical-value-empty-bracket": (
+        lambda cubic, cquad, pulse: critical_value(
+            cubic, lambda c: ConstantRate(pulse, c), 5.0, 0.05, 1e-3),
+        None, ClassifyError, r"empty bracket \(5.0, 0.05\)"),
+    "critical-value-moving-limits": (
+        lambda cubic, cquad, pulse: critical_value(
+            cubic, lambda a: ConstantRate(make_profile("arctan", amplitude=a, scale=1.0), 1.0),
+            0.1, 0.2, 1e-3),
+        None, ClassifyError, "mechanism family must keep the same parameter limits"),
+    "critical-value-indeterminate-end": (
+        lambda cubic, cquad, pulse: critical_value(
+            cubic, lambda c: ConstantRate(pulse, c), 0.05, 5.0, 1e-3),
+        _classify_by_rate({0.05: "indeterminate", 5.0: "A"}, "A"), IndeterminateError,
+        r"endpoint classification indeterminate \(lower=indeterminate, upper=A\)"),
+    "critical-value-indeterminate-inside": (
+        lambda cubic, cquad, pulse: critical_value(
+            cubic, lambda c: ConstantRate(pulse, c), 0.05, 5.0, 1e-3),
+        _classify_by_rate(_ENDS, "indeterminate"), IndeterminateError,
+        "indeterminate classification inside the bracket at parameter 2.525"),
+    "critical-value-third-label": (
+        lambda cubic, cquad, pulse: critical_value(
+            cubic, lambda c: ConstantRate(pulse, c), 0.05, 5.0, 1e-3),
+        _classify_by_rate(_ENDS, "C1"), ClassifyError,
+        "unexpected third label 'C1' at parameter 2.525"),
+    "lambda-star-d-concave-model": (
+        lambda cubic, cquad, pulse: lambda_star(cubic, _RAMP, 1.0, 0.0),
+        None, ClassifyError, "the bifurcation map is defined for concave models"),
+    "lambda-star-empty-bracket": (
+        lambda cubic, cquad, pulse: lambda_star(cquad, _RAMP, 1.0, 0.0, bracket=(0.6, -0.6)),
+        None, ClassifyError, r"empty tilt bracket \(0.6, -0.6\)"),
+    "gamma-interval-concave-model": (
+        lambda cubic, cquad, pulse: gamma_interval(cquad, (-1.0, 1.0), 1e-3),
+        None, ClassifyError, "the bistability interval is defined for d-concave models"),
+    "gamma-interval-never-bistable": (
+        # above the saddle-node at gamma = 2/(3 sqrt 3) only the upper
+        # attractor is left
+        lambda cubic, cquad, pulse: gamma_interval(cubic, (1.0, 2.0), 1e-3,
+                                                   window=(-30.0, 30.0)),
+        None, ClassifyError, r"no bistable parameter found in \(1.0, 2.0\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_bisections_refuse_what_they_cannot_bracket(case, monkeypatch, cubic, cquad, pulse):
+    call, stand_in, error, message = REFUSALS[case]
+    if stand_in is not None:
+        monkeypatch.setitem(critical_value.__globals__, "classify", stand_in)
+    with pytest.raises(error, match=message):
+        call(cubic, cquad, pulse)
 
 
 def test_limit_cache_reuses_windows(cubic, num):
@@ -213,6 +281,31 @@ def test_switching_classify_reports_left_tipping(cquad, deep_pulse):
     right = ConstantRate(deep_pulse, 0.2)
     with pytest.raises(ClassifyError, match="reach"):
         switching_classify(cquad, left, right, t0=50.0)
+
+
+def test_switching_classify_labels_tipping_and_a_boundary(cmodel, gam):
+    # the left problem's pullback attractive solution passes 0.39 below the
+    # right one's repulsive solution at t0 = 0: tipping. One phase on both
+    # sides at t0 = 3 puts the two 3.3e-4 apart, inside SEP_TOL: a boundary
+    tip = switching_classify(cmodel, Phase(gam, 1.0, -10.0), Phase(gam, 1.0, 5.0), t0=0.0)
+    assert tip.label == "C"
+    assert tip.evidence["margin"] == pytest.approx(-0.3897, abs=1e-4)
+    same = Phase(gam, 0.74, 0.0)
+    edge = switching_classify(cmodel, same, same, t0=3.0)
+    assert edge.label == "boundary"
+    assert edge.evidence["margin"] == pytest.approx(3.26e-4, abs=1e-6)
+
+
+def test_a_concave_label_c_from_the_repulsive_blow_up(gam):
+    # a ends within its tracking tolerance of the future attractor, but r
+    # blows up backward at t = 18.9: no bounded solution connects the
+    # limits, so the label is C from r and not A from a
+    model = make_model("concave-logistic-migration", {"r": 1.0, "I": 0.1})
+    lab = classify(model, Phase(gam, 0.2804988, -30.0), horizon=40.0, _allow_doubling=False)
+    ev = lab.evidence
+    assert lab.label == "C"
+    assert ev["a_status"] == "completed" and ev["a_to_attractive"] < ev["track_tol"]
+    assert ev["r_status"] == "blow-up" and ev["r_blow"] == pytest.approx(18.9465, abs=1e-4)
 
 
 def test_switching_time_outside_horizon(cubic, pulse):

@@ -71,12 +71,12 @@ def test_ftle_exact_on_linear_field():
 def test_ftle_series_helpers():
     model, mech, sol = linear_stub()
     series = ftle_series(model, mech, sol, 10.0, NUM)
-    sub = series.restricted(0.0, 5.0)
+    sub = ftle_series(model, mech, sol, 10.0, NUM, t_min=0.0, t_max=5.0)
     assert sub.t[0] >= 0.0 and sub.t[-1] <= 5.0
     assert sub.max_value == pytest.approx(sub.values.max())
     assert sub.max_value <= series.max_value
-    with pytest.raises(EwsError, match="empty restriction"):
-        series.restricted(200.0, 300.0)
+    with pytest.raises(EwsError, match="empty time range"):
+        ftle_series(model, mech, sol, 10.0, NUM, t_min=200.0, t_max=300.0)
 
 
 def test_ftle_window_errors():
@@ -149,8 +149,9 @@ def test_warning_time_edge_cases():
     flat = FtleSeries("upper-attractive", 1.0, np.linspace(2.0, 4.0, 21),
                       np.full(21, -0.5), 0.0)
     assert warning_time(flat, EwsConfig(0.5, -2.0)) == pytest.approx(2.0)
-    # restricting the search window past the bump suppresses the warning
-    assert warning_time(series.restricted(6.0, math.inf), EwsConfig(0.5, -2.0)) is None
+    # a series that starts past the bump does not warn
+    late = FtleSeries("upper-attractive", 1.0, series.t[60:], series.values[60:], 0.0)
+    assert late.t[0] == 6.0 and warning_time(late, EwsConfig(0.5, -2.0)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,8 @@ def test_ftle_along_a_repulsive_solution(cubic):
     assert m.trajectory.direction == "backward"
     series = ftle_series(cubic, mech, m, 10.0, NUM)
     assert series.t[0] == pytest.approx(m.trajectory.t[0] + 10.0)
-    assert np.abs(series.restricted(-300.0, -100.0).values - 1.0).max() < 1e-6
+    past = ftle_series(cubic, mech, m, 10.0, NUM, t_min=-300.0, t_max=-100.0)
+    assert np.abs(past.values - 1.0).max() < 1e-6
 
 
 def test_ews_region_grid(cubic):

@@ -182,7 +182,7 @@ def test_eval_array_keeps_a_negative_zero_at_a_node():
     # the Hermite formula at a node adds +0.0 to the node value, which turns
     # -0.0 into 0.0; traj(t) returns the node value itself
     bufs = [array("d", v) for v in ((0.0, 1.0, 2.0), (-0.0, 1.0, -0.0), (1.0, 0.0, -1.0))]
-    traj = Trajectory("forward", *map(_view, bufs), "completed", None, *bufs)
+    traj = Trajectory("forward", *map(_view, bufs), "completed", None)
     for t in (0.0, 1.0, 2.0):
         want = traj(t)
         got = traj.eval_array(np.array([t, 0.5, t]))

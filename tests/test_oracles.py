@@ -20,7 +20,9 @@ study model, where its limit sets lose their hyperbolic solutions, comes
 from the spectrum of its Riccati linearisation: scipy's eigh_tridiagonal
 on a long interval, and numpy's eigvalsh over one period for the periodic
 model of the bifurcation-map golden. Every lambda* cell of criterion 6
-classifies as C 1e-3 above that fold, so its lambda* lies above it.
+classifies as C 1e-3 above that fold, so its lambda* lies above it, and
+its lambda_star bracket holds the bottom of the spectrum of the path's own
+linearisation.
 """
 
 import csv
@@ -31,10 +33,10 @@ from string import Template
 import numpy as np
 import pytest
 
-from conftest import cubic_roots
+from conftest import LAMBDA_STAR_CELLS, cubic_roots
 from test_bitwise_pins import GOLDEN
 from tiplab.attractors import limit_hyperbolic_solutions
-from tiplab.classify import classify, lambda_star, resolve_horizon
+from tiplab.classify import classify, resolve_horizon
 from tiplab.ews import EwsConfig, FtleSeries, _first_root, warning_time
 from tiplab.integrator import integrate
 from tiplab.models import _FAMILIES, _PLACEHOLDER, CONCAVE, make_model
@@ -363,10 +365,6 @@ def test_the_concave_study_model_loses_its_limit_set_at_the_fold(cmodel, study_f
     _assert_limit_sets_end_at(cmodel, study_fold)
 
 
-# criterion 6's (c, s) cells
-LAMBDA_STAR_CELLS = [(0.25, 0.0), (0.74, 0.0), (0.495, 0.0), (1.0, -5.0), (1.0, 2.5), (1.0, 10.0)]
-
-
 def test_every_lambda_star_cell_tips_just_above_the_fold(cmodel, gam, study_fold):
     # The tilt lifts f, so by comparison the pullback attractive solution of
     # a higher tilt stays above that of a lower one, and a label is C below
@@ -380,18 +378,24 @@ def test_every_lambda_star_cell_tips_just_above_the_fold(cmodel, gam, study_fold
         assert label.label == "C", (c, s, label.evidence)
 
 
-@pytest.mark.parametrize("cell, spectral", [((1.0, 2.5), 0.2534234), ((1.0, -5.0), -0.089866)])
-def test_lambda_star_brackets_the_bottom_of_its_spectrum(cmodel, gam, cell, spectral):
+# lambda* = -E0 of each of criterion 6's cells, to 7 digits
+SPECTRAL = {(0.25, 0.0): -0.0024978, (0.74, 0.0): -0.0001177, (0.495, 0.0): 0.0043570,
+            (1.0, -5.0): -0.0898664, (1.0, 2.5): 0.2534234, (1.0, 10.0): -0.0844684}
+
+
+@pytest.mark.parametrize("cell", LAMBDA_STAR_CELLS, ids=lambda cell: "c{}-s{}".format(*cell))
+def test_lambda_star_brackets_the_bottom_of_its_spectrum(lambda_star_map, cell):
     # Along the path, y = x - g(t) turns the tilted field into
     # y' = -y^2 + I + lam - g'(t), and y = u'/u into u'' = (I + lam - g') u,
     # so as at the fold lambda* = -E0 (r = 1), E0 now the bottom of the
     # spectrum of -d^2/dt^2 + I - g' (Coppel, Disconjugacy, LNM 220, 1971).
     # The bump -g' pulls E0 below the frozen one. [-400, 400] gives the same
-    # 9 digits as [-800, 800].
+    # 9 digits as [-800, 800]. Every one of criterion 6's brackets (tol
+    # 1e-3) holds its cell's value.
     coarse, fine = (_ground_state(h, 400.0, *cell) for h in (0.01, 0.005))
     value = -(4.0 * fine - coarse) / 3.0
-    assert value == pytest.approx(spectral, abs=1.0e-6)
-    res = lambda_star(cmodel, gam, *cell, tol=1.0e-3)
+    assert value == pytest.approx(SPECTRAL[cell], abs=1.0e-6)
+    res = lambda_star_map[cell]
     assert res.lower <= value <= res.upper, (res, value)
 
 
