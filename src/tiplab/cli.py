@@ -310,7 +310,10 @@ def run_attractors(cfg, out, model, num, /, *, window: _pair = None):
             "roles": sorted(ls.estimates),
             "notes": list(ls.notes),
         }
-    past, future = limits["minus"], limits["plus"]
+    # the pullbacks start at -+H: their anchors are the sets over (-H, H)
+    past, future = (ls if window == (-H, H) else
+                    limit_hyperbolic_solutions(model, ls.gamma, (-H, H), num)
+                    for ls in (limits["minus"], limits["plus"]))
     pullbacks = [(f"attractive_{role}", pullback_attractive(model, mech, past[role], H, num))
                  for role in sorted(past.estimates) if role.endswith("attractive")]
     rep_role = _role_for(model, "middle-repulsive")
@@ -322,8 +325,8 @@ def run_attractors(cfg, out, model, num, /, *, window: _pair = None):
                   zip(sol.trajectory.t, sol.trajectory.x))
         result["pullback"][name] = {"status": sol.status, "bounded": sol.bounded,
                                     "band_exit_time": sol.band_exit_time}
-    print(f"attractors: past complete={past.complete} "
-          f"future complete={future.complete}")
+    print(f"attractors: past complete={limits['minus'].complete} "
+          f"future complete={limits['plus'].complete}")
     return 0, {"window": window}, result
 
 

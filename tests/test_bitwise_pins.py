@@ -129,6 +129,26 @@ def result_files(out: Path) -> list[str]:
     return sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
+def test_attractors_pullbacks_start_on_the_sets_over_the_horizon(tmp_path):
+    # the config's window (-20, 20) is narrower than (-H, H) = (-30, 30): a
+    # pullback starts on the past set over (-H, H), whose burn-in checked
+    # its value at -H, not on the window's set
+    cfg = CONFIGS["attractors"]
+    rc, out = run_subcommand("attractors", tmp_path)
+    assert rc == 0
+    model, num = cli.build_model(cfg), cli.build_numerics(cfg)
+    mech = cli.build_mechanism(cfg["mechanism"])
+    H = resolve_horizon(mech, num)
+    past = LimitCache(model, num).get(mech.gamma_minus, H)
+    names = sorted(p.name for p in out.glob("pullback_attractive_*.csv"))
+    assert len(names) == 2
+    for name in names:
+        role = name[len("pullback_attractive_"):-len(".csv")]
+        t, x = (out / name).read_text().splitlines()[1].split(",")
+        assert float(t) == -H
+        assert float(x).hex() == past[role](-H).hex(), name
+
+
 @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
 def test_cli_result_files_match_goldens(subcommand, tmp_path):
     rc, out = run_subcommand(subcommand, tmp_path)
