@@ -112,7 +112,9 @@ class LimitSet:
     (lower-attractive < middle-repulsive < upper-attractive); for concave
     fields it is two (repulsive < attractive). ``complete`` says whether the
     full structure was found with the required uniform separation. An
-    attractive estimate ends after its first node past the window.
+    attractive estimate ends after its first node past the window, and
+    holds its whole burn-in run before it (``LimitCache`` keeps window
+    copies).
 
     The repulsive estimate may still be pending: ``limit_hyperbolic_solutions``
     hands the set a ``chain`` that returns every estimate top down, None for

@@ -75,10 +75,14 @@ def resolve_horizon(mechanism, num: Numerics = DEFAULT_NUMERICS) -> float:
 
 class LimitCache:
     """Limit sets keyed by (gamma, horizon). The sets are the ones the model
-    keeps for num, so every caller on that model shares them. A
-    translation-invariant model keeps only its gamma = 0 sets: the set at
-    any other gamma is that base shifted on each read, a copy of the x
-    buffers that the reader frees (t and f are shared)."""
+    keeps for num, so every caller on that model shares them. Each set is
+    kept finished, its estimates cut to exact-size copies over the window
+    (-horizon, horizon) (``Trajectory.window``): the burn-in before the
+    window and the run past it are freed, and every read inside it is
+    bitwise that of the full set. A translation-invariant
+    model keeps only its gamma = 0 sets: the set at any other gamma is that
+    base shifted on each read, a copy of the x buffers that the reader frees
+    (t and f are shared)."""
 
     def __init__(self, model, num: Numerics):
         self.model = model
@@ -95,8 +99,12 @@ class LimitCache:
             return self._limit_set(0.0, horizon).shifted(gamma, gamma)
         key = (gamma, horizon)
         if key not in self._sets:
-            self._sets[key] = limit_hyperbolic_solutions(self.model, gamma, (-horizon, horizon),
-                                                         self.num)
+            ls = limit_hyperbolic_solutions(self.model, gamma, (-horizon, horizon), self.num)
+            # finished first; one run at a time, so a full run and its copy
+            # are alive together for one estimate only
+            for est in ls.estimates.values():
+                est.trajectory = est.trajectory.window(-horizon, horizon)
+            self._sets[key] = ls
         return self._sets[key]
 
 
@@ -116,11 +124,13 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
     has the keys u_to_upper, u_to_lower, u_status and track_tol; a concave
     C whose a blows up has a_to_attractive, a_status, a_blow, a_band_exit
     and track_tol. An error that a run not integrated would have raised is
-    not raised.
+    not raised. Each run is freed once its distances and status are read,
+    before the next one integrates: a before r (concave), u before l and l
+    before m (d-concave).
 
     _upper is the pullback of the upper (concave: the) attractive solution
-    at this horizon, when the caller already holds it; the retry at the
-    doubled horizon integrates its own.
+    at this horizon, when the caller already holds it (it stays alive with
+    the caller); the retry at the doubled horizon integrates its own.
     """
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
     cache = LimitCache(model, num)
@@ -197,12 +207,15 @@ def _classify_dconcave(model, mechanism, past, future, H, num, u=None) -> CaseLa
     if u_label == "C2":
         return CaseLabel("C2", DCONCAVE, H, evidence)
 
+    del u   # each run is freed once read, before the next integrates
     low = pullback_attractive(model, mechanism, past["lower-attractive"], H, num)
-    m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
     d_l_up = _terminal_distance(low.trajectory, future["upper-attractive"](H), H)
     d_l_low = _terminal_distance(low.trajectory, future["lower-attractive"](H), H)
+    l_status = low.status
+    del low
+    m = pullback_repulsive(model, mechanism, future["middle-repulsive"], H, num)
     evidence.update({"l_to_upper": d_l_up, "l_to_lower": d_l_low, "m_bounded": m.bounded,
-                     "m_band_exit": m.band_exit_time, "l_status": low.status,
+                     "m_band_exit": m.band_exit_time, "l_status": l_status,
                      "m_status": m.status})
     if d_u_up < track_tol and d_l_low < track_tol and m.bounded:
         label = "A"
@@ -226,12 +239,14 @@ def _classify_concave(model, mechanism, past, future, H, num, a=None) -> CaseLab
     if a_label == "C":
         return CaseLabel("C", CONCAVE, H, evidence)
 
+    a_bounded = a.bounded
+    del a   # freed once read, before r integrates
     r = pullback_repulsive(model, mechanism, future["repulsive"], H, num)
     evidence.update({"r_status": r.status, "r_blow": r.trajectory.t_blow,
                      "r_band_exit": r.band_exit_time})
     if r.status == "blow-up":
         label = "C"
-    elif a.bounded and r.bounded and d_a < track_tol:
+    elif a_bounded and r.bounded and d_a < track_tol:
         label = "A"
     else:
         label = "indeterminate"

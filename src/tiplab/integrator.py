@@ -95,10 +95,11 @@ class Trajectory:
     |x| reached the blow-up bound and no samples exist beyond it in the
     direction of integration. t, x and f are read-only: limit sets are
     shared between callers, so an in-place write would change later answers.
-    They view the buffers the loop filled, without a copy. steps counts the
-    trial steps, rejected ones included, of the run from its start, and
-    len(t) - 1 steps are accepted here; a completed run can be carried on
-    (``continued``), a run that blew up cannot.
+    A run of ``integrate`` views the buffers the loop filled, without a
+    copy; ``window`` and ``shifted`` copy. steps counts the trial steps,
+    rejected ones included, of the run from its start, and len(t) - 1 steps
+    are accepted here; a completed run can be carried on (``continued``), a
+    run that blew up or a window copy cannot.
     """
 
     direction: str                 # "forward" | "backward"
@@ -149,6 +150,15 @@ class Trajectory:
         correspondingly translated equation (slopes are unchanged)."""
         return Trajectory(self.direction, self.t, _read_only(self.x + dx), self.f,
                           self.status, self.t_blow, steps=self.steps)
+
+    def window(self, lo: float, hi: float) -> "Trajectory":
+        """Exact-size copy of the nodes from the last one at or before lo to
+        the first one at or after hi, so a read inside [lo, hi] takes the
+        same two nodes, bit for bit."""
+        i = max(int(np.searchsorted(self.t, lo, side="right")) - 1, 0)
+        j = int(np.searchsorted(self.t, hi, side="left")) + 1
+        t, x, f = (_read_only(a[i:j].copy()) for a in (self.t, self.x, self.f))
+        return Trajectory(self.direction, t, x, f, self.status, self.t_blow, steps=self.steps)
 
     def continued(self, time: float) -> "Trajectory":
         """The completed run carried on from its last node: toward its end

@@ -353,8 +353,9 @@ class VectorFieldModel:
         return model
 
     def limit_sets(self, num) -> dict:
-        """The limit sets kept for the numerics num (classify.LimitCache
-        fills it); they live as long as the model."""
+        """The limit sets kept for the numerics num, each finished and
+        trimmed to its window (classify.LimitCache fills it); they live as
+        long as the model."""
         return self._limit_sets.setdefault(num, {})
 
     def seeds(self, margin: float = 10.0) -> tuple[float, float]:

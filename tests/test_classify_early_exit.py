@@ -6,10 +6,12 @@ Across the criterion-2 flip of the d-concave rate family (C2 below, A
 above) and across lambda*(1, 2.5) of the criterion-6 concave tilt family
 (C from a blow-up of a below, A above), classify must give the reference's
 label, and every evidence key that both report must hold the same value.
-A C2 label and a C from a's blow-up integrate one pullback and no more.
+A C2 label and a C from a's blow-up integrate one pullback and no more,
+and an A label frees each pullback before the next one integrates.
 """
 
 import math
+import weakref
 
 import pytest
 
@@ -107,3 +109,50 @@ def test_concave_c_from_a_blow_up_integrates_a_alone(num, counted_integrations):
     assert out.label == "C" and out.evidence["a_status"] == "blow-up"
     assert counted_integrations == [(-H, H)]
     assert math.isfinite(out.evidence["a_blow"])
+
+
+def _alive_at_start(monkeypatch):
+    """Per integration the attractors module makes from here on: how many
+    of the earlier ones are still alive when it starts."""
+    runs, alive = [], []
+    integrate = attractors.integrate
+
+    def recorded(*args, **kw):
+        alive.append(sum(ref() is not None for ref in runs))
+        traj = integrate(*args, **kw)
+        runs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(attractors, "integrate", recorded)
+    return alive
+
+
+@pytest.mark.parametrize("case", ["concave", "d-concave"])
+def test_an_a_label_frees_each_pullback_before_the_next_integrates(cubic, num, monkeypatch,
+                                                                   case):
+    # concave: a is freed before r; d-concave: u before l and l before m.
+    # The evidence holds every key, in this order, with the former rule's values
+    if case == "concave":
+        model = make_model("concave-logistic-migration", {"r": 1.0, "I": 0.25})
+        mech = ConstantRate(make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.3,
+                                         b=0.5), 1.0)
+        rule, runs, keys = ref._classify_concave, 2, [
+            "a_to_attractive", "a_status", "a_blow", "a_band_exit", "track_tol",
+            "r_status", "r_blow", "r_band_exit"]
+    else:
+        model = cubic
+        mech = ConstantRate(make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.6,
+                                         b=0.05), 5.0)
+        rule, runs, keys = ref._classify_dconcave, 3, [
+            "u_to_upper", "u_to_lower", "u_status", "track_tol", "l_to_upper", "l_to_lower",
+            "m_bounded", "m_band_exit", "l_status", "m_status"]
+    H = _warm(model, mech, num, [])
+    alive = _alive_at_start(monkeypatch)
+    out = classify(model, mech, num, horizon=H)
+    assert out.label == "A" and list(out.evidence) == keys
+    assert alive == [0] * runs
+    cache = LimitCache(model, num)
+    want = rule(model, mech, cache.get(mech.gamma_minus, H), cache.get(mech.gamma_plus, H),
+                H, num)
+    assert {k: _bits(v) for k, v in out.evidence.items()} == {
+        k: _bits(want.evidence[k]) for k in keys}

@@ -3,9 +3,10 @@
 A model keeps its tilted copies (up to models._TILTS_HELD of them) and, per
 Numerics, the limit sets of its frozen equations, so the lambda* map and
 every other entry point share them. A translation-invariant model keeps
-only its gamma = 0 sets and shifts them on each read. Neither store refers
-back to the model, so dropping the model frees them without the cyclic
-collector.
+only its gamma = 0 sets and shifts them on each read. Each stored set
+holds its estimates over its window only, and reads there as the full
+set does, bit for bit. Neither store refers back to the model, so
+dropping the model frees them without the cyclic collector.
 """
 
 import gc
@@ -17,7 +18,12 @@ import numpy as np
 import pytest
 
 from conftest import SQ5
-from tiplab.attractors import AttractorError, Numerics
+from tiplab.attractors import (
+    AttractorError,
+    Numerics,
+    WINDOW_SAMPLES,
+    limit_hyperbolic_solutions,
+)
 from tiplab.classify import LimitCache, classify, lambda_star
 from tiplab.models import _TILTS_HELD, make_model
 from tiplab.transitions import ConstantRate, Phase, make_profile
@@ -143,3 +149,37 @@ def test_dropping_a_model_frees_its_limit_sets():
         assert [r() for r in refs] == [None] * 4
     finally:
         gc.enable()
+
+
+def _held_floats(a) -> int:
+    """The number of floats in the buffer that a holds."""
+    while a.base is not None:
+        a = a.base
+    return memoryview(a).nbytes // 8
+
+
+@pytest.mark.parametrize("spec, gamma", [(CUBIC, 0.2), (CONCAVE, 1.0)])
+def test_the_store_holds_each_set_over_its_window_only(spec, gamma):
+    # the concave model is translation invariant: its set at gamma = 1 is
+    # the stored base shifted, so the full set it is held to is shifted too
+    model, H = make_model(*spec), 30.0
+    assert model.translation_invariant == (spec is CONCAVE)
+    if model.translation_invariant:
+        full = limit_hyperbolic_solutions(model, 0.0, (-H, H), SHORT).shifted(gamma, gamma)
+    else:
+        full = limit_hyperbolic_solutions(model, gamma, (-H, H), SHORT)
+    held = LimitCache(model, SHORT).get(gamma, H)
+    assert held.roles == full.roles and len(held.roles) == (3 if spec is CUBIC else 2)
+    times = np.concatenate(([-H, H], np.linspace(-H, H, WINDOW_SAMPLES)))
+    for role in full.roles:
+        whole, kept = full[role].trajectory, held[role].trajectory
+        # from the last node at or before -H to the first at or after +H
+        first = int(np.nonzero(whole.t <= -H)[0][-1])
+        last = int(np.nonzero(whole.t >= H)[0][0])
+        assert len(kept.t) == last - first + 1 < len(whole.t)
+        for name in ("t", "x", "f"):
+            a = getattr(kept, name)
+            assert a.tobytes() == getattr(whole, name)[first:last + 1].tobytes()
+            assert _held_floats(a) == a.size
+        assert held[role].eval_array(times).tobytes() == full[role].eval_array(times).tobytes()
+        assert [held[role](t) for t in (-H, H)] == [full[role](t) for t in (-H, H)]

@@ -383,6 +383,7 @@ SPECTRAL = {(0.25, 0.0): -0.0024978, (0.74, 0.0): -0.0001177, (0.495, 0.0): 0.00
             (1.0, -5.0): -0.0898664, (1.0, 2.5): 0.2534234, (1.0, 10.0): -0.0844684}
 
 
+@pytest.mark.acceptance   # shares criterion 6's lambda_star_map, built once per session
 @pytest.mark.parametrize("cell", LAMBDA_STAR_CELLS, ids=lambda cell: "c{}-s{}".format(*cell))
 def test_lambda_star_brackets_the_bottom_of_its_spectrum(lambda_star_map, cell):
     # Along the path, y = x - g(t) turns the tilted field into
