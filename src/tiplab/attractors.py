@@ -94,8 +94,9 @@ class HyperbolicEstimate:
     def attractive(self) -> bool:
         return "attractive" in self.role
 
-    def shifted(self, dx: float, gamma: float) -> "HyperbolicEstimate":
-        return HyperbolicEstimate(self.role, gamma, self.trajectory.shifted(dx),
+    def shifted(self, gamma: float) -> "HyperbolicEstimate":
+        """The estimate moved to gamma, by gamma - self.gamma in x."""
+        return HyperbolicEstimate(self.role, gamma, self.trajectory.shifted(gamma - self.gamma),
                                   self.window, self.burn_in, self.convergence_gap)
 
 
@@ -181,8 +182,9 @@ class LimitSet:
     def roles(self) -> tuple[str, ...]:
         return tuple(self.estimates)
 
-    def shifted(self, dx: float, gamma: float) -> "LimitSet":
-        est = [e.shifted(dx, gamma) for e in self.estimates.values()]
+    def shifted(self, gamma: float) -> "LimitSet":
+        """The set moved to gamma, each estimate by gamma - self.gamma in x."""
+        est = [e.shifted(gamma) for e in self.estimates.values()]
         return LimitSet(gamma, self.concavity, self.window, est, list(self.notes),
                         self.separation)
 
@@ -353,7 +355,6 @@ class PullbackSolution:
     trajectory: Trajectory
     anchor: HyperbolicEstimate
     horizon: float
-    band: tuple[float, float]
     band_exit_time: float | None = None
 
     def __call__(self, t: float) -> float:
@@ -406,10 +407,7 @@ def _pullback(model, mechanism, anchor, horizon, num, backward: bool) -> Pullbac
     traj = integrate(model.transition_rhs(mechanism), t_from, anchor(t_from), -t_from,
                      num.integrator)
     band = _band(model)
-    return PullbackSolution(
-        role=anchor.role, trajectory=traj, anchor=anchor,
-        horizon=H, band=band, band_exit_time=_band_exit(traj, band, backward),
-    )
+    return PullbackSolution(anchor.role, traj, anchor, H, _band_exit(traj, band, backward))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +486,8 @@ def estimate_lyapunov(model, gamma: float, solution: HyperbolicEstimate,
     names the last gap. The finer pass of the agreeing pair is the value,
     and their gap is quad_gap, a refinement gap and not an error bound of
     the exponent. The average over half the window, at QUAD_H, is reported
-    as a sensitivity measure. No field of num is read.
+    as a sensitivity measure. gamma repeats solution.gamma and num is not
+    read; both stay because perfbench/workloads.py passes them positionally.
     """
     if not window_length > 0.0:
         raise AttractorError(f"window_length must be positive, got {window_length!r}")

@@ -96,7 +96,7 @@ class LimitCache:
 
     def _limit_set(self, gamma: float, horizon: float) -> LimitSet:
         if self.model.translation_invariant and gamma != 0.0:
-            return self._limit_set(0.0, horizon).shifted(gamma, gamma)
+            return self._limit_set(0.0, horizon).shifted(gamma)
         key = (gamma, horizon)
         if key not in self._sets:
             ls = limit_hyperbolic_solutions(self.model, gamma, (-horizon, horizon), self.num)
@@ -130,7 +130,8 @@ def classify(model, mechanism, num: Numerics = DEFAULT_NUMERICS,
 
     _upper is the pullback of the upper (concave: the) attractive solution
     at this horizon, when the caller already holds it (it stays alive with
-    the caller); the retry at the doubled horizon integrates its own.
+    the caller). The retry at 2H integrates its own, in a nested classify
+    call: the tracer of perfbench counts those as classify.horizon_doublings.
     """
     H = float(horizon) if horizon is not None else resolve_horizon(mechanism, num)
     cache = LimitCache(model, num)

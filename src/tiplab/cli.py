@@ -386,8 +386,8 @@ def run_ftle(cfg, out, model, num, /, *, T: float, role: str = None,
                           f"with field {given!r}")
     mech = build_mechanism(cfg.get("mechanism"))
     role = role or _role_for(model, "upper-attractive")
-    sol = pullback_of(model, mech, role, num)
-    series = ftle_series(model, mech, sol, T, num, t_min=t_min, t_max=t_max)
+    traj = pullback_of(model, mech, role, num).trajectory
+    series = ftle_series(model, mech, traj, T, t_min=t_min, t_max=t_max)
     write_csv(out / "ftle.csv", ("t", "lambda"), zip(series.t, series.values))
     result = {"max": series.max_value, "quad_gap": series.quad_gap,
               "t_range": [float(series.t[0]), float(series.t[-1])]}
@@ -445,8 +445,7 @@ def run_safe_points(cfg, out, model, num, /, *, c0: float, grid: _grid,
     mech = build_mechanism(cfg.get("mechanism"))
     if mech.kind != "time-dependent-rate":
         raise ConfigError("safe-points needs a time-dependent-rate mechanism")
-    report = safe_no_return(model, mech.profile, mech.delta, c0, t0, grid,
-                            c_star=c_star, d=mech.d, num=num)
+    report = safe_no_return(model, mech, c0, t0, grid, c_star=c_star, num=num)
     write_csv(out / "safepoints.csv",
               ("t", "u_delta", "m_frozen", "m_future", "flag"),
               zip(report.grid, report.u_delta, report.m_frozen,

@@ -21,7 +21,6 @@ from .attractors import (
     DEFAULT_NUMERICS,
     NonConvergentError,
     Numerics,
-    PullbackSolution,
     QUAD_H,
     QUAD_TOL,
     TRACK_TOL_FACTOR,
@@ -37,7 +36,7 @@ from .classify import (
     pullback_of,
     resolve_horizon,
 )
-from .integrator import IntegrationError, _bisect, _first_hit, integrate
+from .integrator import IntegrationError, Trajectory, _bisect, _first_hit, integrate
 from .models import _fx_along
 from .transitions import ConstantRate, Reaction, TimeDependentRate
 
@@ -55,7 +54,7 @@ _CROSSOVER_STEP = 0.25     # scan step of crossover_time before it bisects
 
 @dataclass
 class FtleSeries:
-    role: str
+    """Backward FTLEs of one window length: values[i] averages f_x over [t[i] - T, t[i]]."""
     window_length: float
     t: np.ndarray
     values: np.ndarray
@@ -66,11 +65,10 @@ class FtleSeries:
         return float(self.values.max())
 
 
-def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
-                num: Numerics = DEFAULT_NUMERICS,
+def ftle_series(model, mechanism, traj: Trajectory, T: float,
                 t_min: float | None = None,
                 t_max: float | None = None) -> FtleSeries:
-    """Sliding-window average of f_x along the solution, for window length T.
+    """Sliding-window average of f_x along traj, for window length T.
 
     One pass of composite 3-point Gauss quadrature on a uniform step near
     QUAD_H that divides T yields every window by differencing the
@@ -79,12 +77,10 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     times, else EwsError names the last gap. The coarser pass of the
     agreeing pair is the series, and their gap is quad_gap: a refinement
     gap, not an error bound, since the solution is read through cubic
-    Hermite interpolation whose error does not shrink with the step. No
-    field of num is read.
+    Hermite interpolation whose error does not shrink with the step.
     """
     if not T > 0.0:
         raise EwsError(f"window length T must be positive, got {T!r}")
-    traj = solution.trajectory
     lo_feasible = traj.t[0] + T
     hi_feasible = traj.t[-1]
     if lo_feasible > hi_feasible:
@@ -114,7 +110,7 @@ def ftle_series(model, mechanism, solution: PullbackSolution, T: float,
     (times, vals), _, gap = _refined(
         series, lambda coarse, fine: float(np.abs(fine[1][::2] - coarse[1]).max()),
         QUAD_TOL, EwsError)
-    return FtleSeries(solution.role, T, times, vals, gap)
+    return FtleSeries(T, times, vals, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +196,8 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
             H = resolve_horizon(mech, num)
             if T > 2.0 * H:
                 raise EwsError(f"solution span {(-H, H)} shorter than the window {T}")
-            sol = pullback_of(model, mech, role, num, horizon=H)
-            series = ftle_series(model, mech, sol, T, num,
-                                 t_min=search[0], t_max=search[1])
+            traj = pullback_of(model, mech, role, num, horizon=H).trajectory
+            series = ftle_series(model, mech, traj, T, t_min=search[0], t_max=search[1])
         except (EwsError, NonConvergentError, IntegrationError) as exc:
             notes[c] = f"{type(exc).__name__}: {exc}"
             for i in range(len(kappas)):
@@ -233,21 +228,22 @@ class SafePointReport:
         return next((float(t) for t, fl in zip(self.grid, self.flags) if fl == flag), None)
 
 
-def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
-                   c_star: float | None = None, d: float = 1.0,
+def safe_no_return(model, mechanism: TimeDependentRate, c0: float, t0: float, grid,
+                   c_star: float | None = None,
                    num: Numerics = DEFAULT_NUMERICS) -> SafePointReport:
-    """Certificates for the time-dependent-rate problem x' = f(t, x, G(D(t) t)).
+    """Certificates for the time-dependent-rate problem x' = f(t, x, G(D(d t) t))
+    that mechanism describes, with its profile G, rate curve D and speed d.
 
     The warning point s1 is the first root of D(d s) - c0. On the grid
     restricted to t >= t0 (the onset of D's monotone growth), a point is safe
     when u_D passes above the frozen-rate repeller there, and a no-return
-    point when u_D falls below the repulsive solution of the future rate.
+    point when u_D falls below the repulsive solution of the future rate
+    c_star (default: D's limit at +inf).
     """
+    profile, delta, d = mechanism.profile, mechanism.delta, mechanism.d
     dval = lambda t: float(delta(d * t))
     c_star = float(c_star) if c_star is not None else float(delta.limit_plus)
-
-    mech = TimeDependentRate(profile, delta, d)
-    H = resolve_horizon(mech, num)
+    H = resolve_horizon(mechanism, num)
     grid = np.asarray([float(t) for t in grid])
 
     # D never falls to c0 when its closed-form lower bound does not
@@ -258,9 +254,9 @@ def safe_no_return(model, profile, delta, c0: float, t0: float, grid,
 
     s1 = _first_root(dval, c0, -H, H)
 
-    u = pullback_of(model, mech, "upper-attractive", num, horizon=H)
+    u = pullback_of(model, mechanism, "upper-attractive", num, horizon=H)
 
-    repellers: dict[float, PullbackSolution] = {}   # by exact frozen rate
+    repellers = {}   # pullback repulsive solutions by exact frozen rate
 
     def repeller(c: float, t: float) -> float:
         if c not in repellers:
@@ -305,14 +301,13 @@ def _first_root(fn, level: float, lo: float, hi: float) -> float | None:
     return None if hit is None else 0.5 * (hit[0] + hit[1])
 
 
-def crossover_time(solution: PullbackSolution, future_limits) -> float | None:
-    """First time the solution lands on the future extinction branch, i.e.
+def crossover_time(traj: Trajectory, future_limits) -> float | None:
+    """First time the trajectory lands on the future extinction branch, i.e.
     comes within TRACK_TOL_FACTOR times the attractor gap of the lower
     attractor; None if it never does (tracking runs). Scanned on a
     _CROSSOVER_STEP grid, then bisected by _first_hit."""
     upper = future_limits["upper-attractive"]
     lower = future_limits["lower-attractive"]
-    traj = solution.trajectory
     lo = max(traj.t_start, upper.trajectory.t[0], lower.trajectory.t[0])
     hi = min(traj.t_end, upper.window[1], lower.window[1])
 
@@ -352,7 +347,7 @@ class _UnreactedRun:
         self.u = pullback_of(model, self.mechanism, "upper-attractive", num,
                              horizon=self.H)
         self.future = LimitCache(model, num).get(self.mechanism.gamma_plus, self.H)
-        self.series = ftle_series(model, self.mechanism, self.u, T, num)
+        self.series = ftle_series(model, self.mechanism, self.u.trajectory, T)
         self._label: CaseLabel | None = None
 
     def unreacted_label(self) -> CaseLabel:
@@ -374,7 +369,7 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
     Without a warning the unreacted equation's own classification is
     returned, with t1 = None.
     """
-    if r < 0.0:
+    if not r >= 0.0:
         raise EwsError("reaction strength must be nonnegative")
     run = shared if shared is not None else _UnreactedRun(model, profile, delta, T, num)
     t1 = warning_time(run.series, EwsConfig(kappa, L))
@@ -396,7 +391,9 @@ def reaction_run(model, profile, delta, r: float, b: float, kappa: float,
 def reaction_region(model, profile, delta, rs, kappas, b: float, T: float,
                     L: float, num: Numerics = DEFAULT_NUMERICS) -> RegionGrid:
     """Grid of reaction outcomes over (r, kappa); the unreacted run and the
-    warning times are shared across the whole grid."""
+    warning times are shared across the whole grid. The unreacted problem
+    is the time-dependent rate (profile, delta) at d = 1, given by its
+    parts because perfbench/workloads.py passes them positionally."""
     rs = [float(r) for r in rs]
     kappas = [float(k) for k in kappas]
     shared = _UnreactedRun(model, profile, delta, T, num)

@@ -66,7 +66,7 @@ class Curve:
     ``offset`` defaults to 0 and ``rate`` to 1; ``center`` is optional
     (arctan and sigmoid-blend only), and without it the formula reads t for
     t - center. A missing parameter without a default, a value that is not a
-    number (a boolean included) or any other parameter name raises.
+    finite number (a boolean included) or any other parameter name raises.
     ``bounds()`` holds closed-form range bounds. Every kind but sin, sin2 and
     sum has finite limits at -inf and +inf (``limit_minus``, ``limit_plus``,
     else None), so it can serve as a transition profile or a rate curve.
@@ -146,11 +146,11 @@ class Curve:
 
     def check_positive(self) -> float:
         """The closed-form lower bound of the curve over all t; raises when
-        it is not positive. A ``sum`` is bounded below by the sum of its
-        terms' bounds, so one whose terms cancel is refused too: no sample
-        of its values can show an infimum."""
+        it is not positive, NaN included. A ``sum`` is bounded below by the
+        sum of its terms' bounds, so one whose terms cancel is refused too:
+        no sample of its values can show an infimum."""
         m = self._lo
-        if m <= 0.0:
+        if not m > 0.0:
             raise ModelError(
                 f"curve {self.kind!r} is not positively bounded below "
                 f"(lower bound {m:.6g})"
@@ -168,13 +168,16 @@ class Curve:
 
 
 def _number(what: str, value) -> float:
-    """value as a float; a boolean, or a value float() refuses, raises a
-    ModelError that names what."""
+    """value as a finite float; a boolean, a value float() refuses, a NaN or
+    an infinity raises a ModelError that names what."""
     if not isinstance(value, bool):
         try:
-            return float(value)
+            if math.isfinite(number := float(value)):
+                return number
         except (TypeError, ValueError):
             pass
+        else:
+            raise ModelError(f"{what} must be finite, got {number!r}")
     raise ModelError(f"{what} must be a number, got {value!r}")
 
 
@@ -194,24 +197,24 @@ def _curve_range(kind, p):
         return (lo, hi), none
     if kind == "cauchy-pulse":
         gp = p["gamma_plus"]
-        if p["b"] <= 0.0:
+        if not p["b"] > 0.0:
             raise ModelError("cauchy-pulse needs b > 0")
         return sorted((gp, p["gamma_star"])), (gp, gp)
     if kind == "sigmoid-blend":
         left, right = p["left"], p["right"]
-        if p["rate"] <= 0.0:
+        if not p["rate"] > 0.0:
             raise ModelError("sigmoid-blend needs rate > 0")
         return sorted((left, right)), (left, right)
     off, a = p["offset"], p["amplitude"]
     if kind in ("sin", "sin2"):
         return ((off - abs(a), off + abs(a)) if kind == "sin" else sorted((off, off + a))), none
     if kind == "rational-dip":
-        if p["width"] <= 0.0:
+        if not p["width"] > 0.0:
             raise ModelError("rational-dip needs width > 0")
         return sorted((off, off + a / p["width"])), (off, off)
     # arctan: off -+ |a|*pi/2 equals off -+ a*pi/2 bit for bit when a >= 0,
     # and off +- a*pi/2 when a < 0
-    if p["scale"] <= 0.0:
+    if not p["scale"] > 0.0:
         raise ModelError("arctan needs scale > 0")
     half = abs(a) * math.pi / 2.0
     lo, hi = off - half, off + half

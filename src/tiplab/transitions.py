@@ -112,7 +112,7 @@ class ConstantRate(Mechanism):
     sweep = "c"
 
     def __init__(self, profile: Curve, c: float):
-        if c <= 0.0:
+        if not c > 0.0:
             raise TransitionError(f"rate must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
@@ -130,7 +130,7 @@ class Phase(Mechanism):
     sweep = "c"
 
     def __init__(self, profile: Curve, c: float, offset: float):
-        if c <= 0.0:
+        if not c > 0.0:
             raise TransitionError(f"rate must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
@@ -150,7 +150,7 @@ class Size(Mechanism):
     sweep = "c"
 
     def __init__(self, profile: Curve, c: float):
-        if c <= 0.0:
+        if not c > 0.0:
             raise TransitionError(f"size factor must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
@@ -168,7 +168,7 @@ class TimeDependentRate(Mechanism):
     sweep = "d"
 
     def __init__(self, profile: Curve, delta: Curve, d: float = 1.0):
-        if d <= 0.0:
+        if not d > 0.0:
             raise TransitionError(f"rate-curve speed d must be positive, got {d}")
         _require_positive_rate(delta)
         self.profile = profile
@@ -191,9 +191,9 @@ class TimeDependentPhase(Mechanism):
 
     def __init__(self, profile: Curve, c: float, delta: Curve, d: float = 1.0,
                  convention: str = "minus"):
-        if c <= 0.0:
+        if not c > 0.0:
             raise TransitionError(f"rate must be positive, got {c}")
-        if d <= 0.0:
+        if not d > 0.0:
             raise TransitionError(f"phase-curve speed d must be positive, got {d}")
         if convention not in ("minus", "plus"):
             raise TransitionError(f"convention must be 'minus' or 'plus', got {convention!r}")
@@ -240,9 +240,9 @@ class Reaction(Mechanism):
     kind = "reaction"
 
     def __init__(self, profile: Curve, delta: Curve, r: float, b: float, t1: float):
-        if r < 0.0:
+        if not r >= 0.0:
             raise TransitionError(f"reaction strength must be >= 0, got {r}")
-        if b <= 0.0:
+        if not b > 0.0:
             raise TransitionError(f"reaction sharpness must be positive, got {b}")
         _require_positive_rate(delta)
         self.profile = profile

@@ -4,11 +4,13 @@ The expensive d-concave and Holling fixtures are session-scoped so the
 classification, warning and acceptance modules reuse one instance.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from tiplab import cli
 from tiplab.attractors import ANCHOR_DELTA, DEFAULT_NUMERICS
 from tiplab.classify import lambda_star
 from tiplab.integrator import integrate
@@ -42,6 +44,15 @@ def check_anchor_insensitivity(model, mechanism, solution, num=DEFAULT_NUMERICS)
         traj = integrate(rhs, t_from, x0, t_probe, num.integrator)
         worst = max(worst, abs(traj(t_probe) - base))
     return worst
+
+
+def run_cli(tmp_path, subcommand, config, *extra, out_name="out"):
+    """Write config to tmp_path and run the CLI subcommand on it with the
+    extra arguments; returns the exit code and the output directory."""
+    cfg_path = tmp_path / f"{subcommand}.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / out_name
+    return cli.main([subcommand, "--config", str(cfg_path), "--out", str(out), *extra]), out
 
 
 # one line per criterion, echoed after the run so the acceptance suite

@@ -149,10 +149,9 @@ def _series_on_step(g, a0: float, h: float, n: int, m: int) -> np.ndarray:
     return (cum[m:] - cum[:-m]) / (m * h)
 
 
-def ftle_series(model, mechanism, solution, T, num, t_min=None, t_max=None):
+def ftle_series(model, mechanism, traj, T, num, t_min=None, t_max=None):
     if T <= 0.0:
         raise EwsError("window length must be positive")
-    traj = solution.trajectory
     lo_feasible = traj.t[0] + T
     hi_feasible = traj.t[-1]
     if lo_feasible > hi_feasible:
@@ -185,4 +184,4 @@ def ftle_series(model, mechanism, solution, T, num, t_min=None, t_max=None):
     else:
         raise EwsError(f"quadrature refinement stalled at gap {gap:.3e}")
     times = a0 + h * np.arange(m, n + 1)
-    return FtleSeries(solution.role, T, times, vals, gap)
+    return FtleSeries(T, times, vals, gap)

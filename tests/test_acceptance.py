@@ -20,7 +20,6 @@ import conftest
 from tiplab import cli
 from tiplab.attractors import (
     DEFAULT_NUMERICS,
-    PullbackSolution,
     estimate_lyapunov,
     limit_hyperbolic_solutions,
     pullback_attractive,
@@ -125,11 +124,11 @@ def test_criterion_3_case_table_and_warnings(dmodel, dprof):
         lab = classify(dmodel, mech, NUM, horizon=H)
         checks.append(mark(lab.label == want, f"c={c}: {lab.label}"))
         u = pullback_attractive(dmodel, mech, past["upper-attractive"], H, NUM)
-        series = ftle_series(dmodel, mech, u, 50.0, NUM)
+        series = ftle_series(dmodel, mech, u.trajectory, 50.0)
         wt = warning_time(series, EwsConfig(0.6, L))
         checks.append(mark(wt is not None, f"c={c}: finite warning {wt}"))
         if want == "C2":
-            xo = crossover_time(u, cache.get(mech.gamma_plus, H))
+            xo = crossover_time(u.trajectory, cache.get(mech.gamma_plus, H))
             checks.append(mark(xo is not None and wt is not None and wt < xo,
                                f"c={c}: warning {wt} < crossover {xo}"))
     record(3, "case table with warnings before extinction", checks)
@@ -145,7 +144,7 @@ def test_criterion_4_window_study_near_critical(dmodel, dprof):
     checks = []
     plateau = None
     for T in (25.0, 50.0, 75.0, 100.0):
-        series = ftle_series(dmodel, mech, u, T, NUM)
+        series = ftle_series(dmodel, mech, u.trajectory, T)
         m = series.max_value
         if T < 100.0:
             checks.append(mark(m > 0.0, f"T={T:g}: max {m:+.4f} > 0"))
@@ -167,9 +166,9 @@ def test_criterion_5_holling_certificates(hmodel, hprof):
                         width=10.0)
     right = make_profile("rational-dip", offset=30.0, amplitude=-36.75,
                          width=1.5)
-    rep_l = safe_no_return(hmodel, hprof, left, res.midpoint, 0.0,
+    rep_l = safe_no_return(hmodel, TimeDependentRate(hprof, left), res.midpoint, 0.0,
                            np.linspace(0.0, 5.0, 11), num=NUM)
-    rep_r = safe_no_return(hmodel, hprof, right, res.midpoint, 0.0,
+    rep_r = safe_no_return(hmodel, TimeDependentRate(hprof, right), res.midpoint, 0.0,
                            np.linspace(1.2, 5.0, 9), num=NUM)
     record(5, "predation model: critical rate and certificates", [
         mark(abs(res.midpoint - 19.6523) <= 1.0e-2,
@@ -347,19 +346,15 @@ def test_criterion_9_property_suites(cubic, cmodel, hmodel, tmp_path):
     checks.append(mark(anchor_ok, "anchor insensitivity"))
 
     stub = types.SimpleNamespace(fx=lambda t, x, g: math.sin(t) + 0.3)
-    zero = PullbackSolution(role="attractive",
-                            trajectory=integrate(lambda t, x: 0.0,
-                                                 -60.0, 0.0, 60.0),
-                            anchor=None, horizon=60.0, band=(-1.0, 1.0))
+    zero = integrate(lambda t, x: 0.0, -60.0, 0.0, 60.0)
     ser = ftle_series(stub, ConstantRate(make_profile("constant", value=0.0),
-                                         1.0), zero, 10.0, NUM)
+                                         1.0), zero, 10.0)
     exact = 0.3 + (np.cos(ser.t - 10.0) - np.cos(ser.t)) / 10.0
     ftle_err = float(np.abs(ser.values - exact).max())
     checks.append(mark(ftle_err < 1e-8, f"FTLE exactness {ftle_err:.2e}"))
 
     t = np.linspace(0.0, 10.0, 201)
-    bump = FtleSeries("upper-attractive", 1.0, t,
-                      -2.0 + 1.9 * np.exp(-((t - 5.0) ** 2)), 0.0)
+    bump = FtleSeries(1.0, t, -2.0 + 1.9 * np.exp(-((t - 5.0) ** 2)), 0.0)
     wts = [warning_time(bump, EwsConfig(k, -2.0))
            for k in (0.3, 0.5, 0.7, 0.9)]
     finite = [w for w in wts if w is not None]

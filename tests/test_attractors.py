@@ -399,7 +399,7 @@ def test_a_full_chain_closer_than_sep_tol_is_held_but_not_complete():
     assert not ls.complete and ls.notes == [note]
     with pytest.raises(AttractorError, match="incomplete hyperbolic structure"):
         ls.require_complete()
-    shifted = ls.shifted(0.25, 0.25)
+    shifted = ls.shifted(0.25)
     assert shifted.roles == chain and shifted.gamma == 0.25
     assert shifted.separation == ls.separation
     assert not shifted.complete and shifted.notes == [note]

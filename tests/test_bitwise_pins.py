@@ -31,7 +31,7 @@ from tiplab.ews import (
     warning_time,
 )
 from tiplab.models import make_model
-from tiplab.transitions import ConstantRate, make_profile
+from tiplab.transitions import ConstantRate, TimeDependentRate, make_profile
 
 GOLDEN = Path(__file__).parent / "golden"
 NUM = DEFAULT_NUMERICS
@@ -189,12 +189,12 @@ def test_gamma_interval_edges_are_pinned(cubic):
 
 def test_crossover_time_is_pinned(slow_run):
     _, future, u = slow_run
-    assert float(crossover_time(u, future)).hex() == "0x1.10a8e22600000p+10"
+    assert float(crossover_time(u.trajectory, future)).hex() == "0x1.10a8e22600000p+10"
 
 
 def test_warning_times_are_pinned(cubic, slow_run):
     mech, _, u = slow_run
-    series = ftle_series(cubic, mech, u, 10.0, NUM)
+    series = ftle_series(cubic, mech, u.trajectory, 10.0)
     cfg = EwsConfig(0.5, -2.0)
     assert warning_time(series, cfg, refine_tol=0.25).hex() == "-0x1.70cccccccccc0p+6"
     assert warning_time(series, cfg, refine_tol=1.0e-6).hex() == "-0x1.711b85cccccc6p+6"
@@ -203,8 +203,8 @@ def test_warning_times_are_pinned(cubic, slow_run):
 @pytest.mark.parametrize("d, s1_hex", [(1.0, "0x1.9fe5afa2666a7p+1"),
                                        (0.5, "0x1.9fe5afa200000p+2")])
 def test_warning_point_is_pinned(cubic, d, s1_hex):
-    report = safe_no_return(cubic, make_profile(**PULSE), make_profile(**RATE),
-                            2.9, 0.0, [0.0], d=d, num=NUM)
+    mech = TimeDependentRate(make_profile(**PULSE), make_profile(**RATE), d)
+    report = safe_no_return(cubic, mech, 2.9, 0.0, [0.0], num=NUM)
     assert float(report.s1).hex() == s1_hex
 
 

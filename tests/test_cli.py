@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import run_cli
+from test_bitwise_pins import GOLDEN
 from tiplab import cli
 
 CUBIC = {
@@ -23,15 +25,6 @@ def base_config(c=5.0, experiment=None):
         "numerics": {},
         "experiment": experiment or {},
     }
-
-
-def run_cli(tmp_path, subcommand, config, *extra, out_name="out"):
-    cfg_path = tmp_path / f"{subcommand}.json"
-    cfg_path.write_text(json.dumps(config))
-    out = tmp_path / out_name
-    rc = cli.main([subcommand, "--config", str(cfg_path),
-                   "--out", str(out), *extra])
-    return rc, out
 
 
 def test_classify_fast_rate_tracks(tmp_path, capsys):
@@ -106,6 +99,19 @@ def test_lyapunov_refuses_a_bad_window_length_before_the_window(tmp_path, capsys
     assert rc == 1
     err = capsys.readouterr().err
     assert f"AttractorError: window_length must be positive, got {float(value)!r}" in err
+
+
+def test_a_nan_rate_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    # JSON reads NaN as a float: the rate guard refuses it before the
+    # burn-ins and the pullback
+    import tiplab.integrator as integrator
+
+    inner, runs = integrator._run, []
+    monkeypatch.setattr(integrator, "_run", lambda *args: runs.append(args) or inner(*args))
+    rc = cli.main(["classify", "--config", str(GOLDEN / "manifests" / "classify.json"),
+                   "--set", "mechanism.c=NaN", "--out", str(tmp_path / "out")])
+    assert rc == 1 and runs == []
+    assert "TransitionError: rate must be positive, got nan" in capsys.readouterr().err
 
 
 def test_missing_model_block_fails(tmp_path):

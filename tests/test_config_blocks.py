@@ -15,6 +15,7 @@ import re
 
 import pytest
 
+from conftest import run_cli
 from test_bitwise_pins import CUBIC, PULSE, result_files
 from test_experiment_blocks import MINIMAL, NUMERICS, minimal_config
 from tiplab import cli
@@ -23,13 +24,6 @@ from tiplab.integrator import IntegrationError, IntegratorConfig
 
 CLASSIFY = {"model": CUBIC, "numerics": NUMERICS,
             "mechanism": {"kind": "constant-rate", "profile": PULSE, "c": 5.0}}
-
-
-def run_cli(tmp_path, subcommand, config, *extra):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    return cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),
-                     *extra])
 
 
 @pytest.mark.parametrize("change, message", [
@@ -53,7 +47,7 @@ def run_cli(tmp_path, subcommand, config, *extra):
         "rtol-not-a-number", "integrator-typo", "numerics-typo", "state-box-one-number",
         "state-box-three-numbers"])
 def test_bad_model_or_numerics_field_is_refused_by_name(change, message, tmp_path, capsys):
-    assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change) == 1
+    assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change)[0] == 1
     assert message in capsys.readouterr().err
 
 
@@ -84,7 +78,7 @@ def test_bad_model_or_numerics_field_is_refused_by_name(change, message, tmp_pat
         "negative-doublings", "negative-refine-tol", "negative-rtol", "zero-max-steps"])
 def test_booleans_and_out_of_range_numerics_are_refused_by_name(change, message, tmp_path,
                                                                  capsys):
-    assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change) == 1
+    assert run_cli(tmp_path, "classify", CLASSIFY, "--set", change)[0] == 1
     assert message in capsys.readouterr().err
 
 
@@ -117,13 +111,13 @@ def test_missing_curve_parameter_is_refused_by_name(block, curve, message, tmp_p
         config["model"]["coefficients"]["r"] = curve
     else:
         config["mechanism"]["profile"] = curve
-    assert run_cli(tmp_path, "classify", config) == 1
+    assert run_cli(tmp_path, "classify", config)[0] == 1
     assert message in capsys.readouterr().err
 
 
 def test_numerics_values_are_converted(tmp_path):
-    rc = run_cli(tmp_path, "classify", CLASSIFY, "--set", "numerics.horizon=30",
-                 "--set", "numerics.max_burn_doublings=5.0")
+    rc, _ = run_cli(tmp_path, "classify", CLASSIFY, "--set", "numerics.horizon=30",
+                    "--set", "numerics.max_burn_doublings=5.0")
     assert rc == 0
     numerics = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["numerics"]
     assert repr(numerics["horizon"]) == "30.0"
@@ -132,7 +126,7 @@ def test_numerics_values_are_converted(tmp_path):
 
 @pytest.mark.parametrize("change", ["experiment.kappas=[1.5, -0.5]", "experiment.L=2.0"])
 def test_ews_region_refuses_kappa_and_L_as_ftle_does(change, tmp_path, capsys):
-    assert run_cli(tmp_path, "ews-region", minimal_config("ews-region"), "--set", change) == 1
+    assert run_cli(tmp_path, "ews-region", minimal_config("ews-region"), "--set", change)[0] == 1
     assert "EwsError" in capsys.readouterr().err
 
 
@@ -148,14 +142,14 @@ def test_ews_region_refuses_kappa_and_L_as_ftle_does(change, tmp_path, capsys):
 ], ids=["boolean-grid-entry", "boolean-pair-ends", "fractional-grid-num", "experiment-typo"])
 def test_bad_experiment_entry_or_key_is_refused_by_name(subcommand, change, message,
                                                         tmp_path, capsys):
-    assert run_cli(tmp_path, subcommand, minimal_config(subcommand), "--set", change) == 1
+    assert run_cli(tmp_path, subcommand, minimal_config(subcommand), "--set", change)[0] == 1
     assert message in capsys.readouterr().err
 
 
 def test_experiment_key_of_another_subcommand_is_accepted(tmp_path):
     # one config may serve several subcommands: kappas belongs to ews-region
     assert run_cli(tmp_path, "simulate", minimal_config("simulate"),
-                   "--set", "experiment.kappas=[0.5]") == 0
+                   "--set", "experiment.kappas=[0.5]")[0] == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "kappas" not in manifest["config"]["experiment"]
 
@@ -172,7 +166,7 @@ RERUNS["lyapunov-mechanism"] = ("lyapunov", {
 @pytest.mark.parametrize("name", sorted(RERUNS))
 def test_manifest_reruns_to_the_same_result_files(name, tmp_path):
     subcommand, config = RERUNS[name]
-    assert run_cli(tmp_path, subcommand, config) == 0
+    assert run_cli(tmp_path, subcommand, config)[0] == 0
     first = tmp_path / "out"
     manifest = json.loads((first / "manifest.json").read_text())
     rc = cli.main([subcommand, "--config", str(first / "manifest.json"),

@@ -15,7 +15,6 @@ from tiplab.attractors import (
     DEFAULT_NUMERICS,
     QUAD_TOL,
     WARN_REFINE_TOL,
-    PullbackSolution,
     pullback_attractive,
 )
 from tiplab.classify import LimitCache, classify, pullback_of, resolve_horizon
@@ -51,16 +50,13 @@ def linear_stub(span=60.0):
     average has the closed form 0.3 + (cos(t - T) - cos(t)) / T."""
     model = types.SimpleNamespace(fx=lambda t, x, gamma: math.sin(t) + 0.3)
     mech = ConstantRate(make_profile("constant", value=0.0), 1.0)
-    traj = integrate(lambda t, x: 0.0, -span, 0.0, span)
-    sol = PullbackSolution(role="attractive", trajectory=traj, anchor=None,
-                           horizon=span, band=(-1.0, 1.0))
-    return model, mech, sol
+    return model, mech, integrate(lambda t, x: 0.0, -span, 0.0, span)
 
 
 def test_ftle_exact_on_linear_field():
-    model, mech, sol = linear_stub()
+    model, mech, traj = linear_stub()
     T = 10.0
-    series = ftle_series(model, mech, sol, T, NUM)
+    series = ftle_series(model, mech, traj, T)
     exact = 0.3 + (np.cos(series.t - T) - np.cos(series.t)) / T
     assert np.abs(series.values - exact).max() < 1.0e-8
     assert series.quad_gap < QUAD_TOL
@@ -69,26 +65,26 @@ def test_ftle_exact_on_linear_field():
 
 
 def test_ftle_series_helpers():
-    model, mech, sol = linear_stub()
-    series = ftle_series(model, mech, sol, 10.0, NUM)
-    sub = ftle_series(model, mech, sol, 10.0, NUM, t_min=0.0, t_max=5.0)
+    model, mech, traj = linear_stub()
+    series = ftle_series(model, mech, traj, 10.0)
+    sub = ftle_series(model, mech, traj, 10.0, t_min=0.0, t_max=5.0)
     assert sub.t[0] >= 0.0 and sub.t[-1] <= 5.0
     assert sub.max_value == pytest.approx(sub.values.max())
     assert sub.max_value <= series.max_value
     with pytest.raises(EwsError, match="empty time range"):
-        ftle_series(model, mech, sol, 10.0, NUM, t_min=200.0, t_max=300.0)
+        ftle_series(model, mech, traj, 10.0, t_min=200.0, t_max=300.0)
 
 
 def test_ftle_window_errors():
-    model, mech, sol = linear_stub()
+    model, mech, traj = linear_stub()
     for T in (-1.0, math.nan):
         with pytest.raises(EwsError, match="window length T must be positive"):
-            ftle_series(model, mech, sol, T, NUM)
+            ftle_series(model, mech, traj, T)
     with pytest.raises(EwsError, match="empty time range"):
-        ftle_series(model, mech, sol, 10.0, NUM, t_min=30.0, t_max=20.0)
+        ftle_series(model, mech, traj, 10.0, t_min=30.0, t_max=20.0)
     model2, mech2, short = linear_stub(span=2.0)
     with pytest.raises(EwsError, match="shorter than the window"):
-        ftle_series(model2, mech2, short, 10.0, NUM)
+        ftle_series(model2, mech2, short, 10.0)
 
 
 def test_ews_config_validation():
@@ -112,7 +108,7 @@ def test_ews_config_validation():
 def bump_series():
     t = np.linspace(0.0, 10.0, 101)
     v = -2.0 + 1.9 * np.exp(-((t - 5.0) ** 2))
-    return FtleSeries("upper-attractive", 1.0, t, v, 0.0)
+    return FtleSeries(1.0, t, v, 0.0)
 
 
 def test_warning_time_bump():
@@ -146,11 +142,10 @@ def test_warning_time_edge_cases():
     # peak value -0.1 never reaches a threshold above it
     assert warning_time(series, EwsConfig(0.02, -2.0)) is None
     # a series that starts beyond the threshold warns at its first node
-    flat = FtleSeries("upper-attractive", 1.0, np.linspace(2.0, 4.0, 21),
-                      np.full(21, -0.5), 0.0)
+    flat = FtleSeries(1.0, np.linspace(2.0, 4.0, 21), np.full(21, -0.5), 0.0)
     assert warning_time(flat, EwsConfig(0.5, -2.0)) == pytest.approx(2.0)
     # a series that starts past the bump does not warn
-    late = FtleSeries("upper-attractive", 1.0, series.t[60:], series.values[60:], 0.0)
+    late = FtleSeries(1.0, series.t[60:], series.values[60:], 0.0)
     assert late.t[0] == 6.0 and warning_time(late, EwsConfig(0.5, -2.0)) is None
 
 
@@ -178,12 +173,12 @@ def fast_run(cubic):
 
 def test_slow_run_warns_before_extinction(cubic, slow_run):
     mech, H, past, u = slow_run
-    series = ftle_series(cubic, mech, u, 10.0, NUM)
+    series = ftle_series(cubic, mech, u.trajectory, 10.0)
     assert series.max_value == pytest.approx(0.2799, abs=5e-3)
     assert series.values.min() == pytest.approx(-3.4726, abs=5e-3)
     # the tipped solution only reaches the frozen lower branch far in the
     # future: the moving branch returns to it like 1/t^2
-    arrival = crossover_time(u, past)
+    arrival = crossover_time(u.trajectory, past)
     assert arrival == pytest.approx(1090.64, abs=0.5)
     wt = warning_time(series, EwsConfig(0.5, -2.0))
     assert wt is not None and wt < arrival
@@ -191,9 +186,9 @@ def test_slow_run_warns_before_extinction(cubic, slow_run):
 
 def test_fast_run_stays_quiet(cubic, fast_run):
     mech, H, past, u = fast_run
-    series = ftle_series(cubic, mech, u, 10.0, NUM)
+    series = ftle_series(cubic, mech, u.trajectory, 10.0)
     assert series.max_value == pytest.approx(-1.4154, abs=5e-3)
-    assert crossover_time(u, past) is None
+    assert crossover_time(u.trajectory, past) is None
     assert warning_time(series, EwsConfig(0.5, -2.0)) is None
 
 
@@ -201,7 +196,7 @@ def test_window_maxima_nested_in_T(cubic, slow_run):
     # doubling T averages pairs of shorter windows, so the maximum of the
     # series cannot increase
     mech, H, past, u = slow_run
-    maxima = [ftle_series(cubic, mech, u, T, NUM).max_value
+    maxima = [ftle_series(cubic, mech, u.trajectory, T).max_value
               for T in (5.0, 10.0, 20.0)]
     assert maxima[1] <= maxima[0] + 1e-4
     assert maxima[2] <= maxima[1] + 1e-4
@@ -214,9 +209,9 @@ def test_ftle_along_a_repulsive_solution(cubic):
     mech = ConstantRate(PULSE, 5.0)
     m = pullback_of(cubic, mech, "middle-repulsive", NUM)
     assert m.trajectory.direction == "backward"
-    series = ftle_series(cubic, mech, m, 10.0, NUM)
+    series = ftle_series(cubic, mech, m.trajectory, 10.0)
     assert series.t[0] == pytest.approx(m.trajectory.t[0] + 10.0)
-    past = ftle_series(cubic, mech, m, 10.0, NUM, t_min=-300.0, t_max=-100.0)
+    past = ftle_series(cubic, mech, m.trajectory, 10.0, t_min=-300.0, t_max=-100.0)
     assert np.abs(past.values - 1.0).max() < 1e-6
 
 
@@ -275,7 +270,7 @@ def first_crossing(delta, level):
 
 def test_safe_points_for_rate_crossing_upward(cubic):
     delta = make_profile("sigmoid-blend", left=0.5, right=4.0, rate=0.05)
-    rep = safe_no_return(cubic, PULSE, delta, C0, 0.0,
+    rep = safe_no_return(cubic, TimeDependentRate(PULSE, delta), C0, 0.0,
                          np.linspace(0.0, 60.0, 7), num=NUM)
     assert rep.s1 == pytest.approx(first_crossing(delta, C0), abs=1e-6)
     assert not rep.no_tipping
@@ -289,7 +284,7 @@ def test_safe_points_for_rate_crossing_upward(cubic):
 
 def test_safe_points_rate_always_supercritical(cubic):
     delta = make_profile("sigmoid-blend", left=2.5, right=4.0, rate=0.05)
-    rep = safe_no_return(cubic, PULSE, delta, C0, 0.0,
+    rep = safe_no_return(cubic, TimeDependentRate(PULSE, delta), C0, 0.0,
                          np.linspace(0.0, 40.0, 5), num=NUM)
     assert rep.s1 is None
     assert rep.no_tipping
@@ -299,7 +294,7 @@ def test_safe_points_rate_always_supercritical(cubic):
 
 def test_no_return_for_subcritical_rate(cubic):
     delta = make_profile("sigmoid-blend", left=0.3, right=1.8, rate=0.05)
-    rep = safe_no_return(cubic, PULSE, delta, C0, 0.0,
+    rep = safe_no_return(cubic, TimeDependentRate(PULSE, delta), C0, 0.0,
                          np.linspace(0.0, 40.0, 5), num=NUM)
     assert rep.s1 is None and not rep.no_tipping
     assert set(rep.flags) == {"no-return"}
@@ -312,7 +307,8 @@ def test_rate_whose_infimum_lies_beyond_any_sample(cubic):
     # D(1e4) = 2.75 and D(t) = c0 at t = 3.1e4, past the horizon
     delta = make_profile("arctan", offset=3.0, amplitude=-1.0 / math.pi, scale=1e-4)
     assert delta(1.0e4) > 2.6 > delta.bounds()[0]
-    rep = safe_no_return(cubic, PULSE, delta, 2.6, 0.0, [-5.0, 0.0, 5.0], num=NUM)
+    rep = safe_no_return(cubic, TimeDependentRate(PULSE, delta), 2.6, 0.0, [-5.0, 0.0, 5.0],
+                         num=NUM)
     assert not rep.no_tipping
     assert rep.s1 is None
     assert rep.conclusion != "no tipping possible"
@@ -323,7 +319,7 @@ def test_close_frozen_rates_each_get_their_own_repeller(cubic):
     # to 1e-4 could tell apart
     delta = make_profile("sigmoid-blend", left=0.5, right=4.0, rate=0.05)
     grid = [0.0, 1.0e-3]
-    rep = safe_no_return(cubic, PULSE, delta, C0, 0.0, grid, num=NUM)
+    rep = safe_no_return(cubic, TimeDependentRate(PULSE, delta), C0, 0.0, grid, num=NUM)
     rates = [float(delta(t)) for t in grid]
     assert 0.0 < rates[1] - rates[0] < 1.0e-4
     for t, c, m in zip(grid, rates, rep.m_frozen):
@@ -367,8 +363,9 @@ def test_reaction_rescues_slow_rate(cubic):
     assert strong.t1 == pytest.approx(none.t1, abs=1e-9)
     assert none.label.label == "C2"
     assert strong.label.label == "A"
-    with pytest.raises(EwsError, match="nonnegative"):
-        reaction_run(cubic, PULSE, delta, -1.0, 1.0, 0.5, 10.0, -2.0, NUM)
+    for r in (-1.0, math.nan):
+        with pytest.raises(EwsError, match="nonnegative"):
+            reaction_run(cubic, PULSE, delta, r, 1.0, 0.5, 10.0, -2.0, NUM)
 
 
 def test_reaction_at_the_past_rate_keeps_its_tolerance(cubic):

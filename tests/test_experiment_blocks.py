@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from conftest import run_cli
 from test_bitwise_pins import CONFIGS, CUBIC, PULSE, RATE
 from tiplab import cli
 
@@ -63,13 +64,6 @@ def minimal_config(subcommand: str) -> dict:
     if mechanism is not None:
         cfg["mechanism"] = mechanism
     return cfg
-
-
-def run_cli(tmp_path, subcommand, config, *extra):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    return cli.main([subcommand, "--config", str(path), "--out", str(out), *extra]), out
 
 
 def test_every_subcommand_is_pinned():

@@ -165,7 +165,7 @@ def test_the_store_holds_each_set_over_its_window_only(spec, gamma):
     model, H = make_model(*spec), 30.0
     assert model.translation_invariant == (spec is CONCAVE)
     if model.translation_invariant:
-        full = limit_hyperbolic_solutions(model, 0.0, (-H, H), SHORT).shifted(gamma, gamma)
+        full = limit_hyperbolic_solutions(model, 0.0, (-H, H), SHORT).shifted(gamma)
     else:
         full = limit_hyperbolic_solutions(model, gamma, (-H, H), SHORT)
     held = LimitCache(model, SHORT).get(gamma, H)

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from conftest import run_cli
 from test_bitwise_pins import CONFIGS, GOLDEN, run_subcommand
 from test_compiled_rhs import MECHANISMS
 from tiplab import cli
@@ -43,13 +44,6 @@ def test_mechanism_rebuilds_from_its_description(name):
     assert [clone.path(t).hex() for t in ts] == [mech.path(t).hex() for t in ts]
 
 
-def run_cli(tmp_path, subcommand, config, *extra):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    return cli.main([subcommand, "--config", str(path), "--out", str(tmp_path / "out"),
-                     *extra])
-
-
 @pytest.mark.parametrize("mechanism, extra, key", [
     ({**CONFIGS["classify"]["mechanism"], "kind": "constant-rate", "offset": 7.0}, (),
      "offset"),
@@ -58,7 +52,7 @@ def run_cli(tmp_path, subcommand, config, *extra):
 ], ids=["constant-rate-offset", "switching-set-c"])
 def test_stray_mechanism_key_is_refused(mechanism, extra, key, tmp_path, capsys):
     cfg = {"model": CONFIGS["classify"]["model"], "mechanism": mechanism}
-    assert run_cli(tmp_path, "classify", cfg, *extra) == 1
+    assert run_cli(tmp_path, "classify", cfg, *extra)[0] == 1
     assert f"ConfigError: mechanism kind {mechanism['kind']!r} takes no field '{key}'" \
         in capsys.readouterr().err
 
@@ -77,7 +71,7 @@ def test_sweep_of_a_field_the_kind_lacks_is_refused(subcommand, tmp_path, capsys
            "numerics": {"horizon": 30.0},
            "experiment": {**CONFIGS["ews-region"]["experiment"], "parameter": "d",
                           "cs": [0.05, 1.0, 5.0], "lower": 0.05, "upper": 5.0}}
-    assert run_cli(tmp_path, subcommand, cfg) == 1
+    assert run_cli(tmp_path, subcommand, cfg)[0] == 1
     assert "takes no field 'd'" in capsys.readouterr().err
 
 
@@ -86,7 +80,7 @@ def test_bifurcation_map_refuses_mechanism_keys_besides_profile(tmp_path, capsys
     # never read, yet went into the manifest
     cfg = dict(CONFIGS["bifurcation-map"])
     cfg["mechanism"] = {**cfg["mechanism"], "kind": "constant-rate", "c": 5.0, "bogus": 1}
-    assert run_cli(tmp_path, "bifurcation-map", cfg) == 1
+    assert run_cli(tmp_path, "bifurcation-map", cfg)[0] == 1
     err = capsys.readouterr().err
     assert "ConfigError: bifurcation-map reads only the profile" in err
     assert "'bogus', 'c', 'kind'" in err
@@ -94,7 +88,7 @@ def test_bifurcation_map_refuses_mechanism_keys_besides_profile(tmp_path, capsys
 
 def test_lyapunov_refuses_gamma_with_a_mechanism_block(tmp_path, capsys):
     cfg = {**CONFIGS["lyapunov"], "mechanism": CONFIGS["ftle"]["mechanism"]}
-    assert run_cli(tmp_path, "lyapunov", cfg) == 1
+    assert run_cli(tmp_path, "lyapunov", cfg)[0] == 1
     assert "experiment.gamma or a mechanism block, not both" in capsys.readouterr().err
 
 

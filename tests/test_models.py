@@ -185,6 +185,32 @@ def test_positive_guard_refuses_a_sum_whose_infimum_no_sample_shows():
         make_model("gompertz", {"r": 1.0, "K": curve.describe()})
 
 
+def test_nan_and_infinite_numbers_are_refused_in_curves_and_constants():
+    # a NaN compares false, so it would pass every range guard downstream
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelError, match="'constant' curve parameter 'value' must be finite"):
+            Curve("constant", value=value)
+    with pytest.raises(ModelError, match="'arctan' curve parameter 'scale' must be finite"):
+        Curve("arctan", amplitude=1.0, scale=math.inf)
+    with pytest.raises(ModelError, match="'value' must be finite"):
+        make_model("allee-multiplicative-cubic", {"r": math.nan, "K": 1.0, "S": -1.0})
+    with pytest.raises(ModelError, match="constant 'p0' must be finite, got nan"):
+        make_model("holling-predation-linear-gamma",
+                   {"r": 2.0, "K": 90.0, "b": 10.0}, constants={"p0": math.nan})
+
+
+def test_positive_guard_refuses_a_nan_lower_bound():
+    # finite terms whose bounds overflow: 1e308 + 1e308 - inf is NaN
+    curve = make_coefficient({"kind": "sum", "terms": [
+        {"kind": "constant", "value": 1.0e308},
+        {"kind": "constant", "value": 1.0e308},
+        {"kind": "sin", "offset": -1.0e308, "amplitude": 1.0e308, "omega": 1.0},
+    ]})
+    assert math.isnan(curve.bounds()[0])
+    with pytest.raises(ModelError, match=r"positive.*lower bound nan"):
+        curve.check_positive()
+
+
 def test_concavity_labels(cubic, cmodel, hmodel, dmodel):
     assert cubic.concavity == "d-concave"
     assert cmodel.concavity == "concave"

@@ -265,7 +265,7 @@ def test_first_root_matches_brentq():
 def test_warning_time_matches_brentq():
     t = np.linspace(0.0, 10.0, 101)
     v = -2.0 + 1.9 * np.exp(-((t - 5.0) ** 2))
-    series = FtleSeries("upper-attractive", 1.0, t, v, 0.0)
+    series = FtleSeries(1.0, t, v, 0.0)
     for kappa in (0.5, 0.8):
         cfg = EwsConfig(kappa, -2.0)
         wt = warning_time(series, cfg, refine_tol=1e-12)

@@ -196,14 +196,10 @@ ZERO_TRAJ = integrate(lambda t, x: 0.0, -60.0, 0.0, 60.0)
 @given(a=st.floats(-2.0, 2.0), b=st.floats(-1.0, 1.0),
        phase=st.floats(0.0, 2.0 * math.pi), T=st.floats(2.0, 15.0))
 def test_ftle_matches_closed_form_average(a, b, phase, T):
-    from tiplab.attractors import PullbackSolution
-
     model = types.SimpleNamespace(
         fx=lambda t, x, g: a * math.sin(t + phase) + b)
     mech = ConstantRate(make_profile("constant", value=0.0), 1.0)
-    sol = PullbackSolution(role="attractive", trajectory=ZERO_TRAJ,
-                           anchor=None, horizon=60.0, band=(-1.0, 1.0))
-    series = ftle_series(model, mech, sol, T, NUM)
+    series = ftle_series(model, mech, ZERO_TRAJ, T)
     exact = b + a * (np.cos(series.t - T + phase)
                      - np.cos(series.t + phase)) / T
     assert np.abs(series.values - exact).max() < 1e-8
@@ -216,7 +212,7 @@ def test_ftle_matches_closed_form_average(a, b, phase, T):
 def test_warning_time_monotone_in_kappa(amp, center, width, k1, dk):
     t = np.linspace(0.0, 10.0, 201)
     v = -2.0 + amp * np.exp(-(((t - center) / width) ** 2))
-    series = FtleSeries("upper-attractive", 1.0, t, v, 0.0)
+    series = FtleSeries(1.0, t, v, 0.0)
     k2 = min(k1 + dk, 0.99)
     w1 = warning_time(series, EwsConfig(k1, -2.0))
     w2 = warning_time(series, EwsConfig(k2, -2.0))

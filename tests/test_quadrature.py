@@ -20,7 +20,6 @@ from tiplab.attractors import (
     DEFAULT_NUMERICS,
     AttractorError,
     HyperbolicEstimate,
-    PullbackSolution,
     estimate_lyapunov,
     gauss3_interval_integrals,
 )
@@ -207,11 +206,10 @@ def test_exponent_and_series_match_the_reference(cases):
         want = ref.estimate_lyapunov(model, gamma, est, 60.0, ref.QUADRATURE_NUM)
         assert [v.hex() for v in (got.value, got.sensitivity, got.quad_gap)] == [
             v.hex() for v in (want.value, want.sensitivity, want.quad_gap)]
-        sol = PullbackSolution("attractive", transition, None, SPAN, (-1e9, 1e9))
         # unclipped, the series starts at a numpy scalar, t[0] + T - T
         for clip in ((-20.0, 30.0), (None, None)):
-            got = ftle_series(model, mech, sol, 10.0, NUM, *clip)
-            want = ref.ftle_series(model, mech, sol, 10.0, ref.QUADRATURE_NUM, *clip)
+            got = ftle_series(model, mech, transition, 10.0, *clip)
+            want = ref.ftle_series(model, mech, transition, 10.0, ref.QUADRATURE_NUM, *clip)
             assert got.t.tobytes() == want.t.tobytes()
             assert got.values.tobytes() == want.values.tobytes()
             assert got.quad_gap.hex() == want.quad_gap.hex()
@@ -222,9 +220,8 @@ def test_ftle_series_on_a_stub_model_matches_the_reference():
     model = types.SimpleNamespace(fx=lambda t, x, g: math.cos(t) * x - g * g)
     mech = ConstantRate(make_profile("arctan", amplitude=1.0, scale=0.5), 1.0)
     traj = integrate(lambda t, x: math.sin(t) - 0.1 * x, -30.0, 0.5, 30.0)
-    sol = PullbackSolution("attractive", traj, None, 30.0, (-1e9, 1e9))
-    got = ftle_series(model, mech, sol, 5.0, NUM)
-    want = ref.ftle_series(model, mech, sol, 5.0, ref.QUADRATURE_NUM)
+    got = ftle_series(model, mech, traj, 5.0)
+    want = ref.ftle_series(model, mech, traj, 5.0, ref.QUADRATURE_NUM)
     assert got.t.tobytes() == want.t.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
     assert got.quad_gap.hex() == want.quad_gap.hex()
@@ -236,6 +233,5 @@ def test_ftle_refinement_stall_raises_ews_error():
     model = types.SimpleNamespace(fx=lambda t, x, g: math.sin(1000.0 * t))
     mech = ConstantRate(make_profile("constant", value=0.0), 1.0)
     traj = integrate(lambda t, x: 0.0, -30.0, 0.0, 30.0)
-    sol = PullbackSolution("attractive", traj, None, 30.0, (-1.0, 1.0))
     with pytest.raises(EwsError, match="quadrature refinement stalled at gap"):
-        ftle_series(model, mech, sol, 10.0, NUM)
+        ftle_series(model, mech, traj, 10.0)

@@ -141,3 +141,18 @@ def test_describe_round_trips_through_kind():
     clone_prof = make_profile(d["profile"].pop("kind"), **d["profile"])
     clone = ConstantRate(clone_prof, d["c"])
     assert clone.path(12.3) == mech.path(12.3)
+
+
+def test_nan_rates_and_speeds_are_refused():
+    # each guard reads "not x > 0.0" (r: "not r >= 0.0"), which a NaN fails
+    prof = make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.6, b=0.05)
+    delta = make_profile("constant", value=0.5)
+    nan = math.nan
+    for build in (lambda: ConstantRate(prof, nan), lambda: Phase(prof, nan, 0.0),
+                  lambda: Size(prof, nan), lambda: TimeDependentRate(prof, delta, nan),
+                  lambda: TimeDependentPhase(prof, nan, delta),
+                  lambda: TimeDependentPhase(prof, 1.0, delta, nan),
+                  lambda: Reaction(prof, delta, nan, 1.0, 0.0),
+                  lambda: Reaction(prof, delta, 1.0, nan, 0.0)):
+        with pytest.raises(TransitionError, match="got nan"):
+            build()
