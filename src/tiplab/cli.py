@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import platform
 import sys
 import time
@@ -44,6 +45,7 @@ from .classify import (
 )
 from .ews import (
     EwsConfig,
+    _check_span,
     ews_region,
     ftle_series,
     reaction_region,
@@ -129,10 +131,11 @@ def _fields(build) -> dict:
 
 
 def _number(value) -> float:
-    """A float field's value: a number, never a boolean."""
-    if isinstance(value, bool):
+    """A float field's value: a number, never a boolean or NaN (+-inf pass)."""
+    number = math.nan if isinstance(value, bool) else float(value)
+    if math.isnan(number):
         raise ValueError(f"needs a number, got {json.dumps(value)}")
-    return float(value)
+    return number
 
 
 def _whole(value) -> int:
@@ -295,10 +298,16 @@ def run_attractors(cfg, out, model, num, /, *, window: _pair = None):
     H = resolve_horizon(mech, num)
     window = window or (-H, H)
     result = {"horizon": H, "limits": {}, "pullback": {}}
+    sets = {}     # each distinct (gamma, window) computed once: gamma- may equal gamma+
+
+    def limit_set(gamma, w):
+        if (gamma, w) not in sets:
+            sets[gamma, w] = limit_hyperbolic_solutions(model, gamma, w, num)
+        return sets[gamma, w]
+
     limits = {}
     for tag, gamma in (("minus", mech.gamma_minus), ("plus", mech.gamma_plus)):
-        ls = limit_hyperbolic_solutions(model, gamma, window, num)
-        limits[tag] = ls
+        ls = limits[tag] = limit_set(gamma, window)
         for role in sorted(ls.estimates):
             est = ls.estimates[role]
             write_csv(out / f"limit_{tag}_{role}.csv", ("t", "x"),
@@ -311,9 +320,7 @@ def run_attractors(cfg, out, model, num, /, *, window: _pair = None):
             "notes": list(ls.notes),
         }
     # the pullbacks start at -+H: their anchors are the sets over (-H, H)
-    past, future = (ls if window == (-H, H) else
-                    limit_hyperbolic_solutions(model, ls.gamma, (-H, H), num)
-                    for ls in (limits["minus"], limits["plus"]))
+    past, future = (limit_set(ls.gamma, (-H, H)) for ls in (limits["minus"], limits["plus"]))
     pullbacks = [(f"attractive_{role}", pullback_attractive(model, mech, past[role], H, num))
                  for role in sorted(past.estimates) if role.endswith("attractive")]
     rep_role = _role_for(model, "middle-repulsive")
@@ -386,7 +393,9 @@ def run_ftle(cfg, out, model, num, /, *, T: float, role: str = None,
                           f"with field {given!r}")
     mech = build_mechanism(cfg.get("mechanism"))
     role = role or _role_for(model, "upper-attractive")
-    traj = pullback_of(model, mech, role, num).trajectory
+    H = resolve_horizon(mech, num)
+    _check_span(T, H)
+    traj = pullback_of(model, mech, role, num, horizon=H).trajectory
     series = ftle_series(model, mech, traj, T, t_min=t_min, t_max=t_max)
     write_csv(out / "ftle.csv", ("t", "lambda"), zip(series.t, series.values))
     result = {"max": series.max_value, "quad_gap": series.quad_gap,

@@ -113,6 +113,13 @@ def ftle_series(model, mechanism, traj: Trajectory, T: float,
     return FtleSeries(T, times, vals, gap)
 
 
+def _check_span(T: float, H: float) -> None:
+    """Refuse a window T longer than the span (-H, H) of a pullback at
+    horizon H, before anything integrates."""
+    if T > 2.0 * H:
+        raise EwsError(f"solution span {(-H, H)} shorter than the window {T}")
+
+
 # ---------------------------------------------------------------------------
 # warning times
 # ---------------------------------------------------------------------------
@@ -194,8 +201,7 @@ def ews_region(model, mechanism_family, kappas, cs, T: float, L: float,
         mech = mechanism_family(c)
         try:
             H = resolve_horizon(mech, num)
-            if T > 2.0 * H:
-                raise EwsError(f"solution span {(-H, H)} shorter than the window {T}")
+            _check_span(T, H)
             traj = pullback_of(model, mech, role, num, horizon=H).trajectory
             series = ftle_series(model, mech, traj, T, t_min=search[0], t_max=search[1])
         except (EwsError, NonConvergentError, IntegrationError) as exc:
@@ -238,8 +244,11 @@ def safe_no_return(model, mechanism: TimeDependentRate, c0: float, t0: float, gr
     restricted to t >= t0 (the onset of D's monotone growth), a point is safe
     when u_D passes above the frozen-rate repeller there, and a no-return
     point when u_D falls below the repulsive solution of the future rate
-    c_star (default: D's limit at +inf).
+    c_star (default: D's limit at +inf). A non-finite c0 is refused
+    before any run.
     """
+    if not math.isfinite(c0):
+        raise EwsError(f"warning rate c0 must be finite, got {c0}")
     profile, delta, d = mechanism.profile, mechanism.delta, mechanism.d
     dval = lambda t: float(delta(d * t))
     c_star = float(c_star) if c_star is not None else float(delta.limit_plus)
@@ -337,13 +346,15 @@ class _UnreactedRun:
     """Shared state for a reaction sweep: the unreacted solution, its FTLE
     series, the limit sets and the unreacted label, computed once for the
     whole grid. The unreacted solution u is the pullback that classify runs
-    first, so the label is classified with it rather than a second run."""
+    first, so the label is classified with it rather than a second run. A
+    window T longer than u's span (-H, H) is refused before any run."""
 
     def __init__(self, model, profile, delta, T: float, num: Numerics):
         self.model = model
         self.num = num
         self.mechanism = TimeDependentRate(profile, delta, 1.0)
         self.H = resolve_horizon(self.mechanism, num)
+        _check_span(T, self.H)
         self.u = pullback_of(model, self.mechanism, "upper-attractive", num,
                              horizon=self.H)
         self.future = LimitCache(model, num).get(self.mechanism.gamma_plus, self.H)

@@ -10,6 +10,7 @@ equation.
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Callable
 
 from ._codegen import Emitter, paren
@@ -33,6 +34,14 @@ def make_profile(kind: str, **params) -> Curve:
         raise TransitionError(f"a {kind!r} curve has no limits at -inf and +inf; "
                               "it cannot serve as a profile")
     return curve
+
+
+def _finite(name: str, value: float) -> float:
+    """value as a float, refused with the field's name unless finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise TransitionError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _require_positive_rate(delta: Curve) -> None:
@@ -134,7 +143,7 @@ class Phase(Mechanism):
             raise TransitionError(f"rate must be positive, got {c}")
         self.profile = profile
         self.c = float(c)
-        self.offset = float(offset)
+        self.offset = _finite("offset", offset)
         self.gamma_minus = profile.limit_minus
         self.gamma_plus = profile.limit_plus
 
@@ -220,7 +229,7 @@ class Switching(Mechanism):
     def __init__(self, left: Mechanism, right: Mechanism, t0: float = 0.0):
         self.left = left
         self.right = right
-        self.t0 = float(t0)
+        self.t0 = _finite("t0", t0)
         self.gamma_minus = left.gamma_minus
         self.gamma_plus = right.gamma_plus
 
@@ -249,7 +258,7 @@ class Reaction(Mechanism):
         self.delta = delta
         self.r = float(r)
         self.b = float(b)
-        self.t1 = float(t1)
+        self.t1 = _finite("t1", t1)
         # asymptotic speed of the profile argument decides which limit is reached
         past = delta.limit_minus - self.r
         self.gamma_minus = profile.limit_minus if past > 0.0 else profile.limit_plus

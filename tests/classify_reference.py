@@ -1,4 +1,6 @@
-"""The two case rules of ``classify`` as they were before they stopped early.
+"""The two case rules of ``classify`` as they were before they stopped
+early, and ``lambda_star`` as it was before it answered tilts by
+monotonicity.
 
 Each rule integrated every pullback solution of its concavity class (u, l
 and m for a d-concave field; a and r for a concave one) before it read any
@@ -7,18 +9,43 @@ verbatim; they use the package's own pullbacks and terminal distances, and
 the tracking targets as classify computed them then. ``classify`` must
 give the same label, and every evidence key both report must hold the same
 value.
+
+``lambda_star`` below classifies every tilt the plain search asks: the
+upper end until it is A, the lower end until it is C, then each bisection
+midpoint. It is kept verbatim but for one line: it calls ``classify``
+through the module, so that a stand-in set on ``tiplab.classify`` serves
+it and the package's ``lambda_star`` alike.
 """
 
 from __future__ import annotations
 
+import importlib
+
 from tiplab.attractors import (
+    AttractorError,
+    DEFAULT_NUMERICS,
+    NonConvergentError,
+    Numerics,
     TAIL_TRACK_FACTOR,
     TRACK_TOL_FACTOR,
     pullback_attractive,
     pullback_repulsive,
 )
-from tiplab.classify import CaseLabel, _terminal_distance
+from tiplab.classify import (
+    CaseLabel,
+    ClassifyError,
+    IndeterminateError,
+    LambdaStarResult,
+    _MAX_EXPAND,
+    _terminal_distance,
+    resolve_horizon,
+)
+from tiplab.integrator import _bisect
 from tiplab.models import CONCAVE, DCONCAVE
+from tiplab.transitions import Phase
+
+# the module; tiplab.classify is the function the package re-exports
+CLASSIFY = importlib.import_module("tiplab.classify")
 
 
 def _tracking_targets(mechanism, future, H):
@@ -78,3 +105,44 @@ def _classify_concave(model, mechanism, past, future, H, num) -> CaseLabel:
     else:
         label = "indeterminate"
     return CaseLabel(label, CONCAVE, H, evidence)
+
+
+def lambda_star(model, profile, c: float, s: float,
+                bracket: tuple[float, float] = (-0.6, 0.6),
+                tol: float = 1.0e-3,
+                num: Numerics = DEFAULT_NUMERICS) -> LambdaStarResult:
+    if model.concavity != CONCAVE:
+        raise ClassifyError("the bifurcation map is defined for concave models")
+    mech = Phase(profile, c, -s)
+    num_H = resolve_horizon(mech, num)
+
+    def label_at(lam: float) -> str:
+        try:
+            out = CLASSIFY.classify(model.tilted(lam), mech, num, horizon=num_H)
+        except (NonConvergentError, AttractorError):
+            # Below the saddle-node of the limit equations the tilted field
+            # has no bounded solutions at all, which is the Case C phenotype.
+            return "C"
+        if out.indeterminate:
+            raise IndeterminateError(f"indeterminate classification at tilt {lam}")
+        return out.label
+
+    def expand(end: float, move: float, want: str, where: str) -> float:
+        """Move a bracket end by ``move`` until it is labelled ``want``."""
+        expansions = 0
+        while label_at(end) != want:
+            expansions += 1
+            if expansions > _MAX_EXPAND:
+                raise ClassifyError(f"no Case {want} tilt found {where} {end}")
+            end += move
+        return end
+
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not hi > lo:
+        raise ClassifyError(f"empty tilt bracket {bracket}")
+    step = hi - lo
+    hi = expand(hi, step, "A", "up to")
+    lo = expand(lo, -step, "C", "down to")
+    lo, hi, iterations = _bisect(lambda lam: label_at(lam) == "A", lo, hi, tol)
+    return LambdaStarResult(value=0.5 * (lo + hi), lower=lo, upper=hi,
+                            iterations=iterations, horizon=num_H)

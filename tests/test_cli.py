@@ -1,6 +1,7 @@
 """End-to-end checks of the command line driver on the cubic model."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -89,7 +90,8 @@ def test_lyapunov_refuses_a_bad_window_length_before_the_window(tmp_path, capsys
                                                                 monkeypatch, value):
     # a NaN or negative length used to fail on the window it gave:
     # "empty window (nan, nan)" or "empty window (50.0, -50.0)"; 0 was
-    # refused by name only after the limit set had been computed
+    # refused by name only after the limit set had been computed. A NaN is
+    # now refused with the field's name as the experiment block is read
     def no_limit_set(*args):
         raise AssertionError("a limit set was computed")
 
@@ -98,12 +100,16 @@ def test_lyapunov_refuses_a_bad_window_length_before_the_window(tmp_path, capsys
                     "--set", f"experiment.window_length={value}")
     assert rc == 1
     err = capsys.readouterr().err
-    assert f"AttractorError: window_length must be positive, got {float(value)!r}" in err
+    if value == "nan":
+        assert "ConfigError: lyapunov experiment field 'window_length': needs a number" in err
+    else:
+        assert f"AttractorError: window_length must be positive, got {float(value)!r}" in err
 
 
 def test_a_nan_rate_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
-    # JSON reads NaN as a float: the rate guard refuses it before the
-    # burn-ins and the pullback
+    # JSON reads NaN as a float: the mechanism block refuses it by name
+    # before the burn-ins and the pullback (the rate guard of Phase refuses
+    # it for library callers, tests/test_transitions.py)
     import tiplab.integrator as integrator
 
     inner, runs = integrator._run, []
@@ -111,7 +117,69 @@ def test_a_nan_rate_is_refused_before_any_run(tmp_path, capsys, monkeypatch):
     rc = cli.main(["classify", "--config", str(GOLDEN / "manifests" / "classify.json"),
                    "--set", "mechanism.c=NaN", "--out", str(tmp_path / "out")])
     assert rc == 1 and runs == []
-    assert "TransitionError: rate must be positive, got nan" in capsys.readouterr().err
+    assert "mechanism kind 'phase' field 'c': needs a number, got NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, field", [
+    ("classify", "mechanism.offset"),
+    ("safe-points", "experiment.c0"),
+    ("ftle", "experiment.T"),
+], ids=["offset", "c0", "T"])
+def test_a_nan_number_field_is_refused_by_name_before_any_run(tmp_path, capsys, monkeypatch,
+                                                              subcommand, field):
+    # a NaN offset reached the integrator ("right-hand side not finite at
+    # start"); a NaN c0 gave s1 null and "tracking"
+    import tiplab.integrator as integrator
+
+    inner, runs = integrator._run, []
+    monkeypatch.setattr(integrator, "_run", lambda *args: runs.append(args) or inner(*args))
+    rc = cli.main([subcommand, "--config", str(GOLDEN / "manifests" / f"{subcommand}.json"),
+                   "--set", f"{field}=NaN", "--out", str(tmp_path / "out")])
+    assert rc == 1 and runs == []
+    name = field.rpartition(".")[2]
+    assert f"field {name!r}: needs a number, got NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["ftle", "reaction-region"])
+def test_an_ftle_window_longer_than_the_span_is_refused_before_any_run(tmp_path, capsys,
+                                                                       monkeypatch, subcommand):
+    # the limit sets and the pullback were computed (11 runs) before
+    # ftle_series refused the window
+    import tiplab.integrator as integrator
+
+    inner, runs = integrator._run, []
+    monkeypatch.setattr(integrator, "_run", lambda *args: runs.append(args) or inner(*args))
+    rc = cli.main([subcommand, "--config", str(GOLDEN / "manifests" / f"{subcommand}.json"),
+                   "--set", "experiment.T=1000000", "--out", str(tmp_path / "out")])
+    assert rc == 1 and runs == []
+    err = capsys.readouterr().err
+    assert re.search(r"EwsError: solution span \(-[0-9.]+, [0-9.]+\) shorter than the "
+                     r"window 1000000.0$", err, re.MULTILINE), err
+
+
+@pytest.mark.parametrize("window, computed", [([-20.0, 20.0], 2), (None, 1)],
+                         ids=["window", "horizon"])
+def test_attractors_computes_each_distinct_limit_set_once(tmp_path, monkeypatch,
+                                                          window, computed):
+    # a cauchy pulse starts and ends at gamma_plus, so the past and future
+    # sets are one set: over the window, and over (-H, H) for the anchors
+    # (the same set when the window is (-H, H))
+    inner, sets = cli.limit_hyperbolic_solutions, []
+
+    def counted(model, gamma, window, num):
+        sets.append((gamma, window))
+        return inner(model, gamma, window, num)
+
+    monkeypatch.setattr(cli, "limit_hyperbolic_solutions", counted)
+    pulse = {"kind": "cauchy-pulse", "gamma_plus": -0.5, "gamma_star": 0.3, "b": 0.05}
+    out = tmp_path / "out"
+    rc = cli.main(["attractors", "--config", str(GOLDEN / "manifests" / "attractors.json"),
+                   "--set", f"mechanism.profile={json.dumps(pulse)}",
+                   "--set", f"experiment.window={json.dumps(window)}", "--out", str(out)])
+    assert rc == 0 and len(sets) == computed == len(set(sets))
+    for minus in out.glob("limit_minus_*.csv"):
+        plus = out / minus.name.replace("minus", "plus")
+        assert plus.read_bytes() == minus.read_bytes()
 
 
 def test_missing_model_block_fails(tmp_path):

@@ -314,6 +314,20 @@ def test_rate_whose_infimum_lies_beyond_any_sample(cubic):
     assert rep.conclusion != "no tipping possible"
 
 
+@pytest.mark.parametrize("c0", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_warning_rate_is_refused_before_any_run(cubic, monkeypatch, c0):
+    # every comparison of D(d s) - c0 with 0 is false for a NaN, so no
+    # warning point was found and the report read "tracking"
+    import tiplab.integrator as integrator
+
+    inner, runs = integrator._run, []
+    monkeypatch.setattr(integrator, "_run", lambda *args: runs.append(args) or inner(*args))
+    delta = make_profile("sigmoid-blend", left=0.5, right=4.0, rate=0.05)
+    with pytest.raises(EwsError, match=f"^warning rate c0 must be finite, got {c0}$"):
+        safe_no_return(cubic, TimeDependentRate(PULSE, delta), c0, 0.0, [0.0], num=NUM)
+    assert runs == []
+
+
 def test_close_frozen_rates_each_get_their_own_repeller(cubic):
     # the two rates differ by about 4e-5, closer than a repeller cache keyed
     # to 1e-4 could tell apart

@@ -57,8 +57,10 @@ def limit_calls(monkeypatch):
 
 
 def test_lambda_star_cells_share_the_tilted_limit_sets(limit_calls):
-    # both cells visit the tilts 0.3, -0.3 and 0 of one model: three limit
-    # sets in all, where a fresh cache per visit computed six
+    # the untilted label decides one end of each cell: the negative cell
+    # (0.25, 0) visits the tilts 0 and -0.3, the positive one (1, 2.5) 0 and
+    # 0.3, of one model: three limit sets in all, where a fresh cache per
+    # visit would compute four
     gam = make_profile("arctan", amplitude=2.0 / math.pi, scale=1.0)
     cells = [(0.25, 0.0), (1.0, 2.5)]
 

@@ -156,3 +156,17 @@ def test_nan_rates_and_speeds_are_refused():
                   lambda: Reaction(prof, delta, 1.0, nan, 0.0)):
         with pytest.raises(TransitionError, match="got nan"):
             build()
+
+
+def test_non_finite_offsets_and_switching_times_are_refused():
+    # a NaN switching time compared false with every t, so the path followed
+    # the right mechanism everywhere; each field is named
+    prof = make_profile("cauchy-pulse", gamma_plus=0.0, gamma_star=-0.6, b=0.05)
+    delta = make_profile("constant", value=0.5)
+    rate = ConstantRate(prof, 1.0)
+    for value in (math.nan, math.inf, -math.inf):
+        for name, build in (("offset", lambda: Phase(prof, 1.0, value)),
+                            ("t0", lambda: Switching(rate, rate, t0=value)),
+                            ("t1", lambda: Reaction(prof, delta, 1.0, 1.0, value))):
+            with pytest.raises(TransitionError, match=f"^{name} must be finite, got {value}$"):
+                build()
